@@ -78,13 +78,10 @@ class Emitter:
             self.stdout.write(f"# file: {name}\n")
             self.stdout.write(text)
 
-    def ref(self, name):
-        return name
-
 
 def _emit_object(em, obj, stem):
     em.emit(f"{stem}.poset", formats.serialize_poset(obj.X))
-    em.emit(f"{stem}.exreg", formats.serialize_exreg_object(obj, em.ref(f"{stem}.poset")))
+    em.emit(f"{stem}.exreg", formats.serialize_exreg_object(obj, f"{stem}.poset"))
 
 
 def _emit_morphism(em, R, stem, src_ref, tgt_ref):
@@ -93,8 +90,8 @@ def _emit_morphism(em, R, stem, src_ref, tgt_ref):
 
 def _emit_tabulation(em, tab, src_ref, tgt_ref):
     _emit_object(em, tab.apex, "apex")
-    _emit_morphism(em, tab.leg0, "leg0", em.ref("apex.exreg"), src_ref)
-    _emit_morphism(em, tab.leg1, "leg1", em.ref("apex.exreg"), tgt_ref)
+    _emit_morphism(em, tab.leg0, "leg0", "apex.exreg", src_ref)
+    _emit_morphism(em, tab.leg1, "leg1", "apex.exreg", tgt_ref)
 
 
 def _load_object(path):
@@ -111,7 +108,7 @@ def _load_morphism(path):
     return value
 
 
-def cmd_poset(args, out):
+def cmd_poset(args, out, err):
     P = formats.load_poset(args.file)
     out.write(formats.serialize_poset(P))
     if args.dot:
@@ -120,7 +117,7 @@ def cmd_poset(args, out):
     return 0
 
 
-def cmd_rel(args, out):
+def cmd_rel(args, out, err):
     R = formats.load_rel(args.file)
     out.write(formats.serialize_rel(R, *_rel_refs(args.file)))
     out.write(f"# weakening-closed: {'yes' if R.is_weakening else 'no'}\n")
@@ -140,14 +137,14 @@ def _rel_refs(path):
     raise ParseError(path, 1, "empty relation file")
 
 
-def cmd_exreg_check(args, out):
-    value = formats.parse_exreg(open(args.file).read(), args.file)
+def cmd_exreg_check(args, out, err):
+    value = formats.load_exreg(args.file)
     kind = "object" if isinstance(value, ExRegObject) else "morphism"
     out.write(f"# valid {kind}\n")
     return 0
 
 
-def cmd_tabulate(args, out):
+def cmd_tabulate(args, out, err):
     phi = formats.load_rel(args.phi)
     src = _load_object(args.src)
     tgt = _load_object(args.tgt)
@@ -155,25 +152,23 @@ def cmd_tabulate(args, out):
     em = Emitter(args.out_dir, out)
     _emit_object(em, src, "src")
     _emit_object(em, tgt, "tgt")
-    _emit_tabulation(em, tab, em.ref("src.exreg"), em.ref("tgt.exreg"))
+    _emit_tabulation(em, tab, "src.exreg", "tgt.exreg")
     return 0
 
 
-def cmd_factorize(args, out):
+def cmd_factorize(args, out, err):
     R = _load_morphism(args.morphism)
     Q, M = exreg.factorize(R)
     em = Emitter(args.out_dir, out)
     _emit_object(em, Q.tgt, "image")
-    src_ref = "src.exreg"
-    tgt_ref = "tgt.exreg"
     _emit_object(em, R.src, "src")
     _emit_object(em, R.tgt, "tgt")
-    _emit_morphism(em, Q, "so-part", src_ref, em.ref("image.exreg"))
-    _emit_morphism(em, M, "ff-part", em.ref("image.exreg"), tgt_ref)
+    _emit_morphism(em, Q, "so-part", "src.exreg", "image.exreg")
+    _emit_morphism(em, M, "ff-part", "image.exreg", "tgt.exreg")
     return 0
 
 
-def cmd_limit(args, out):
+def cmd_limit(args, out, err):
     em = Emitter(args.out_dir, out)
     if args.kind == "terminal":
         _emit_object(em, exreg.limit("terminal"), "terminal")
@@ -182,50 +177,43 @@ def cmd_limit(args, out):
         A = _load_object(args.args[0])
         B = _load_object(args.args[1])
         tab = exreg.limit("product", A, B)
-        _emit_object(em, A, "src0")
-        _emit_object(em, B, "src1")
-        _emit_tabulation(em, tab, em.ref("src0.exreg"), em.ref("src1.exreg"))
-        return 0
-    R = _load_morphism(args.args[0])
-    S = _load_morphism(args.args[1])
-    tab = exreg.limit(args.kind, R, S)
-    _emit_object(em, R.src, "src0")
-    _emit_object(em, S.src, "src1")
-    _emit_tabulation(em, tab, em.ref("src0.exreg"), em.ref("src1.exreg"))
+    else:
+        R = _load_morphism(args.args[0])
+        S = _load_morphism(args.args[1])
+        tab = exreg.limit(args.kind, R, S)
+        A, B = R.src, S.src
+    _emit_object(em, A, "src0")
+    _emit_object(em, B, "src1")
+    _emit_tabulation(em, tab, "src0.exreg", "src1.exreg")
     return 0
 
 
-def cmd_split(args, out):
+def cmd_split(args, out, err):
     obj = _load_object(args.object)
     R = formats.load_rel(args.congruence)
     q, m = exreg.split_congruence(obj, R.pairs)
     em = Emitter(args.out_dir, out)
     _emit_object(em, obj, "base")
     _emit_object(em, q.tgt, "through")
-    _emit_morphism(em, q, "quotient", em.ref("base.exreg"), em.ref("through.exreg"))
-    em.emit(
-        "section.rel",
-        formats.serialize_rel(m.rel, em.ref("through.poset"), em.ref("base.poset")),
-    )
+    _emit_morphism(em, q, "quotient", "base.exreg", "through.exreg")
+    em.emit("section.rel", formats.serialize_rel(m.rel, "through.poset", "base.poset"))
     return 0
 
 
-def cmd_present(args, out):
+def cmd_present(args, out, err):
     obj = _load_object(args.object)
     pres = exreg.canonical_presentation(obj)
     em = Emitter(args.out_dir, out)
     _emit_object(em, obj, "base")
     _emit_object(em, pres.kernel, "kernel")
     _emit_object(em, exreg.gamma_object(obj.X), "carrier")
-    _emit_morphism(em, pres.e0, "e0", em.ref("kernel.exreg"), em.ref("carrier.exreg"))
-    _emit_morphism(em, pres.e1, "e1", em.ref("kernel.exreg"), em.ref("carrier.exreg"))
-    _emit_morphism(
-        em, pres.quotient, "quotient", em.ref("carrier.exreg"), em.ref("base.exreg")
-    )
+    _emit_morphism(em, pres.e0, "e0", "kernel.exreg", "carrier.exreg")
+    _emit_morphism(em, pres.e1, "e1", "kernel.exreg", "carrier.exreg")
+    _emit_morphism(em, pres.quotient, "quotient", "carrier.exreg", "base.exreg")
     return 0
 
 
-def cmd_equiv(args, out):
+def cmd_equiv(args, out, err):
     bound = args.bound if args.bound is not None else _default_bound()
     reports = []
     if args.what == "set-pos":
@@ -250,10 +238,12 @@ def cmd_harness(args, out, err):
             raise harness.UnknownSuite(args.suite)
         names = [args.suite]
     cap = args.bound if args.bound is not None else _default_bound() + 1
-    if args.jobs > 1:
+    # a process pool forks all its workers up front, so never ask for idle ones
+    jobs = min(args.jobs, len(names), os.cpu_count() or 1)
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(
                 pool.map(harness.run_suite, names, [args.trials] * len(names),
                          [args.seed] * len(names), [cap] * len(names))
@@ -269,7 +259,7 @@ def cmd_harness(args, out, err):
     return 0 if failures == 0 else 1
 
 
-def cmd_dot(args, out):
+def cmd_dot(args, out, err):
     if args.file.endswith(".rel"):
         text = formats.dot_relation(formats.load_rel(args.file))
     else:
@@ -280,6 +270,39 @@ def cmd_dot(args, out):
     else:
         out.write(text)
     return 0
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+# Verbs spelled both `posrel <verb>` and `posrel exreg <verb>`: handler and
+# positional arguments; each also takes --out-dir.
+CONSTRUCTION_VERBS = {
+    "tabulate": (cmd_tabulate, {"phi": {}, "src": {}, "tgt": {}}),
+    "factorize": (cmd_factorize, {"morphism": {}}),
+    "split": (cmd_split, {"object": {}, "congruence": {}}),
+    "present": (cmd_present, {"object": {}}),
+    "limit": (
+        cmd_limit,
+        {
+            "kind": {"choices": ["terminal", "product", "inserter", "comma", "pullback"]},
+            "args": {"nargs": "*"},
+        },
+    ),
+}
+
+
+def _add_construction_verbs(sub):
+    for name, (handler, positionals) in CONSTRUCTION_VERBS.items():
+        p = sub.add_parser(name)
+        for arg, kwargs in positionals.items():
+            p.add_argument(arg, **kwargs)
+        p.add_argument("--out-dir")
+        p.set_defaults(run=handler)
 
 
 def build_parser():
@@ -294,51 +317,28 @@ def build_parser():
     pc = ps.add_parser("check")
     pc.add_argument("file")
     pc.add_argument("--dot")
+    pc.set_defaults(run=cmd_poset)
 
     r = sub.add_parser("rel", help="validate and print a relation file")
     rs = r.add_subparsers(dest="action", required=True)
     rc = rs.add_parser("check")
     rc.add_argument("file")
     rc.add_argument("--dot")
+    rc.set_defaults(run=cmd_rel)
 
     e = sub.add_parser("exreg", help="work with objects-with-congruence")
     es = e.add_subparsers(dest="action", required=True)
     ec = es.add_parser("check")
     ec.add_argument("file")
-    for name, conf in (
-        ("tabulate", ["phi", "src", "tgt"]),
-        ("factorize", ["morphism"]),
-        ("split", ["object", "congruence"]),
-        ("present", ["object"]),
-    ):
-        alias = es.add_parser(name)
-        for arg in conf:
-            alias.add_argument(arg)
-        alias.add_argument("--out-dir")
-    el = es.add_parser("limit")
-    el.add_argument("kind", choices=["terminal", "product", "inserter", "comma", "pullback"])
-    el.add_argument("args", nargs="*")
-    el.add_argument("--out-dir")
+    ec.set_defaults(run=cmd_exreg_check)
+    _add_construction_verbs(es)
 
-    for name, conf in (
-        ("tabulate", ["phi", "src", "tgt"]),
-        ("factorize", ["morphism"]),
-        ("split", ["object", "congruence"]),
-        ("present", ["object"]),
-    ):
-        top = sub.add_parser(name)
-        for arg in conf:
-            top.add_argument(arg)
-        top.add_argument("--out-dir")
-
-    lim = sub.add_parser("limit")
-    lim.add_argument("kind", choices=["terminal", "product", "inserter", "comma", "pullback"])
-    lim.add_argument("args", nargs="*")
-    lim.add_argument("--out-dir")
+    _add_construction_verbs(sub)
 
     q = sub.add_parser("equiv")
     q.add_argument("what", choices=["set-pos", "ord", "discrete"])
     q.add_argument("--bound", type=int, default=None)
+    q.set_defaults(run=cmd_equiv)
 
     h = sub.add_parser("harness")
     hs = h.add_subparsers(dest="action", required=True)
@@ -347,42 +347,14 @@ def build_parser():
     hr.add_argument("--trials", type=int, default=100)
     hr.add_argument("--seed", type=int, default=0)
     hr.add_argument("--bound", type=int, default=None)
-    hr.add_argument("--jobs", type=int, default=1)
+    hr.add_argument("--jobs", type=_positive_int, default=1)
+    hr.set_defaults(run=cmd_harness)
 
     d = sub.add_parser("dot")
     d.add_argument("file")
     d.add_argument("-o", "--out")
+    d.set_defaults(run=cmd_dot)
     return parser
-
-
-def dispatch(args, out, err):
-    verb = args.verb
-    if verb == "poset":
-        return cmd_poset(args, out)
-    if verb == "rel":
-        return cmd_rel(args, out)
-    if verb == "exreg":
-        action = args.action
-        if action == "check":
-            return cmd_exreg_check(args, out)
-        verb = action
-    if verb == "tabulate":
-        return cmd_tabulate(args, out)
-    if verb == "factorize":
-        return cmd_factorize(args, out)
-    if verb == "limit":
-        return cmd_limit(args, out)
-    if verb == "split":
-        return cmd_split(args, out)
-    if verb == "present":
-        return cmd_present(args, out)
-    if verb == "equiv":
-        return cmd_equiv(args, out)
-    if verb == "harness":
-        return cmd_harness(args, out, err)
-    if verb == "dot":
-        return cmd_dot(args, out)
-    raise AssertionError(f"unhandled verb {verb}")  # pragma: no cover
 
 
 def main(argv=None, stdout=None, stderr=None):
@@ -391,7 +363,7 @@ def main(argv=None, stdout=None, stderr=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return dispatch(args, out, err)
+        return args.run(args, out, err)
     except LAW_ERRORS as exc:
         err.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1

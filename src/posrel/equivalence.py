@@ -23,6 +23,7 @@ from .poset import (
     are_isomorphic,
     classify_map,
     find_order_iso,
+    pointwise_order,
     poset_reflection,
     transitive_closure,
 )
@@ -69,13 +70,9 @@ def morphism_from_map(src, tgt, r):
     Q, q = quotient_realize(tgt)
     if r.dom != P or r.cod != Q:
         raise ValueError("map does not connect the realizations")
-    lower = np.zeros((src.X.n, tgt.X.n), dtype=bool)
-    upper = np.zeros((tgt.X.n, src.X.n), dtype=bool)
-    for x in range(src.X.n):
-        rx = r.assign[p.assign[x]]
-        for y in range(tgt.X.n):
-            lower[x, y] = Q.leq[rx, q.assign[y]]
-            upper[y, x] = Q.leq[q.assign[y], rx]
+    rx = [r.assign[c] for c in p.assign]
+    lower = Q.leq[np.ix_(rx, q.assign)]
+    upper = Q.leq[np.ix_(q.assign, rx)]
     return validate_morphism(
         src, tgt, Relation(src.X, tgt.X, lower), Relation(tgt.X, src.X, upper)
     )
@@ -121,12 +118,20 @@ def all_posets_up_to(n):
 # -- concrete functors and the characterization checks ------------------------
 
 
+def all_functions(A, B):
+    """Every function between the carriers, as maps out of a discrete A."""
+    return [
+        MonotoneMap(A, B, assign)
+        for assign in itertools.product(range(B.n), repeat=A.n)
+    ]
+
+
 class ConcreteFunctor:
     """A functor from an enumerable source into finite posets.
 
     ``objects(bound)`` yields source objects; ``object_action`` /
     ``morphism_action`` give the image in FinPos; ``source_homs`` lists
-    the source hom-poset as (maps, leq predicate); ``cover`` exhibits a
+    the source hom-set as maps, ordered pointwise; ``cover`` exhibits a
     surjection from an image object onto a given poset, or None."""
 
     def __init__(self, name, objects, object_action, morphism_action, source_homs, cover):
@@ -144,7 +149,7 @@ def identity_functor():
         objects=all_posets_up_to,
         object_action=lambda P: P,
         morphism_action=lambda f: f,
-        source_homs=lambda A, B: all_monotone_maps(A, B),
+        source_homs=all_monotone_maps,
         cover=lambda Y: (Y, MonotoneMap.identity(Y)),
     )
 
@@ -152,15 +157,6 @@ def identity_functor():
 def discrete_inclusion_functor():
     def objects(bound):
         return [FinPoset.discrete(k) for k in range(bound + 1)]
-
-    def source_homs(A, B):
-        # all functions between the carriers
-        if A.n == 0:
-            return [MonotoneMap(A, B, [])]
-        return [
-            MonotoneMap(A, B, assign)
-            for assign in itertools.product(range(B.n), repeat=A.n)
-        ]
 
     def cover(Y):
         return FinPoset.discrete(Y.n), MonotoneMap(FinPoset.discrete(Y.n), Y, range(Y.n))
@@ -170,7 +166,7 @@ def discrete_inclusion_functor():
         objects=objects,
         object_action=lambda X: X,
         morphism_action=lambda f: f,
-        source_homs=source_homs,
+        source_homs=all_functions,
         cover=cover,
     )
 
@@ -191,20 +187,12 @@ def doubling_functor():
             [f.assign[k // 2] * 2 + k % 2 for k in range(2 * f.dom.n)],
         )
 
-    def source_homs(A, B):
-        if A.n == 0:
-            return [MonotoneMap(A, B, [])]
-        return [
-            MonotoneMap(A, B, assign)
-            for assign in itertools.product(range(B.n), repeat=A.n)
-        ]
-
     return ConcreteFunctor(
         name="doubling",
         objects=objects,
         object_action=object_action,
         morphism_action=morphism_action,
-        source_homs=source_homs,
+        source_homs=all_functions,
         cover=lambda Y: None,
     )
 
@@ -241,15 +229,14 @@ def check_fully_order_faithful(F, bound):
     objs = F.objects(bound)
     for A in objs:
         for B in objs:
+            FB = F.object_action(B)
             src_maps = F.source_homs(A, B)
             images = [F.morphism_action(f) for f in src_maps]
-            tgt_maps = all_monotone_maps(F.object_action(A), F.object_action(B))
+            tgt_maps = all_monotone_maps(F.object_action(A), FB)
             injective = len(set(images)) == len(src_maps)
             surjective = set(images) == set(tgt_maps)
-            order_ok = all(
-                f.leq(g) == F.morphism_action(f).leq(F.morphism_action(g))
-                for f in src_maps
-                for g in src_maps
+            order_ok = bool(
+                (pointwise_order(src_maps, B.leq) == pointwise_order(images, FB.leq)).all()
             )
             report.record(
                 f"hom({A.n},{B.n})",
@@ -308,10 +295,11 @@ def verify_characterization(F, bound):
             PB, _ = quotient_realize(B)
             plain = all_monotone_maps(PA, PB)
             bijective = len(set(realized)) == len(morphisms) and set(realized) == set(plain)
+            realized_leq = pointwise_order(realized, PB.leq)
             order_ok = all(
-                hom_leq(R, S) == realize_morphism(R).leq(realize_morphism(S))
-                for R in morphisms
-                for S in morphisms
+                hom_leq(R, S) == realized_leq[a, b]
+                for a, R in enumerate(morphisms)
+                for b, S in enumerate(morphisms)
             )
             report.record(
                 f"hom ({A.X.n},{B.X.n})-carriers", bijective and order_ok

@@ -14,7 +14,14 @@ from collections import namedtuple
 
 import numpy as np
 
-from .poset import FinPoset, MapClass, MonotoneMap, bool_mat
+from .poset import (
+    FinPoset,
+    MapClass,
+    bool_mat,
+    pair_order,
+    pair_span,
+    transitive_closure,
+)
 from .relation import (
     DomainMismatch,
     NotAMap,
@@ -73,10 +80,7 @@ class Congruence:
         mat = base.leq.copy()
         for x, y in pair_list:
             mat[x, y] = True
-        n = base.n
-        for k in range(n):
-            mat |= np.outer(mat[:, k], mat[k, :])
-        return cls(base, mat)
+        return cls(base, transitive_closure(mat))
 
     def as_relation(self):
         return Relation(self.base, self.base, self.E)
@@ -313,21 +317,16 @@ def tabulate(phi, src, tgt):
     the respective congruences."""
     _q_morphism_check(phi, src, tgt)
     pairs = phi.pair_list()  # already lexicographically sorted
-    k = len(pairs)
     X, Y = src.X, tgt.X
-    leq = np.zeros((k, k), dtype=bool)
-    T = np.zeros((k, k), dtype=bool)
-    for a, (x, y) in enumerate(pairs):
-        for b, (x2, y2) in enumerate(pairs):
-            leq[a, b] = X.leq[x, x2] and Y.leq[y, y2]
-            T[a, b] = src.E.E[x, x2] and tgt.E.E[y, y2]
-    Z = FinPoset(leq)
-    apex = ExRegObject(Z, T)
+    Z = FinPoset(pair_order(X.leq, Y.leq, pairs))
+    apex = ExRegObject(Z, pair_order(src.E.E, tgt.E.E, pairs))
     E, F = src.rel(), tgt.rel()
-    lower0 = Relation(Z, X, E.pairs[[x for x, _ in pairs], :] if k else np.zeros((0, X.n), bool))
-    upper0 = Relation(X, Z, E.pairs[:, [x for x, _ in pairs]] if k else np.zeros((X.n, 0), bool))
-    lower1 = Relation(Z, Y, F.pairs[[y for _, y in pairs], :] if k else np.zeros((0, Y.n), bool))
-    upper1 = Relation(Y, Z, F.pairs[:, [y for _, y in pairs]] if k else np.zeros((Y.n, 0), bool))
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    lower0 = Relation(Z, X, E.pairs[xs, :])
+    upper0 = Relation(X, Z, E.pairs[:, xs])
+    lower1 = Relation(Z, Y, F.pairs[ys, :])
+    upper1 = Relation(Y, Z, F.pairs[:, ys])
     leg0 = validate_morphism(apex, src, lower0, upper0)
     leg1 = validate_morphism(apex, tgt, lower1, upper1)
     tab = Tabulation(apex, leg0, leg1, phi)
@@ -452,16 +451,8 @@ def canonical_presentation(obj):
     The kernel carrier is the pair poset of E with componentwise order;
     the quotient is the effective morphism (E, E): Γ X -> (X, E)."""
     X = obj.X
-    pairs = obj.rel().pair_list()
-    k = len(pairs)
-    leq = np.zeros((k, k), dtype=bool)
-    for a, (x, y) in enumerate(pairs):
-        for b, (x2, y2) in enumerate(pairs):
-            leq[a, b] = X.leq[x, x2] and X.leq[y, y2]
-    K = FinPoset(leq)
-    e0 = MonotoneMap(K, X, [x for x, _ in pairs])
-    e1 = MonotoneMap(K, X, [y for _, y in pairs])
     E = obj.rel()
+    K, e0, e1 = pair_span(X, X, E.pair_list())
     quotient = validate_morphism(gamma_object(X), obj, E, E)
     return Presentation(gamma_object(K), gamma_morphism(e0), gamma_morphism(e1), quotient)
 

@@ -12,8 +12,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 
@@ -242,8 +240,6 @@ def linear_extension(poset):
 
 def all_monotone_maps(X, Y):
     """All monotone maps X -> Y, lexicographic in the assignment tuple."""
-    if X.n == 0:
-        return [MonotoneMap(X, Y, [])]
     order = linear_extension(X)
     results = []
     assign = [None] * X.n
@@ -335,8 +331,38 @@ def are_isomorphic(X, Y):
 def subposet(X, elements):
     """The induced subposet on a sorted element list, with its ff inclusion."""
     elements = sorted(elements)
-    sub = FinPoset(X.leq[np.ix_(elements, elements)] if elements else np.zeros((0, 0), bool))
+    sub = FinPoset(X.leq[np.ix_(elements, elements)])
     return sub, MonotoneMap(sub, X, elements)
+
+
+def pair_order(A, B, pairs):
+    """Componentwise order on a list of index pairs.
+
+    ``A`` and ``B`` are square boolean matrices; out[a, b] iff
+    A[x_a, x_b] and B[y_a, y_b] for pairs[a] = (x_a, y_a)."""
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    return A[np.ix_(xs, xs)] & B[np.ix_(ys, ys)]
+
+
+def pair_span(X, Y, pairs):
+    """The pairs as a subposet of X x Y, with its two projections."""
+    P = FinPoset(pair_order(X.leq, Y.leq, pairs))
+    p0 = MonotoneMap(P, X, [x for x, _ in pairs])
+    p1 = MonotoneMap(P, Y, [y for _, y in pairs])
+    return P, p0, p1
+
+
+def pointwise_order(maps, leq):
+    """The k x k pointwise order on k parallel maps into a poset with order ``leq``.
+
+    out[a, b] iff leq[maps[a](i), maps[b](i)] for every i of the common
+    domain; one k x k slice per domain element keeps memory at O(k^2)."""
+    k = len(maps)
+    out = np.ones((k, k), dtype=bool)
+    for col in np.array([m.assign for m in maps], dtype=np.intp).T:
+        out &= leq[np.ix_(col, col)]
+    return out
 
 
 def product(X, Y):
@@ -344,8 +370,8 @@ def product(X, Y):
     n, m = X.n, Y.n
     leq = np.kron(X.leq, Y.leq)
     P = FinPoset(leq)
-    p0 = MonotoneMap(P, X, [k // m for k in range(n * m)]) if m else MonotoneMap(P, X, [])
-    p1 = MonotoneMap(P, Y, [k % m for k in range(n * m)]) if m else MonotoneMap(P, Y, [])
+    p0 = MonotoneMap(P, X, [k // m for k in range(n * m)])
+    p1 = MonotoneMap(P, Y, [k % m for k in range(n * m)])
     return P, p0, p1
 
 
@@ -385,12 +411,7 @@ def equalizer_via_inserters(f, g):
 def power(X, P):
     """The power poset of monotone maps P -> X under pointwise order."""
     maps = all_monotone_maps(P, X)
-    k = len(maps)
-    leq = np.zeros((k, k), dtype=bool)
-    for a in range(k):
-        for b in range(k):
-            leq[a, b] = maps[a].leq(maps[b])
-    return FinPoset(leq), maps
+    return FinPoset(pointwise_order(maps, X.leq)), maps
 
 
 def power_via_inserters(X, P):
@@ -427,15 +448,7 @@ def comma(f, g):
         for y in range(g.dom.n)
         if f.cod.leq[f.assign[x], g.assign[y]]
     ]
-    k = len(pairs)
-    leq = np.zeros((k, k), dtype=bool)
-    for a, (x, y) in enumerate(pairs):
-        for b, (x2, y2) in enumerate(pairs):
-            leq[a, b] = f.dom.leq[x, x2] and g.dom.leq[y, y2]
-    C = FinPoset(leq)
-    c0 = MonotoneMap(C, f.dom, [x for x, _ in pairs])
-    c1 = MonotoneMap(C, g.dom, [y for _, y in pairs])
-    return C, c0, c1
+    return pair_span(f.dom, g.dom, pairs)
 
 
 def kernel_congruence(f):
@@ -453,15 +466,7 @@ def pullback(f, g):
         for y in range(g.dom.n)
         if f.assign[x] == g.assign[y]
     ]
-    k = len(pairs)
-    leq = np.zeros((k, k), dtype=bool)
-    for a, (x, y) in enumerate(pairs):
-        for b, (x2, y2) in enumerate(pairs):
-            leq[a, b] = f.dom.leq[x, x2] and g.dom.leq[y, y2]
-    P = FinPoset(leq)
-    p0 = MonotoneMap(P, f.dom, [x for x, _ in pairs])
-    p1 = MonotoneMap(P, g.dom, [y for _, y in pairs])
-    return P, p0, p1
+    return pair_span(f.dom, g.dom, pairs)
 
 
 def image_factorize(f):
@@ -494,12 +499,7 @@ def poset_reflection(pre):
         else:
             class_of[i] = len(reps)
             reps.append(i)
-    k = len(reps)
-    leq = np.zeros((k, k), dtype=bool)
-    for a, ra in enumerate(reps):
-        for b, rb in enumerate(reps):
-            leq[a, b] = pre[ra, rb]
-    return FinPoset(leq), class_of
+    return FinPoset(pre[np.ix_(reps, reps)]), class_of
 
 
 def coinserter(f0, f1):

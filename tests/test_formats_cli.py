@@ -1,6 +1,9 @@
+import concurrent.futures
+import gc
 import io
 import os
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -292,3 +295,152 @@ def test_env_bound_override(monkeypatch):
     code, out, err = run_cli("equiv", "discrete")
     assert code == 0
     assert "bound 2" in out
+
+
+def test_cli_exreg_check_closes_its_file(tmp_path):
+    write(tmp_path, "d2.poset", "poset 2\n")
+    path = write(tmp_path, "obj.exreg", "object d2.poset\ncong 0 ~ 1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli("exreg", "check", path)
+        gc.collect()
+    assert code == 0 and out == "# valid object\n"
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """A stand-in process pool that runs in-process and records its size."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    return sizes
+
+
+def test_cli_harness_jobs_capped_at_suites_and_cpus(recording_pool):
+    code, out, err = run_cli("harness", "run", "modular-law", "--trials", "2", "--jobs", "5000")
+    assert code == 0
+    assert recording_pool == []  # one suite needs no pool
+    code, out, err = run_cli("harness", "run", "all", "--trials", "1", "--jobs", "5000")
+    assert code == 0
+    assert recording_pool == [3]
+    assert out == run_cli("harness", "run", "all", "--trials", "1")[1]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_harness_rejects_nonpositive_jobs(recording_pool, jobs):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("harness", "run", "modular-law", "--jobs", jobs)
+    assert exc.value.code == 2
+    assert recording_pool == []
+
+
+@pytest.fixture
+def construction_inputs(tmp_path):
+    """Γ-objects on D2 and C2, D2 with a congruence, a relation on D2, two maps D2 -> C2."""
+    write(tmp_path, "x.poset", "poset 2\n")
+    write(tmp_path, "y.poset", "poset 2\n0 < 1\n")
+    write(tmp_path, "sx.exreg", "object x.poset\n")
+    write(tmp_path, "sy.exreg", "object y.poset\n")
+    write(tmp_path, "q.exreg", "object x.poset\ncong 0 ~ 1\n")
+    write(tmp_path, "r.rel", "rel x.poset x.poset\n0 ~ 0\n0 ~ 1\n1 ~ 1\n")
+    for name, assign in (("m", [0, 1]), ("n", [1, 1])):
+        R = gamma_morphism(MonotoneMap(D2, C2, assign))
+        write(tmp_path, f"{name}.exreg", serialize_exreg_morphism(R, "sx.exreg", "sy.exreg"))
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tabulate", "r.rel", "q.exreg", "q.exreg"],
+        ["factorize", "m.exreg"],
+        ["split", "sx.exreg", "r.rel"],
+        ["present", "q.exreg"],
+        ["limit", "terminal"],
+        ["limit", "product", "q.exreg", "sy.exreg"],
+        ["limit", "comma", "m.exreg", "n.exreg"],
+        ["limit", "pullback", "m.exreg", "n.exreg"],
+        ["limit", "inserter", "m.exreg", "n.exreg"],
+    ],
+)
+def test_cli_construction_verbs_print_the_same_under_exreg(construction_inputs, argv):
+    paths = [str(construction_inputs / a) if "." in a else a for a in argv]
+    code, top, err = run_cli(*paths)
+    assert code == 0, err
+    assert top.startswith("# file: ")
+    code, nested, err = run_cli("exreg", *paths)
+    assert code == 0, err
+    assert nested == top
+
+
+LIMIT_PRODUCT_STDOUT = """\
+# file: src0.poset
+poset 2
+# file: src0.exreg
+object src0.poset
+cong 0 ~ 1
+# file: src1.poset
+poset 2
+0 < 1
+# file: src1.exreg
+object src1.poset
+# file: apex.poset
+poset 4
+0 < 1
+2 < 3
+# file: apex.exreg
+object apex.poset
+cong 0 ~ 2
+cong 0 ~ 3
+cong 1 ~ 3
+# file: leg0.exreg
+morphism apex.exreg src0.exreg
+lower 0 ~ 0
+lower 0 ~ 1
+lower 1 ~ 0
+lower 1 ~ 1
+lower 2 ~ 1
+lower 3 ~ 1
+upper 0 ~ 0
+upper 0 ~ 1
+upper 0 ~ 2
+upper 0 ~ 3
+upper 1 ~ 2
+upper 1 ~ 3
+# file: leg1.exreg
+morphism apex.exreg src1.exreg
+lower 0 ~ 0
+lower 0 ~ 1
+lower 1 ~ 1
+lower 2 ~ 0
+lower 2 ~ 1
+lower 3 ~ 1
+upper 0 ~ 0
+upper 0 ~ 1
+upper 0 ~ 2
+upper 0 ~ 3
+upper 1 ~ 1
+upper 1 ~ 3
+"""
+
+
+def test_cli_limit_product_stdout_is_pinned(construction_inputs):
+    q, sy = construction_inputs / "q.exreg", construction_inputs / "sy.exreg"
+    code, out, err = run_cli("limit", "product", str(q), str(sy))
+    assert code == 0, err
+    assert out == LIMIT_PRODUCT_STDOUT

@@ -28,6 +28,9 @@ from posrel.poset import (
     kernel_congruence,
     make_poset,
     pair_into_product,
+    pair_order,
+    pair_span,
+    pointwise_order,
     poset_reflection,
     power,
     power_via_inserters,
@@ -309,3 +312,55 @@ def test_empty_poset_everywhere():
     e, m = image_factorize(f)
     assert e.cod.n == 0
     assert classify_map(f).is_ff and not classify_map(f).is_so
+
+
+def loop_pair_order(A, B, pairs):
+    """Reference: the componentwise order written out pair by pair."""
+    k = len(pairs)
+    out = np.zeros((k, k), dtype=bool)
+    for a, (x, y) in enumerate(pairs):
+        for b, (x2, y2) in enumerate(pairs):
+            out[a, b] = A[x, x2] and B[y, y2]
+    return out
+
+
+def test_pair_order_and_span_match_double_loop():
+    rng = random.Random(31)
+    for trial in range(60):
+        X = random_poset(rng, rng.randrange(0, 5))
+        Y = random_poset(rng, rng.randrange(0, 5))
+        density = 0.0 if trial % 5 == 0 else 0.5  # every fifth pair list is empty
+        pairs = [(x, y) for x in range(X.n) for y in range(Y.n) if rng.random() < density]
+        want = loop_pair_order(X.leq, Y.leq, pairs)
+        assert np.array_equal(pair_order(X.leq, Y.leq, pairs), want)
+        P, p0, p1 = pair_span(X, Y, pairs)
+        assert np.array_equal(P.leq, want)
+        assert p0.cod == X and p1.cod == Y
+        assert list(zip(p0.assign, p1.assign)) == pairs
+        # any square matrices, not only orders (tabulate feeds it congruences)
+        A = np.array([[rng.random() < 0.5 for _ in range(X.n)] for _ in range(X.n)], bool)
+        B = np.array([[rng.random() < 0.5 for _ in range(Y.n)] for _ in range(Y.n)], bool)
+        A, B = A.reshape(X.n, X.n), B.reshape(Y.n, Y.n)
+        assert np.array_equal(pair_order(A, B, pairs), loop_pair_order(A, B, pairs))
+
+
+def test_pair_span_of_no_pairs_is_empty():
+    assert pair_order(C2.leq, D2.leq, []).shape == (0, 0)
+    P, p0, p1 = pair_span(C2, D2, [])
+    assert P.n == 0 and p0.assign == () and p1.assign == ()
+
+
+def test_pointwise_order_matches_monotone_map_leq():
+    rng = random.Random(37)
+    E = FinPoset.discrete(0)
+    cases = [(E, C2), (C2, E), (E, E), (DIAMOND, C3), (C3, DIAMOND)]
+    cases += [(random_poset(rng, rng.randrange(0, 4)), random_poset(rng, rng.randrange(0, 4)))
+              for _ in range(30)]
+    for X, Y in cases:
+        maps = all_monotone_maps(X, Y)
+        want = np.array([[f.leq(g) for g in maps] for f in maps], dtype=bool)
+        want = want.reshape(len(maps), len(maps))
+        assert np.array_equal(pointwise_order(maps, Y.leq), want)
+    # empty domain: one map, below itself; empty codomain: no maps at all
+    assert np.array_equal(pointwise_order(all_monotone_maps(E, C2), C2.leq), [[True]])
+    assert pointwise_order(all_monotone_maps(C2, E), E.leq).shape == (0, 0)
