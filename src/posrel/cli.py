@@ -170,21 +170,16 @@ def cmd_factorize(args, out, err):
 
 def cmd_limit(args, out, err):
     em = Emitter(args.out_dir, out)
+    load = _load_object if args.kind in ("terminal", "product") else _load_morphism
+    values = [load(path) for path in args.args]
+    result = exreg.limit(args.kind, *values)
     if args.kind == "terminal":
-        _emit_object(em, exreg.limit("terminal"), "terminal")
+        _emit_object(em, result, "terminal")
         return 0
-    if args.kind == "product":
-        A = _load_object(args.args[0])
-        B = _load_object(args.args[1])
-        tab = exreg.limit("product", A, B)
-    else:
-        R = _load_morphism(args.args[0])
-        S = _load_morphism(args.args[1])
-        tab = exreg.limit(args.kind, R, S)
-        A, B = R.src, S.src
+    A, B = values if args.kind == "product" else (values[0].src, values[1].src)
     _emit_object(em, A, "src0")
     _emit_object(em, B, "src1")
-    _emit_tabulation(em, tab, "src0.exreg", "src1.exreg")
+    _emit_tabulation(em, result, "src0.exreg", "src1.exreg")
     return 0
 
 

@@ -30,6 +30,7 @@ from .relation import (
     identity_I,
     meet,
     opposite,
+    residual,
 )
 
 
@@ -148,8 +149,6 @@ class QwMorphism:
     def __init__(self, src, tgt, rel):
         if rel.dom != src.X or rel.cod != tgt.X:
             raise DomainMismatch("relation does not match src/tgt carriers")
-        if not rel.is_weakening:
-            raise BimoduleLawFailed("relation is not weakening-closed")
         if compose(tgt.rel(), compose(rel, src.rel())) != rel:
             raise BimoduleLawFailed("F Φ E = Φ fails")
         self.src = src
@@ -208,10 +207,6 @@ def validate_morphism(src, tgt, lower, upper):
         raise DomainMismatch("lower leg does not match src -> tgt carriers")
     if upper.dom != tgt.X or upper.cod != src.X:
         raise DomainMismatch("upper leg does not match tgt -> src carriers")
-    if not lower.is_weakening:
-        raise BimoduleLawFailed("R_* is not weakening-closed")
-    if not upper.is_weakening:
-        raise BimoduleLawFailed("R^* is not weakening-closed")
     if compose(F, compose(lower, E)) != lower:
         raise BimoduleLawFailed("F R_* E = R_* fails")
     if compose(E, compose(upper, F)) != upper:
@@ -268,12 +263,7 @@ def derive_right_adjoint(src, tgt, lower):
     F = tgt.rel()
     if compose(F, compose(lower, E)) != lower:
         raise BimoduleLawFailed("F R_* E = R_* fails")
-    mat = np.zeros((tgt.X.n, src.X.n), dtype=bool)
-    for x in range(src.X.n):
-        ys = np.flatnonzero(lower.pairs[x])
-        if len(ys):
-            mat[:, x] = F.pairs[:, ys].all(axis=1)
-    upper = Relation(tgt.X, src.X, mat)
+    upper = residual(F, lower)
     if not E.leq(compose(upper, lower)):
         raise NotAMap("R_* has no right adjoint: unit inclusion fails")
     return upper
@@ -393,6 +383,8 @@ def limit(kind, *args):
         if args:
             raise DomainMismatch("terminal takes no arguments")
         return gamma_object(FinPoset.discrete(1))
+    if len(args) != 2:
+        raise DomainMismatch(f"{kind} takes two arguments, got {len(args)}")
     if kind == "product":
         A, B = args
         phi = Relation.full(A.X, B.X)

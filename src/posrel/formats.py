@@ -116,8 +116,7 @@ def _parse_pairs(lines, keyword, n_dom, n_cod, path, sep="~"):
     return mat, rest
 
 
-def parse_rel(text, path="<string>", loader=None):
-    loader = loader or load_poset
+def parse_rel(text, path="<string>"):
     lines = list(_lines(text, path))
     if not lines:
         raise ParseError(path, 1, "empty relation file")
@@ -125,8 +124,8 @@ def parse_rel(text, path="<string>", loader=None):
     parts = header.split()
     if len(parts) != 3 or parts[0] != "rel":
         raise ParseError(path, no, "expected header 'rel <domfile> <codfile>'")
-    dom = loader(_resolve(parts[1], path))
-    cod = loader(_resolve(parts[2], path))
+    dom = load_poset(_resolve(parts[1], path))
+    cod = load_poset(_resolve(parts[2], path))
     mat = np.zeros((dom.n, cod.n), dtype=bool)
     for no, line in lines[1:]:
         toks = line.split()

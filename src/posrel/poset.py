@@ -24,8 +24,8 @@ class NotMonotone(ValueError):
 
 
 def bool_mat(a, b):
-    """Boolean matrix product: out[i, k] iff exists j with a[i, j] and b[j, k]."""
-    return (a.astype(np.uint8) @ b.astype(np.uint8)) > 0
+    """Exact boolean matrix product: out[i, k] iff some j has a[i, j] and b[j, k]."""
+    return np.asarray(a, bool) @ np.asarray(b, bool)
 
 
 def transitive_closure(mat):
@@ -101,8 +101,9 @@ class FinPoset:
         return [(int(i), int(j)) for i, j in np.argwhere(red)]
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FinPoset)
+            and self._hash == other._hash
             and self.n == other.n
             and (self.leq == other.leq).all()
         )
@@ -138,11 +139,13 @@ class MonotoneMap:
         for a in assign:
             if not 0 <= a < cod.n:
                 raise ValueError(f"image index {a} out of range")
-        for i, j in np.argwhere(dom.leq):
-            if not cod.leq[assign[i], assign[j]]:
-                raise NotMonotone(
-                    f"{i} <= {j} in domain but {assign[i]} !<= {assign[j]} in codomain"
-                )
+        idx = np.array(assign, dtype=np.intp)
+        broken = dom.leq & ~cod.leq[idx[:, None], idx]
+        if broken.any():
+            i, j = np.argwhere(broken)[0]
+            raise NotMonotone(
+                f"{i} <= {j} in domain but {assign[i]} !<= {assign[j]} in codomain"
+            )
         self.dom = dom
         self.cod = cod
         self.assign = assign
@@ -209,14 +212,8 @@ class MapClass:
 
 def classify_map(f):
     """ff iff order-embedding (reflects order, hence injective); so iff surjective."""
-    is_ff = True
-    for i in range(f.dom.n):
-        for j in range(f.dom.n):
-            if f.cod.leq[f.assign[i], f.assign[j]] and not f.dom.leq[i, j]:
-                is_ff = False
-                break
-        if not is_ff:
-            break
+    idx = np.array(f.assign, dtype=np.intp)
+    is_ff = not (f.cod.leq[idx[:, None], idx] & ~f.dom.leq).any()
     return MapClass(is_ff, f.is_surjective())
 
 

@@ -3,7 +3,7 @@
 A relation X ⇸ Y is a |X| x |Y| boolean matrix; pairs[x, y] means x R y.
 The weakening-closed ones (x' <= x, x R y, y <= y'  implies  x' R y') form
 the hom-posets of the relational calculus this engine is built on.  The
-weakening flag is always recomputed from the matrix, never trusted.
+weakening flag is computed from the matrix when asked, never stored.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class NotExactFork(ValueError):
 class Relation:
     """An immutable relation between two finite posets."""
 
-    __slots__ = ("dom", "cod", "pairs", "is_weakening")
+    __slots__ = ("dom", "cod", "pairs")
 
     def __init__(self, dom, cod, pairs):
         pairs = np.ascontiguousarray(pairs, dtype=bool)
@@ -48,9 +48,6 @@ class Relation:
         self.dom = dom
         self.cod = cod
         self.pairs = pairs
-        # x' <= x and x R y and y <= y'  =>  x' R y', as one matrix identity
-        closed = bool_mat(bool_mat(dom.leq, pairs), cod.leq)
-        self.is_weakening = bool((closed == pairs).all())
 
     @classmethod
     def from_pairs(cls, dom, cod, pair_list):
@@ -75,6 +72,11 @@ class Relation:
         return Relation(
             self.dom, self.cod, bool_mat(bool_mat(self.dom.leq, self.pairs), self.cod.leq)
         )
+
+    @property
+    def is_weakening(self):
+        """Whether x' <= x and x R y and y <= y' imply x' R y'."""
+        return bool(self.weakening_closure() == self)
 
     def leq(self, other):
         """Inclusion as subsets of X x Y."""
@@ -302,19 +304,24 @@ def exact_fork_identities(p, E):
     return report
 
 
+def residual(F, R):
+    """The largest S: W ⇸ X with R S ⊆ F, for R: X ⇸ Y and F: W ⇸ Y.
+
+    S(w, x) ⇔ ∀y. R(x, y) ⇒ F(w, y), i.e. no y has R(x, y) and not
+    F(w, y).  A row of R with no pairs gives an all-true column of S."""
+    if F.cod != R.cod:
+        raise DomainMismatch("residual needs a common codomain")
+    return Relation(F.dom, R.dom, ~bool_mat(~F.pairs, R.pairs.T))
+
+
 def has_right_adjoint(phi):
     """Search for a weakening-closed right adjoint of φ by the candidate formula.
 
     If a right adjoint exists it is the largest ψ with φψ ⊆ I_Y, namely
-    ψ(y, x) ⇔ ∀y'. φ(x, y') ⇒ y ≤ y'; build that and test the unit."""
+    residual(I_Y, φ); that is weakening-closed when φ is, so test the unit."""
     if not phi.is_weakening:
         raise NotWeakening("relation is not weakening-closed")
-    X, Y = phi.dom, phi.cod
-    mat = np.zeros((Y.n, X.n), dtype=bool)
-    for y in range(Y.n):
-        for x in range(X.n):
-            mat[y, x] = all(Y.leq[y, yp] for yp in np.flatnonzero(phi.pairs[x]))
-    psi = Relation(Y, X, mat).weakening_closure()
+    psi = residual(identity_I(phi.cod), phi)
     if is_adjoint_pair(phi, psi):
         return psi
     return None

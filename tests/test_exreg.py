@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from posrel.poset import FinPoset, MonotoneMap, all_monotone_maps, are_isomorphic, terminal
-from posrel.relation import NotAMap, Relation, compose, identity_I, meet, opposite
+from posrel.relation import NotAMap, Relation, compose, delta, identity_I, meet, opposite
 from posrel.exreg import (
     AdjunctionFailed,
     BimoduleLawFailed,
@@ -36,7 +36,7 @@ from posrel.exreg import (
 )
 from posrel.equivalence import all_morphisms, quotient_realize, realize_morphism
 
-from test_poset import random_monotone, random_poset
+from test_poset import labelled_posets, random_monotone, random_poset
 
 C2 = FinPoset.chain(2)
 C3 = FinPoset.chain(3)
@@ -51,8 +51,8 @@ def random_congruence(rng, X, extra=2):
     return Congruence.from_pairs(X, pairs)
 
 
-def random_object(rng, n_max=5):
-    X = random_poset(rng, rng.randrange(1, n_max + 1))
+def random_object(rng, n_max=5, n_min=1):
+    X = random_poset(rng, rng.randrange(n_min, n_max + 1))
     return ExRegObject(X, random_congruence(rng, X))
 
 
@@ -118,6 +118,64 @@ def test_bimodule_law_rejects_bare_diagonal():
     obj = ExRegObject(D2, E_AB)
     with pytest.raises(BimoduleLawFailed):
         validate_morphism(obj, obj, Relation.from_pairs(D2, D2, [(0, 0), (1, 1)]), obj.rel())
+
+
+def bool_matrices(rows, cols):
+    for bits in range(1 << (rows * cols)):
+        yield np.array([bits >> k & 1 for k in range(rows * cols)], bool).reshape(rows, cols)
+
+
+def objects_up_to(n_max):
+    """Every (X, E) with a labelled carrier of at most n_max elements."""
+    out = []
+    for X in (P for n in range(n_max + 1) for P in labelled_posets(n)):
+        for mat in bool_matrices(X.n, X.n):
+            if (X.leq & ~mat).any():
+                continue
+            try:
+                out.append(ExRegObject(X, mat))
+            except NotCongruence:
+                pass
+    return out
+
+
+def check_bimodule_law_implies_weakening(A, B, R):
+    E, F = A.rel(), B.rel()
+    if compose(F, compose(R, E)) == R:
+        assert R.is_weakening
+        QwMorphism(A, B, R)
+    if not R.is_weakening:
+        with pytest.raises(BimoduleLawFailed, match=r"F Φ E = Φ fails"):
+            QwMorphism(A, B, R)
+        with pytest.raises(BimoduleLawFailed, match=r"F R_\* E = R_\* fails"):
+            validate_morphism(A, B, R, opposite(R))
+
+
+def test_bimodule_law_implies_weakening_exhaustive():
+    objects = objects_up_to(2)
+    assert len(objects) == 10
+    for A in objects:
+        for B in objects:
+            for mat in bool_matrices(A.X.n, B.X.n):
+                check_bimodule_law_implies_weakening(A, B, Relation(A.X, B.X, mat))
+
+
+def test_bimodule_law_implies_weakening_random():
+    rng = random.Random(43)
+    for _ in range(200):
+        A, B = (random_object(rng, 4, n_min=3) for _ in range(2))
+        mat = [[rng.random() < 0.4 for _ in range(B.X.n)] for _ in range(A.X.n)]
+        raw = Relation(A.X, B.X, mat)
+        check_bimodule_law_implies_weakening(A, B, raw)
+        closed = compose(B.rel(), compose(raw, A.rel()))
+        check_bimodule_law_implies_weakening(A, B, closed)
+
+
+def test_non_weakening_upper_leg_fails_bimodule_law():
+    A = gamma_object(C2)
+    R = identity_morphism(A)
+    with pytest.raises(BimoduleLawFailed, match=r"E R\^\* F = R\^\* fails"):
+        validate_morphism(A, A, R.lower, delta(C2))
 
 
 def test_adjunction_failure_detected():

@@ -367,6 +367,24 @@ def construction_inputs(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["limit", "product", "q.exreg"],
+        ["limit", "product", "q.exreg", "sy.exreg", "sx.exreg"],
+        ["limit", "comma", "m.exreg"],
+        ["limit", "pullback", "m.exreg", "n.exreg", "m.exreg"],
+        ["limit", "terminal", "q.exreg"],
+    ],
+)
+def test_cli_limit_rejects_wrong_file_count(construction_inputs, argv):
+    paths = [str(construction_inputs / a) if "." in a else a for a in argv]
+    code, out, err = run_cli(*paths)
+    assert code == 2
+    assert err.startswith("error: DomainMismatch: ") and err.count("\n") == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["tabulate", "r.rel", "q.exreg", "q.exreg"],
         ["factorize", "m.exreg"],
         ["split", "sx.exreg", "r.rel"],

@@ -11,6 +11,7 @@ from posrel.poset import (
     NotMonotone,
     all_monotone_maps,
     are_isomorphic,
+    bool_mat,
     classify_map,
     coinserter,
     comma,
@@ -89,6 +90,83 @@ def test_monotone_map_rejects_order_breaking():
         MonotoneMap(C2, C2, [1, 0])
 
 
+def labelled_posets(n):
+    """Every order matrix on n elements, in bit order; not up to iso."""
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    out = []
+    for bits in range(1 << len(off)):
+        mat = np.eye(n, dtype=bool)
+        for k, (i, j) in enumerate(off):
+            mat[i, j] = bits >> k & 1
+        try:
+            out.append(FinPoset(mat))
+        except ValueError:
+            pass
+    return out
+
+
+SMALL_POSETS = [P for n in range(4) for P in labelled_posets(n)]
+
+
+@pytest.mark.parametrize("k", [255, 256, 257])
+def test_bool_mat_is_exact_at_256_witnesses(k):
+    # a uint8 count of k witnesses wraps to 0 at k = 256
+    out = bool_mat(np.ones((1, k), dtype=bool), np.ones((k, 1), dtype=bool))
+    assert out.dtype == bool and out.tolist() == [[True]]
+
+
+def test_transitivity_check_sees_256_middle_elements():
+    # 0 < 1..256 < 257 but not 0 <= 257: 256 paths from 0 to 257
+    leq = np.eye(258, dtype=bool)
+    leq[0, 1:257] = True
+    leq[1:257, 257] = True
+    with pytest.raises(ValueError, match="not transitive"):
+        FinPoset(leq)
+
+
+def test_monotone_map_messages_are_pinned():
+    cases = [
+        (C2, C2, [1, 0], NotMonotone, "0 <= 1 in domain but 1 !<= 0 in codomain"),
+        (C3, C3, [2, 1, 0], NotMonotone, "0 <= 1 in domain but 2 !<= 1 in codomain"),
+        (C2, C2, [0, 2], ValueError, "image index 2 out of range"),
+        (C2, C2, [-1, 0], ValueError, "image index -1 out of range"),
+        (D2, C2, [0, 5], ValueError, "image index 5 out of range"),
+    ]
+    for X, Y, assign, exc, message in cases:
+        with pytest.raises(exc) as info:
+            MonotoneMap(X, Y, assign)
+        assert str(info.value) == message
+
+
+def test_monotone_map_reports_first_violation_row_major():
+    # every function from a labelled poset of at most 2 elements into one of at most 3
+    for X in SMALL_POSETS:
+        for Y in SMALL_POSETS:
+            if X.n > 2:
+                continue
+            for assign in itertools.product(range(Y.n), repeat=X.n):
+                want = None
+                for i, j in np.argwhere(X.leq):
+                    a, b = assign[i], assign[j]
+                    if not Y.leq[a, b]:
+                        want = f"{i} <= {j} in domain but {a} !<= {b} in codomain"
+                        break
+                if want is None:
+                    assert MonotoneMap(X, Y, assign).assign == assign
+                else:
+                    with pytest.raises(NotMonotone) as info:
+                        MonotoneMap(X, Y, assign)
+                    assert str(info.value) == want
+
+
+def test_equal_posets_built_apart_are_equal():
+    P = FinPoset.chain(3)
+    Q = FinPoset(np.triu(np.ones((3, 3), dtype=bool)), labels="xyz")
+    assert P is not Q and P == Q and hash(P) == hash(Q)
+    assert P == P and not P != Q
+    assert P != FinPoset.discrete(3) and P != C2 and P != "chain"
+
+
 def test_classify_discrete_onto_chain():
     f = MonotoneMap(D2, C2, [0, 1])
     c = classify_map(f)
@@ -104,6 +182,23 @@ def test_classify_embedding():
 def test_classify_iso():
     f = MonotoneMap(C2, C2, [0, 1])
     assert classify_map(f).is_iso
+
+
+def test_classify_map_matches_double_loop():
+    # every monotone map between labelled posets of at most 3 elements
+    count = 0
+    for X in SMALL_POSETS:
+        for Y in SMALL_POSETS:
+            for f in all_monotone_maps(X, Y):
+                is_ff = all(
+                    X.leq[i, j] or not Y.leq[f.assign[i], f.assign[j]]
+                    for i in range(X.n)
+                    for j in range(X.n)
+                )
+                c = classify_map(f)
+                assert (c.is_ff, c.is_so) == (is_ff, set(f.assign) == set(range(Y.n)))
+                count += 1
+    assert count > 1000
 
 
 def test_ff_implies_injective():

@@ -27,6 +27,7 @@ from posrel.relation import (
     kernel_identity_check,
     meet,
     opposite,
+    residual,
 )
 
 from test_poset import random_monotone, random_poset
@@ -95,6 +96,13 @@ def test_compose_rejects_mismatch():
         compose(Relation.empty(C2, C2), Relation.empty(C2, C3))
 
 
+def test_compose_full_relations_through_256_elements():
+    # 1 ⇸ 256 ⇸ 1: each composite pair has 256 witnesses
+    one, mid = FinPoset.discrete(1), FinPoset.discrete(256)
+    R, S = Relation.full(one, mid), Relation.full(mid, one)
+    assert compose(S, R) == Relation.full(one, one)
+
+
 def test_compose_preserves_weakening():
     rng = random.Random(6)
     for _ in range(40):
@@ -134,6 +142,21 @@ def test_weakening_flag_is_computed():
     assert Relation.from_pairs(C2, C2, [(1, 0)]).weakening_closure().is_weakening
     assert identity_I(C3).is_weakening
     assert not delta(C2).is_weakening
+
+
+def test_relation_stores_no_weakening_flag(monkeypatch):
+    import posrel.relation as relation_module
+
+    def no_kernel(a, b):
+        raise AssertionError("kernel called")
+
+    monkeypatch.setattr(relation_module, "bool_mat", no_kernel)
+    R = Relation.from_pairs(C2, C2, [(1, 0)])
+    assert Relation.__slots__ == ("dom", "cod", "pairs")
+    with pytest.raises(AttributeError):
+        R.is_weakening = True
+    with pytest.raises(AssertionError, match="kernel called"):
+        R.is_weakening
 
 
 def test_hypergraph_of_identity_is_order():
@@ -292,6 +315,72 @@ def test_right_adjoint_exists_iff_hypergraph():
         else:
             f = extract_map(phi, psi)
             assert hypergraph(f) == phi and hypograph(f) == psi
+
+
+def loop_residual(F, R):
+    """S(w, x) iff every y with R(x, y) has F(w, y), as a double loop."""
+    mat = np.zeros((F.dom.n, R.dom.n), dtype=bool)
+    for w in range(F.dom.n):
+        for x in range(R.dom.n):
+            mat[w, x] = all(F.pairs[w, y] for y in np.flatnonzero(R.pairs[x]))
+    return mat
+
+
+def column_residual(F, R):
+    """Column x is the meet of the F-columns at R's row x, as a column loop."""
+    mat = np.zeros((F.dom.n, R.dom.n), dtype=bool)
+    for x in range(R.dom.n):
+        mat[:, x] = F.pairs[:, np.flatnonzero(R.pairs[x])].all(axis=1)
+    return mat
+
+
+def test_residual_matches_loop_formulas():
+    rng = random.Random(27)
+    for _ in range(150):
+        W = random_poset(rng, rng.randrange(0, 5))
+        X = random_poset(rng, rng.randrange(0, 5))
+        Y = random_poset(rng, rng.randrange(0, 5))
+        F = random_relation(rng, W, Y, p=rng.choice([0.2, 0.5, 0.9]))
+        R = random_relation(rng, X, Y, p=rng.choice([0.0, 0.3, 0.7]))
+        if X.n:
+            mat = R.pairs.copy()
+            mat[rng.randrange(X.n)] = False
+            R = Relation(X, Y, mat)
+        S = residual(F, R)
+        assert (S.dom, S.cod) == (W, X)
+        assert np.array_equal(S.pairs, loop_residual(F, R))
+        assert np.array_equal(S.pairs, column_residual(F, R))
+        # an empty row of R gives an all-true column
+        assert S.pairs[:, ~R.pairs.any(axis=1)].all()
+        # largest: R S ⊆ F, and adding any missing pair breaks it
+        assert compose(R, S).leq(F)
+        for w, x in np.argwhere(~S.pairs):
+            bigger = S.pairs.copy()
+            bigger[w, x] = True
+            assert not compose(R, Relation(W, X, bigger)).leq(F)
+
+
+def test_residual_with_dense_complement_at_300():
+    # ~F is dense, so most entries of the product have 256 or more witnesses
+    rng = np.random.default_rng(29)
+    P = FinPoset.discrete(300)
+    fmat = rng.random((300, 300)) < 0.05
+    fmat[0, :256] = False
+    rmat = rng.random((300, 300)) < 0.9
+    rmat[0] = False
+    rmat[1] = np.arange(300) < 256
+    F, R = Relation(P, P, fmat), Relation(P, P, rmat)
+    witnesses = (~fmat).astype(np.int64) @ rmat.T.astype(np.int64)
+    assert witnesses[0, 1] == 256 and (witnesses >= 256).mean() > 0.5
+    S = residual(F, R)
+    assert np.array_equal(S.pairs, column_residual(F, R))
+    assert not S.pairs[0, 1] and S.pairs[:, 0].all()
+    assert compose(R, S).leq(F)
+
+
+def test_residual_rejects_mismatch():
+    with pytest.raises(DomainMismatch):
+        residual(identity_I(C3), identity_I(C2))
 
 
 def test_kernel_identity():
