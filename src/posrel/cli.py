@@ -32,6 +32,11 @@ from .exreg import (
 )
 from .formats import ParseError
 
+
+class BadBound(ValueError):
+    pass
+
+
 INPUT_ERRORS = (
     ParseError,
     AntisymmetryViolation,
@@ -42,7 +47,7 @@ INPUT_ERRORS = (
     ShapeMismatch,
     NotWeakening,
     FileNotFoundError,
-    ValueError,
+    BadBound,
 )
 LAW_ERRORS = (
     BimoduleLawFailed,
@@ -56,9 +61,12 @@ LAW_ERRORS = (
 
 def _default_bound():
     try:
-        return int(os.environ.get("EXREG_BOUND", "4"))
+        bound = int(os.environ.get("EXREG_BOUND", "4"))
     except ValueError:
         return 4
+    if bound < 0:
+        raise BadBound(f"EXREG_BOUND must be at least 0, got {bound}")
+    return bound
 
 
 class Emitter:
@@ -186,6 +194,8 @@ def cmd_limit(args, out, err):
 def cmd_split(args, out, err):
     obj = _load_object(args.object)
     R = formats.load_rel(args.congruence)
+    if R.dom != obj.X or R.cod != obj.X:
+        raise DomainMismatch("congruence is not a relation on the object's carrier")
     q, m = exreg.split_congruence(obj, R.pairs)
     em = Emitter(args.out_dir, out)
     _emit_object(em, obj, "base")
@@ -267,11 +277,14 @@ def cmd_dot(args, out, err):
     return 0
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low):
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 # Verbs spelled both `posrel <verb>` and `posrel exreg <verb>`: handler and
@@ -332,17 +345,17 @@ def build_parser():
 
     q = sub.add_parser("equiv")
     q.add_argument("what", choices=["set-pos", "ord", "discrete"])
-    q.add_argument("--bound", type=int, default=None)
+    q.add_argument("--bound", type=_int_at_least(0), default=None)
     q.set_defaults(run=cmd_equiv)
 
     h = sub.add_parser("harness")
     hs = h.add_subparsers(dest="action", required=True)
     hr = hs.add_parser("run")
     hr.add_argument("suite")
-    hr.add_argument("--trials", type=int, default=100)
+    hr.add_argument("--trials", type=_int_at_least(0), default=100)
     hr.add_argument("--seed", type=int, default=0)
-    hr.add_argument("--bound", type=int, default=None)
-    hr.add_argument("--jobs", type=_positive_int, default=1)
+    hr.add_argument("--bound", type=_int_at_least(1), default=None)
+    hr.add_argument("--jobs", type=_int_at_least(1), default=1)
     hr.set_defaults(run=cmd_harness)
 
     d = sub.add_parser("dot")

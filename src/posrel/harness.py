@@ -1,4 +1,4 @@
-"""Randomized law suites with deterministic seeding and greedy shrinking.
+"""Randomized law suites with deterministic seeding and draw-based shrinking.
 
 Every lemma the engine implements has a suite here that generates random
 instances and checks the law against an independent oracle (usually
@@ -23,17 +23,7 @@ class UnknownSuite(KeyError):
     pass
 
 
-class NotFailing(ValueError):
-    pass
-
-
-DEFAULT_POSET_CAP = 6
 DEFAULT_RELATION_CAP = 5
-
-
-def _rng_for(seed, trial):
-    """Per-trial stream: independent of other trials, stable across runs."""
-    return random.Random(f"{seed}:{trial}")
 
 
 # -- generators ---------------------------------------------------------------
@@ -47,10 +37,6 @@ def gen_poset(rng, n, p=0.35):
             if rng.random() < p:
                 mat[i, j] = True
     return FinPoset(poset.transitive_closure(mat))
-
-
-def gen_sized_poset(rng, cap=DEFAULT_POSET_CAP):
-    return gen_poset(rng, rng.randrange(0, cap + 1))
 
 
 def gen_map(rng, X, Y):
@@ -78,7 +64,7 @@ def gen_congruence(rng, X, extra=2):
     return exreg.Congruence.from_pairs(X, pairs)
 
 
-def gen_exreg_object(rng, cap=DEFAULT_POSET_CAP):
+def gen_exreg_object(rng, cap):
     X = gen_poset(rng, rng.randrange(1, cap + 1))
     return exreg.ExRegObject(X, gen_congruence(rng, X))
 
@@ -97,66 +83,85 @@ def gen_exreg_morphism(rng, src=None, tgt=None, cap=4):
 
 # -- shrinking ----------------------------------------------------------------
 
-
-class Counterexample:
-    """A failing value together with the predicate that rejects it.
-
-    ``predicate(value)`` returns True when the value still exhibits the
-    failure."""
-
-    __slots__ = ("value", "predicate")
-
-    def __init__(self, value, predicate):
-        self.value = value
-        self.predicate = predicate
-
-    def __repr__(self):
-        return f"Counterexample({self.value!r})"
+SIMPLEST_FLOAT = 1.0 - 2.0**-53  # the largest float below 1
+SHRINK_BUDGET = 500  # trial replays per failure
+DELETE_AFTER = 32  # draws a lowered int may free behind it
 
 
-def _poset_shrinks(P):
-    for drop in range(P.n):
-        keep = [i for i in range(P.n) if i != drop]
-        sub, _ = poset.subposet(P, keep)
-        yield sub
+class ChoiceStream(random.Random):
+    """``random.Random(seed)`` that records its draws; with ``replay``, it hands
+    out those draws instead, and the simplest one (0, or SIMPLEST_FLOAT) for a
+    draw that is missing, of the wrong kind or too wide.  Generators take sizes
+    from ``randrange`` (through ``getrandbits``) and add an edge or a pair when
+    ``random() < p``, so simple draws give small, sparse instances."""
+
+    def __init__(self, seed=None, replay=None):
+        super().__init__(seed)
+        self.replay = None if replay is None else iter(replay)
+        self.draws = []
+
+    def random(self):
+        value = super().random() if self.replay is None else next(self.replay, None)
+        self.draws.append(value if isinstance(value, float) else SIMPLEST_FLOAT)
+        return self.draws[-1]
+
+    def getrandbits(self, k):
+        value = super().getrandbits(k) if self.replay is None else next(self.replay, None)
+        self.draws.append(value if isinstance(value, int) and value >> k == 0 else 0)
+        return self.draws[-1]
 
 
-def _relation_shrinks(R):
-    for x, y in R.pair_list():
-        mat = R.pairs.copy()
-        mat[x, y] = False
-        yield Relation(R.dom, R.cod, mat)
+def _measure(draws):
+    """Shortlex size: fewer draws, then fewer non-simplest draws, then smaller ints."""
+    plain = sum(1 for v in draws if v != (0 if isinstance(v, int) else SIMPLEST_FLOAT))
+    return len(draws), plain, sum(v for v in draws if isinstance(v, int))
 
 
-def _shrink_moves(value):
-    if isinstance(value, FinPoset):
-        yield from _poset_shrinks(value)
-    elif isinstance(value, Relation):
-        yield from _relation_shrinks(value)
-    elif isinstance(value, dict):
-        for key in value:
-            for smaller in _shrink_moves(value[key]):
-                out = dict(value)
-                out[key] = smaller
-                yield out
+def _moves(draws, i):
+    """Candidate draw lists that differ from ``draws`` from index ``i`` on."""
+    for size in (8, 4, 2, 1):
+        if i + size <= len(draws):
+            yield draws[:i] + draws[i + size:]
+    value = draws[i]
+    if isinstance(value, int):
+        for lower in sorted({v for v in (0, value // 2, value - 1) if 0 <= v < value}):
+            for k in range(min(DELETE_AFTER, len(draws) - i - 1) + 1):
+                yield draws[:i] + [lower] + draws[i + 1 + k:]
+    elif value != SIMPLEST_FLOAT:
+        yield draws[:i] + [SIMPLEST_FLOAT] + draws[i + 1:]
 
 
-def shrink(cx):
-    """Greedy fixpoint shrink; raises NotFailing on a non-failing input."""
-    if not cx.predicate(cx.value):
-        raise NotFailing("input does not exhibit the failure")
-    current = cx.value
-    while True:
-        for candidate in _shrink_moves(current):
-            try:
-                still_failing = cx.predicate(candidate)
-            except Exception:
-                still_failing = False
-            if still_failing:
-                current = candidate
+def _outcome(trial_fn, rng, cap):
+    """The trial's failure message, or None when it passes."""
+    try:
+        return trial_fn(rng, cap)
+    except Exception as exc:  # a law check crashing is a failure too
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _shrink_failure(trial_fn, stream_seed, cap):
+    """``"<k> draws: <message>"`` for a failing trial's greedily reduced draws
+    (None if the failure does not recur on a recording re-run).  A candidate is
+    kept when the trial still fails on draws smaller by ``_measure``, which
+    makes the reduction end; it costs at most ``SHRINK_BUDGET`` replays."""
+    rng = ChoiceStream(stream_seed)
+    message = _outcome(trial_fn, rng, cap)
+    if message is None:
+        return None
+    draws, budget, i = rng.draws, SHRINK_BUDGET, 0
+    while i < len(draws) and budget:
+        for candidate in _moves(draws, i):
+            if not budget:
+                break
+            budget -= 1
+            rng = ChoiceStream(replay=candidate)
+            found = _outcome(trial_fn, rng, cap)
+            if found is not None and _measure(rng.draws) < _measure(draws):
+                draws, message = rng.draws, found
                 break
         else:
-            return Counterexample(current, cx.predicate)
+            i += 1
+    return f"{len(draws)} draws: {message}"
 
 
 # -- suite trial bodies -------------------------------------------------------
@@ -567,32 +572,13 @@ def run_suite(name, trials, seed, cap=DEFAULT_RELATION_CAP):
     failures = []
     start = time.perf_counter()
     for t in range(trials):
-        rng = _rng_for(seed, t)
-        try:
-            message = trial_fn(rng, cap)
-        except Exception as exc:  # a law check crashing is a failure too
-            message = f"{type(exc).__name__}: {exc}"
+        stream_seed = f"{seed}:{t}"  # independent of other trials, stable across runs
+        message = _outcome(trial_fn, random.Random(stream_seed), cap)
         if message is not None:
-            shrunk = _shrink_failure(name, seed, t, cap)
-            failures.append((t, f"[seed {seed}:{t}] {message}", shrunk))
+            shrunk = _shrink_failure(trial_fn, stream_seed, cap)
+            failures.append((t, f"[seed {stream_seed}] {message}", shrunk))
     wall = time.perf_counter() - start
     return SuiteReport(name, trials, seed, failures, wall)
-
-
-def _shrink_failure(name, seed, trial, cap):
-    """Best-effort shrink by replaying the trial at smaller size caps."""
-    _, trial_fn = SUITES[name]
-    best = None
-    for smaller in range(1, cap):
-        rng = _rng_for(seed, trial)
-        try:
-            message = trial_fn(rng, smaller)
-        except Exception as exc:
-            message = f"{type(exc).__name__}: {exc}"
-        if message is not None:
-            best = f"cap {smaller}: {message}"
-            break
-    return best
 
 
 def run_all(trials, seed, cap=DEFAULT_RELATION_CAP, names=None):

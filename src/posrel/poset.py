@@ -252,9 +252,6 @@ def all_monotone_maps(X, Y):
                 if X.leq[j, i] and not Y.leq[assign[j], c]:
                     ok = False
                     break
-                if X.leq[i, j] and not Y.leq[c, assign[j]]:
-                    ok = False
-                    break
             if ok:
                 assign[i] = c
                 backtrack(k + 1)

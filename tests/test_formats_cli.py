@@ -462,3 +462,66 @@ def test_cli_limit_product_stdout_is_pinned(construction_inputs):
     code, out, err = run_cli("limit", "product", str(q), str(sy))
     assert code == 0, err
     assert out == LIMIT_PRODUCT_STDOUT
+
+
+@pytest.mark.parametrize(
+    "carrier",
+    [
+        "poset 2\n0 < 1\n",  # same size as the object's carrier, different order
+        "poset 3\n",
+    ],
+)
+def test_cli_split_rejects_a_relation_on_another_carrier(construction_inputs, carrier):
+    write(construction_inputs, "other.poset", carrier)
+    n = int(carrier.split()[1])
+    pairs = "".join(f"{i} ~ {i}\n" for i in range(n))
+    rel = write(construction_inputs, "other.rel", f"rel other.poset other.poset\n{pairs}")
+    code, out, err = run_cli("split", str(construction_inputs / "sx.exreg"), rel)
+    assert code == 2
+    assert err.startswith("error: DomainMismatch: ") and err.count("\n") == 1
+    assert out == ""
+
+
+def test_cli_does_not_report_an_internal_value_error_as_input(construction_inputs, monkeypatch):
+    from posrel import cli
+
+    def broken(args, out, err):
+        raise ValueError("internal bug")
+
+    monkeypatch.setitem(cli.CONSTRUCTION_VERBS, "present", (broken, {"object": {}}))
+    with pytest.raises(ValueError, match="internal bug"):
+        run_cli("present", str(construction_inputs / "q.exreg"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["harness", "run", "modular-law", "--bound", "0"],
+        ["harness", "run", "modular-law", "--trials", "-4"],
+        ["equiv", "set-pos", "--bound", "-1"],
+    ],
+)
+def test_cli_rejects_bad_counts(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["harness", "run", "modular-law", "--trials", "1"], ["equiv", "set-pos"]])
+def test_cli_rejects_a_negative_env_bound(monkeypatch, argv):
+    monkeypatch.setenv("EXREG_BOUND", "-1")
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert err == "error: BadBound: EXREG_BOUND must be at least 0, got -1\n"
+    assert out == ""
+
+
+def test_cli_harness_accepts_zero_trials_and_the_least_bounds(monkeypatch):
+    code, out, err = run_cli("harness", "run", "modular-law", "--trials", "0")
+    assert code == 0 and "0 trials, seed 0: ok" in out
+    code, out, err = run_cli("harness", "run", "modular-law", "--trials", "3", "--bound", "1")
+    assert code == 0 and "3 trials, seed 0: ok" in out
+    monkeypatch.setenv("EXREG_BOUND", "0")
+    assert run_cli("harness", "run", "modular-law", "--trials", "3")[0] == 0
+    code, out, err = run_cli("equiv", "discrete")
+    assert code == 0 and "bound 0" in out

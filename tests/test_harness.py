@@ -3,12 +3,13 @@ import random
 import numpy as np
 import pytest
 
+from posrel import harness, relation
 from posrel.poset import FinPoset
 from posrel.relation import Relation
 from posrel.harness import (
+    SIMPLEST_FLOAT,
     SUITES,
-    Counterexample,
-    NotFailing,
+    ChoiceStream,
     UnknownSuite,
     gen_congruence,
     gen_exreg_morphism,
@@ -19,7 +20,6 @@ from posrel.harness import (
     gen_weakening_relation,
     run_all,
     run_suite,
-    shrink,
 )
 
 
@@ -131,59 +131,186 @@ def test_run_all_covers_registry():
 
 
 # -- shrinking ----------------------------------------------------------------
+#
+# Fixture suites are registered in SUITES for one test each; every failure
+# message states its instance, so the shrunk line shows what was reached.
 
 
-def test_shrink_requires_failing_input():
-    with pytest.raises(NotFailing):
-        shrink(Counterexample(FinPoset.chain(2), lambda P: False))
+@pytest.fixture
+def fixture_suite(monkeypatch):
+    def register(trial):
+        monkeypatch.setitem(harness.SUITES, "shrink-fixture", ("fixture", trial))
+        return "shrink-fixture"
+
+    return register
 
 
-def test_shrink_removes_isolated_point():
-    # failure: poset contains a 2-chain; the isolated third point is noise
-    P = FinPoset.from_covers(3, [(0, 1)])
-
-    def has_chain(Q):
-        return any(
-            Q.leq[i, j] for i in range(Q.n) for j in range(Q.n) if i != j
-        )
-
-    out = shrink(Counterexample(P, has_chain))
-    assert out.value.n == 2
-    assert has_chain(out.value)
+def _has_chain(Q):
+    return bool((Q.leq & ~np.eye(Q.n, dtype=bool)).any())
 
 
-def test_shrink_minimal_unchanged():
-    P = FinPoset.chain(2)
-
-    def has_chain(Q):
-        return any(Q.leq[i, j] for i in range(Q.n) for j in range(Q.n) if i != j)
-
-    assert shrink(Counterexample(P, has_chain)).value == P
+def _messages(report):
+    """(original message without its seed tag, shrunk line) per failure."""
+    return [(message.split("] ", 1)[1], shrunk) for _, message, shrunk in report.failures]
 
 
-def test_shrink_relation_pairs():
+def test_shrink_requires_failing_input(fixture_suite):
+    # a failure that does not recur on the recording re-run gets no shrunk line
+    runs = []
+
+    def fails_once(rng, cap):
+        runs.append(rng.random())
+        return "first run fails" if len(runs) == 1 else None
+
+    report = run_suite(fixture_suite(fails_once), 1, 11)
+    assert report.failures == [(0, "[seed 11:0] first run fails", None)]
+    assert "shrunk" not in report.render()
+
+
+def test_shrink_removes_isolated_point(fixture_suite):
+    # failure: the poset contains a 2-chain; every other point is noise
+    def chain(rng, cap):
+        X = gen_poset(rng, rng.randrange(1, cap + 1))
+        return f"chain in a {X.n}-element poset" if _has_chain(X) else None
+
+    failures = _messages(run_suite(fixture_suite(chain), 40, 11))
+    assert len(failures) >= 10
+    assert any(message != "chain in a 2-element poset" for message, _ in failures)
+    assert all(shrunk.endswith(" draws: chain in a 2-element poset") for _, shrunk in failures)
+
+
+def test_shrink_minimal_unchanged(fixture_suite):
+    # a 2-chain takes one draw, which neither deletion nor simplification keeps failing
+    def chain_of_two(rng, cap):
+        X = gen_poset(rng, 2)
+        return f"chain {X.covers()}" if _has_chain(X) else None
+
+    failures = _messages(run_suite(fixture_suite(chain_of_two), 20, 11))
+    assert failures
+    assert all(shrunk == f"1 draws: {message}" for message, shrunk in failures)
+
+
+def test_shrink_relation_pairs(fixture_suite):
     D3 = FinPoset.discrete(3)
-    R = Relation.from_pairs(D3, D3, [(0, 1), (1, 2), (2, 0)])
 
-    def mentions_01(S):
-        return S.pairs[0, 1]
+    def mentions_01(rng, cap):
+        R = gen_relation(rng, D3, D3)
+        return f"pairs {R.pair_list()}" if R.pairs[0, 1] else None
 
-    out = shrink(Counterexample(R, mentions_01))
-    assert out.value.pair_list() == [(0, 1)]
+    failures = _messages(run_suite(fixture_suite(mentions_01), 30, 11))
+    assert failures
+    assert any(message != "pairs [(0, 1)]" for message, _ in failures)
+    assert all(shrunk.endswith(" draws: pairs [(0, 1)]") for _, shrunk in failures)
 
 
-def test_shrink_dict_components():
-    data = {
-        "poset": FinPoset.from_covers(3, [(0, 1)]),
-        "rel": Relation.from_pairs(FinPoset.discrete(2), FinPoset.discrete(2), [(0, 0), (1, 1)]),
-    }
+def test_shrink_dict_components(fixture_suite):
+    # a poset and a relation shrink together in one trial
+    D2 = FinPoset.discrete(2)
 
-    def pred(d):
-        return d["poset"].n >= 2 and d["rel"].pairs[0, 0]
+    def poset_and_pair(rng, cap):
+        X = gen_poset(rng, rng.randrange(1, cap + 1))
+        R = gen_relation(rng, D2, D2)
+        if X.n >= 2 and R.pairs[0, 0]:
+            return f"{X.n} elements, pairs {R.pair_list()}"
+        return None
 
-    out = shrink(Counterexample(data, pred))
-    assert out.value["poset"].n == 2
-    assert out.value["rel"].pair_list() == [(0, 0)]
+    failures = _messages(run_suite(fixture_suite(poset_and_pair), 30, 11))
+    assert failures
+    assert any(message != "2 elements, pairs [(0, 0)]" for message, _ in failures)
+    assert all(shrunk.endswith(" draws: 2 elements, pairs [(0, 0)]") for _, shrunk in failures)
+
+
+def test_choice_stream_records_the_seeded_stream():
+    ref, rng = random.Random("7:3"), ChoiceStream("7:3")
+    draw = [
+        lambda r: r.random(),
+        lambda r: r.randrange(1, 6),
+        lambda r: r.randrange(37),
+        lambda r: r.getrandbits(9),
+        lambda r: r.choice("abcde"),
+    ]
+    script = [draw[k % len(draw)] for k in range(200)]
+    expected = [step(ref) for step in script]
+    assert [step(rng) for step in script] == expected
+    replay = ChoiceStream(replay=rng.draws)
+    assert [step(replay) for step in script] == expected
+    assert replay.draws == rng.draws
+
+
+def test_choice_stream_replays_the_simplest_draw_for_an_unusable_one():
+    rng = ChoiceStream(replay=[0.5, 3, 99, 0.25, 7])
+    assert rng.getrandbits(4) == 0  # wrong kind
+    assert rng.random() == SIMPLEST_FLOAT  # wrong kind
+    assert rng.getrandbits(4) == 0  # too wide for 4 bits
+    assert rng.random() == 0.25
+    assert rng.getrandbits(3) == 7
+    assert rng.random() == SIMPLEST_FLOAT and rng.getrandbits(3) == 0  # run out
+    assert rng.draws == [0, SIMPLEST_FLOAT, 0, 0.25, 7, SIMPLEST_FLOAT, 0]
+    assert SIMPLEST_FLOAT < 1.0 and SIMPLEST_FLOAT + 2.0**-53 == 1.0
+
+
+def test_failing_report_is_identical_across_runs_and_jobs(fixture_suite, monkeypatch):
+    import concurrent.futures
+    import functools
+    import multiprocessing
+    import os
+
+    from test_formats_cli import run_cli
+
+    D3 = FinPoset.discrete(3)
+
+    def mentions_01(rng, cap):
+        R = gen_relation(rng, D3, D3)
+        return f"pairs {R.pair_list()}" if R.pairs[0, 1] else None
+
+    fixture_suite(mentions_01)
+    # forked workers inherit the registered fixture suite
+    monkeypatch.setattr(
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        functools.partial(
+            concurrent.futures.ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context("fork"),
+        ),
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["harness", "run", "all", "--trials", "4", "--seed", "11"]
+    first = run_cli(*argv)
+    assert first[0] == 1 and "    shrunk: " in first[1]
+    assert run_cli(*argv)[:2] == first[:2]
+    assert run_cli(*argv, "--jobs", "2")[:2] == first[:2]
+
+
+def _dropping_last_pair(compose):
+    def planted(S, R):
+        out = compose(S, R)
+        pairs = out.pairs.copy()
+        hits = np.argwhere(pairs)
+        if len(hits):
+            pairs[tuple(hits[-1])] = False
+        return Relation(out.dom, out.cod, pairs)
+
+    return planted
+
+
+def test_planted_compose_bug_shrinks_to_small_carriers(fixture_suite, monkeypatch):
+    # shaped like the modular-law suite, with the carrier sizes in the message
+    def modular_law(rng, cap):
+        X, Y, Z = (gen_poset(rng, rng.randrange(1, cap + 1)) for _ in range(3))
+        P = gen_relation(rng, X, Y)
+        Q = gen_relation(rng, Y, Z)
+        S = gen_relation(rng, X, Z)
+        if not relation.check_modular_law(P, Q, S).holds:
+            return f"carriers {X.n} {Y.n} {Z.n}"
+        return None
+
+    monkeypatch.setattr(relation, "compose", _dropping_last_pair(relation.compose))
+    report = run_suite(fixture_suite(modular_law), 40, 3)
+    shrunk = [line for _, _, line in report.failures]
+    assert len(shrunk) >= 10
+    assert all(line is not None and " draws: carriers " in line for line in shrunk)
+    largest = [max(map(int, line.split("carriers ")[1].split())) for line in shrunk]
+    assert sum(n <= 3 for n in largest) * 2 >= len(largest)
 
 
 def test_failure_reporting_includes_subseed():

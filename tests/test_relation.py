@@ -317,6 +317,27 @@ def test_right_adjoint_exists_iff_hypergraph():
             assert hypergraph(f) == phi and hypograph(f) == psi
 
 
+def test_right_adjoint_closes_phi_once(monkeypatch):
+    # the residual is weakening-closed and satisfies the counit by construction
+    rng = random.Random(27)
+    phis = []
+    for _ in range(30):
+        X = random_poset(rng, rng.randrange(1, 4))
+        Y = random_poset(rng, rng.randrange(1, 4))
+        phis.append(random_relation(rng, X, Y, weakening=True))
+    calls = []
+    closure = Relation.weakening_closure
+
+    def counting(self):
+        calls.append(self)
+        return closure(self)
+
+    monkeypatch.setattr(Relation, "weakening_closure", counting)
+    found = [has_right_adjoint(phi) is not None for phi in phis]
+    assert calls == phis
+    assert any(found) and not all(found)
+
+
 def loop_residual(F, R):
     """S(w, x) iff every y with R(x, y) has F(w, y), as a double loop."""
     mat = np.zeros((F.dom.n, R.dom.n), dtype=bool)
