@@ -46,7 +46,7 @@ INPUT_ERRORS = (
     DomainMismatch,
     ShapeMismatch,
     NotWeakening,
-    FileNotFoundError,
+    OSError,  # an input path that is missing, a directory or unreadable
     BadBound,
 )
 LAW_ERRORS = (

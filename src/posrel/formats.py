@@ -25,6 +25,9 @@ from .relation import Relation
 from .exreg import Congruence, ExRegMorphism, ExRegObject, validate_morphism
 
 
+MAX_ELEMENTS = 2048  # largest declared poset; keeps an n x n float32 temporary at 16 MiB
+
+
 class ParseError(ValueError):
     def __init__(self, path, line_no, message):
         super().__init__(f"{path}:{line_no}: {message}")
@@ -55,6 +58,8 @@ def parse_poset(text, path="<string>"):
     if len(parts) != 2 or parts[0] != "poset":
         raise ParseError(path, no, "expected header 'poset <n>'")
     n = _int(parts[1], path, no)
+    if n > MAX_ELEMENTS:
+        raise ParseError(path, no, f"poset of {n} elements exceeds the limit of {MAX_ELEMENTS}")
     pairs = []
     labels = None
     for no, line in lines[1:]:

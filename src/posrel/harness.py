@@ -132,22 +132,26 @@ def _moves(draws, i):
 
 
 def _outcome(trial_fn, rng, cap):
-    """The trial's failure message, or None when it passes."""
+    """``(kind, message)`` for a failing trial, or None when it passes; ``kind``
+    is the exception class the trial raised, or None for a returned message."""
     try:
-        return trial_fn(rng, cap)
+        message = trial_fn(rng, cap)
     except Exception as exc:  # a law check crashing is a failure too
-        return f"{type(exc).__name__}: {exc}"
+        return type(exc), f"{type(exc).__name__}: {exc}"
+    return None if message is None else (None, message)
 
 
 def _shrink_failure(trial_fn, stream_seed, cap):
     """``"<k> draws: <message>"`` for a failing trial's greedily reduced draws
     (None if the failure does not recur on a recording re-run).  A candidate is
-    kept when the trial still fails on draws smaller by ``_measure``, which
-    makes the reduction end; it costs at most ``SHRINK_BUDGET`` replays."""
+    kept when the trial still fails the same way (the same exception class, or
+    a returned message) on draws smaller by ``_measure``, which makes the
+    reduction end; it costs at most ``SHRINK_BUDGET`` replays."""
     rng = ChoiceStream(stream_seed)
-    message = _outcome(trial_fn, rng, cap)
-    if message is None:
+    failed = _outcome(trial_fn, rng, cap)
+    if failed is None:
         return None
+    kind, message = failed
     draws, budget, i = rng.draws, SHRINK_BUDGET, 0
     while i < len(draws) and budget:
         for candidate in _moves(draws, i):
@@ -156,8 +160,8 @@ def _shrink_failure(trial_fn, stream_seed, cap):
             budget -= 1
             rng = ChoiceStream(replay=candidate)
             found = _outcome(trial_fn, rng, cap)
-            if found is not None and _measure(rng.draws) < _measure(draws):
-                draws, message = rng.draws, found
+            if found is not None and found[0] is kind and _measure(rng.draws) < _measure(draws):
+                draws, message = rng.draws, found[1]
                 break
         else:
             i += 1
@@ -573,10 +577,10 @@ def run_suite(name, trials, seed, cap=DEFAULT_RELATION_CAP):
     start = time.perf_counter()
     for t in range(trials):
         stream_seed = f"{seed}:{t}"  # independent of other trials, stable across runs
-        message = _outcome(trial_fn, random.Random(stream_seed), cap)
-        if message is not None:
+        failed = _outcome(trial_fn, random.Random(stream_seed), cap)
+        if failed is not None:
             shrunk = _shrink_failure(trial_fn, stream_seed, cap)
-            failures.append((t, f"[seed {stream_seed}] {message}", shrunk))
+            failures.append((t, f"[seed {stream_seed}] {failed[1]}", shrunk))
     wall = time.perf_counter() - start
     return SuiteReport(name, trials, seed, failures, wall)
 

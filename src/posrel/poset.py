@@ -23,19 +23,37 @@ class NotMonotone(ValueError):
     pass
 
 
+BLAS_MADDS = 8192  # multiply-adds from which float32 BLAS beats numpy's bool loop
+
+
 def bool_mat(a, b):
-    """Exact boolean matrix product: out[i, k] iff some j has a[i, j] and b[j, k]."""
-    return np.asarray(a, bool) @ np.asarray(b, bool)
+    """Exact boolean matrix product: out[i, k] iff some j has a[i, j] and b[j, k].
+
+    Below ``BLAS_MADDS`` multiply-adds this is numpy's boolean matmul (an OR of
+    ANDs).  From there on the operands are cast to float32 and multiplied by
+    BLAS sgemm, which only adds non-negative 0/1 products: rounding never takes
+    a positive sum to 0 and overflow gives inf, so ``> 0`` is exact at every
+    size.  A square ``bool_mat(a, a)`` is cast once."""
+    square = b is a
+    a = np.asarray(a, bool)
+    b = a if square else np.asarray(b, bool)
+    if a.shape[0] * a.shape[1] * b.shape[1] < BLAS_MADDS:
+        return a @ b
+    fa = a.astype(np.float32)
+    fb = fa if square else b.astype(np.float32)
+    return (fa @ fb) > 0
 
 
 def transitive_closure(mat):
-    """Reflexive-transitive closure of a boolean square matrix (Warshall)."""
-    n = mat.shape[0]
-    out = mat.copy()
-    out[np.diag_indices(n)] = True
-    for k in range(n):
-        out |= np.outer(out[:, k], out[k, :])
-    return out
+    """Reflexive-transitive closure of a boolean square matrix: ``mat | I``
+    squared through ``bool_mat`` until it stops growing (Fischer & Meyer 1971),
+    at most ceil(log2 n) + 1 products."""
+    out = np.asarray(mat, bool) | np.eye(mat.shape[0], dtype=bool)
+    while True:
+        step = bool_mat(out, out)
+        if np.array_equal(step, out):
+            return out
+        out = step
 
 
 def _freeze(mat):

@@ -12,6 +12,7 @@ from posrel.poset import FinPoset, MonotoneMap, are_isomorphic
 from posrel.relation import Relation
 from posrel.exreg import Congruence, ExRegObject, gamma_morphism, gamma_object
 from posrel.formats import (
+    MAX_ELEMENTS,
     ParseError,
     dot_poset,
     dot_relation,
@@ -146,6 +147,25 @@ def test_cli_poset_check_cycle_exits_2(tmp_path):
     code, out, err = run_cli("poset", "check", path)
     assert code == 2
     assert "2-cycle" in err
+
+
+def test_cli_poset_check_of_a_directory_exits_2(tmp_path):
+    code, out, err = run_cli("poset", "check", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: IsADirectoryError: ") and err.count("\n") == 1
+    assert out == ""
+
+
+def test_cli_rejects_an_oversized_poset_before_allocating(tmp_path):
+    # a header alone: the size is checked before any n x n matrix is built
+    path = write(tmp_path, "huge.poset", "poset 1000000000\n")
+    code, out, err = run_cli("poset", "check", path)
+    assert code == 2
+    assert err == (
+        f"error: ParseError: {path}:1: poset of 1000000000 elements"
+        f" exceeds the limit of {MAX_ELEMENTS}\n"
+    )
+    assert out == ""
 
 
 def test_cli_rel_check(tmp_path):

@@ -220,6 +220,42 @@ def test_shrink_dict_components(fixture_suite):
     assert all(shrunk.endswith(" draws: 2 elements, pairs [(0, 0)]") for _, shrunk in failures)
 
 
+class LargeFailure(Exception):
+    pass
+
+
+class SmallFailure(Exception):
+    pass
+
+
+def test_shrink_keeps_the_failure_kind(fixture_suite):
+    # every trial fails, one way from 4 elements on and another way below:
+    # a shrunk line stays with the exception class, or the returned message, it began with
+    def by_size(rng, cap):
+        X = gen_poset(rng, rng.randrange(1, cap + 1))
+        if X.n >= 4:
+            raise LargeFailure(f"{X.n} elements")
+        raise SmallFailure(f"{X.n} elements")
+
+    failures = _messages(run_suite(fixture_suite(by_size), 20, 11))
+    assert len(failures) == 20
+    large = [shrunk for message, shrunk in failures if message.startswith("LargeFailure")]
+    assert any(message == "LargeFailure: 5 elements" for message, _ in failures)
+    assert large and all(s.endswith(" draws: LargeFailure: 4 elements") for s in large)
+    small = [shrunk for message, shrunk in failures if message.startswith("SmallFailure")]
+    assert small and all(s.endswith(" draws: SmallFailure: 1 elements") for s in small)
+
+    def returns_when_large(rng, cap):
+        X = gen_poset(rng, rng.randrange(1, cap + 1))
+        if X.n >= 4:
+            return f"{X.n} elements"
+        raise SmallFailure(f"{X.n} elements")
+
+    failures = _messages(run_suite(fixture_suite(returns_when_large), 20, 11))
+    large = [shrunk for message, shrunk in failures if not message.startswith("SmallFailure")]
+    assert large and all(s.endswith(" draws: 4 elements") for s in large)
+
+
 def test_choice_stream_records_the_seeded_stream():
     ref, rng = random.Random("7:3"), ChoiceStream("7:3")
     draw = [

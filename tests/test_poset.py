@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from posrel.poset import (
+    BLAS_MADDS,
     AntisymmetryViolation,
     FinPoset,
     MonotoneMap,
@@ -122,6 +123,71 @@ def test_transitivity_check_sees_256_middle_elements():
     leq[1:257, 257] = True
     with pytest.raises(ValueError, match="not transitive"):
         FinPoset(leq)
+
+
+def _witnessed(a, b):
+    """Reference product: the exact int64 count of witnesses is positive."""
+    return (a.astype(np.int64) @ b.astype(np.int64)) > 0
+
+
+@pytest.mark.parametrize(
+    "m, k, n",
+    [(1, 1, 1), (3, 5, 2), (6, 6, 6), (20, 20, 20), (8, 32, 32), (9, 40, 30), (64, 64, 64), (130, 7, 130)],
+)
+def test_bool_mat_matches_witness_counts_on_both_routes(m, k, n):
+    # 20³ = 8000 stays on numpy's bool matmul; 8 * 32 * 32 = BLAS_MADDS is the first sgemm size
+    rng = np.random.default_rng(m * k * n)
+    for density in (0.0, 0.05, 0.3, 1.0):
+        a, b = rng.random((m, k)) < density, rng.random((k, n)) < density
+        out = bool_mat(a, b)
+        assert out.dtype == bool and out.shape == (m, n)
+        assert (out == _witnessed(a, b)).all()
+
+
+@pytest.mark.parametrize("n", [5, 20, 21, 64, 200])
+def test_bool_mat_of_a_square_matches_witness_counts(n):
+    # bool_mat(a, a) casts a once; 21³ is the first square at BLAS_MADDS or above
+    assert (n**3 >= BLAS_MADDS) == (n > 20)
+    rng = random.Random(n)
+    for leq in (random_poset(rng, n).leq, np.random.default_rng(n).random((n, n)) < 0.2):
+        assert (bool_mat(leq, leq) == _witnessed(leq, leq)).all()
+
+
+@pytest.mark.parametrize("m, k, n", [(0, 0, 0), (0, 5, 3), (4, 0, 3), (4, 5, 0), (0, 9000, 2), (3, 0, 9000)])
+def test_bool_mat_of_zero_size_operands(m, k, n):
+    out = bool_mat(np.ones((m, k), dtype=bool), np.ones((k, n), dtype=bool))
+    assert out.dtype == bool and out.shape == (m, n) and not out.any()
+
+
+@pytest.mark.parametrize("witnesses", [0, 1, 256, 257])
+def test_bool_mat_on_the_sgemm_route_counts_every_witness(witnesses):
+    # (1, 8192) @ (8192, 1) is exactly BLAS_MADDS multiply-adds, so it runs on sgemm
+    k = BLAS_MADDS
+    a = np.zeros((1, k), dtype=bool)
+    a[0, np.random.default_rng(witnesses).choice(k, witnesses, replace=False)] = True
+    out = bool_mat(a, np.ones((k, 1), dtype=bool))
+    assert out.dtype == bool and out.tolist() == [[witnesses > 0]]
+
+
+def _warshall(mat):
+    """Reference closure: Warshall's loop over intermediate elements."""
+    n = mat.shape[0]
+    out = mat | np.eye(n, dtype=bool)
+    for k in range(n):
+        out |= np.outer(out[:, k], out[k, :])
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 13, 40, 90])
+def test_transitive_closure_matches_warshall(n):
+    # random relations with cycles close to preorders, as coinserter relies on
+    rng = np.random.default_rng(n)
+    for density in (0.0, 1 / (n + 1), 3 / (n + 1), 0.5):
+        mat = rng.random((n, n)) < density
+        before = mat.copy()
+        out = transitive_closure(mat)
+        assert out.dtype == bool and (out == _warshall(mat)).all()
+        assert (mat == before).all()
 
 
 def test_monotone_map_messages_are_pinned():
