@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import equivalence, exreg, formats, harness
-from .poset import AntisymmetryViolation, NotMonotone
+from .poset import AntisymmetryViolation, NotMonotone, TooLarge
 from .relation import (
     DomainMismatch,
     NotAMap,
@@ -48,6 +48,7 @@ INPUT_ERRORS = (
     NotWeakening,
     OSError,  # an input path that is missing, a directory or unreadable
     BadBound,
+    TooLarge,
 )
 LAW_ERRORS = (
     BimoduleLawFailed,
@@ -60,10 +61,11 @@ LAW_ERRORS = (
 
 
 def _default_bound():
+    text = os.environ.get("EXREG_BOUND", "4")
     try:
-        bound = int(os.environ.get("EXREG_BOUND", "4"))
+        bound = int(text)
     except ValueError:
-        return 4
+        raise BadBound(f"EXREG_BOUND must be an integer, got {text!r}") from None
     if bound < 0:
         raise BadBound(f"EXREG_BOUND must be at least 0, got {bound}")
     return bound

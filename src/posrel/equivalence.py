@@ -32,6 +32,7 @@ from .exreg import (
     Congruence,
     ExRegMorphism,
     ExRegObject,
+    crosscheck,
     gamma_object,
     graph_of,
     hom_leq,
@@ -43,9 +44,13 @@ def quotient_realize(obj):
     """The poset of E-classes, with the surjection from the carrier.
 
     Carrier: X/(E∩E°) with smallest-index representatives; order
-    [x] <= [y] iff E(x, y).  Returns (poset, projection)."""
-    Q, class_of = poset_reflection(obj.E.E)
-    return Q, MonotoneMap(obj.X, Q, class_of)
+    [x] <= [y] iff E(x, y).  Returns (poset, projection), computed once
+    per object and kept on it, so every caller gets the same pair."""
+    if obj._realization is None:
+        Q, class_of = poset_reflection(obj.E.E)
+        # E contains the order of X, and Q orders the classes by E
+        obj._realization = Q, MonotoneMap._trusted(obj.X, Q, class_of)
+    return obj._realization
 
 
 def realize_morphism(R):
@@ -56,7 +61,7 @@ def realize_morphism(R):
     assign = [None] * P.n
     for x in range(R.src.X.n):
         ys = np.flatnonzero(gr.pairs[x])
-        assert len(ys), "graph of a morphism must be total"
+        crosscheck(len(ys), "realize_morphism: the graph of a morphism must be total")
         assign[p.assign[x]] = q.assign[int(ys[0])]
     return MonotoneMap(P, Q, assign)
 

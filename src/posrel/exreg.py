@@ -15,8 +15,10 @@ from collections import namedtuple
 import numpy as np
 
 from .poset import (
+    MAX_ELEMENTS,
     FinPoset,
     MapClass,
+    TooLarge,
     bool_mat,
     pair_order,
     pair_span,
@@ -58,6 +60,16 @@ class NotCongruenceOver(ValueError):
     pass
 
 
+class CrossCheckFailed(AssertionError):
+    """An internal cross-check failed: a bug in this package, not bad input."""
+
+
+def crosscheck(cond, label):
+    """Raise ``CrossCheckFailed(label)`` unless ``cond``; kept under ``python -O``."""
+    if not cond:
+        raise CrossCheckFailed(label)
+
+
 class Congruence:
     """A reflexive-over-order, transitive, weakening-closed relation on X."""
 
@@ -71,6 +83,17 @@ class Congruence:
             raise NotCongruence("congruence does not contain the order")
         if (bool_mat(E, E) & ~E).any():
             raise NotCongruence("congruence is not transitive")
+        self._fill(base, E)
+
+    @classmethod
+    def _trusted(cls, base, E):
+        """The congruence ``E`` on ``base``, unchecked; only for results of this
+        package whose call site says why E is transitive and contains the order."""
+        self = cls.__new__(cls)
+        self._fill(base, np.ascontiguousarray(E, dtype=bool))
+        return self
+
+    def _fill(self, base, E):
         E.flags.writeable = False
         self.base = base
         self.E = E
@@ -98,9 +121,12 @@ class Congruence:
 
 
 class ExRegObject:
-    """A pair (X, E): a finite poset with a congruence on it."""
+    """A pair (X, E): a finite poset with a congruence on it.
 
-    __slots__ = ("X", "E")
+    ``_realization`` holds the (Q, q) pair of ``equivalence.quotient_realize``,
+    which computes it on first use; every later caller shares it."""
+
+    __slots__ = ("X", "E", "_realization")
 
     def __init__(self, X, E):
         if isinstance(E, Congruence):
@@ -110,6 +136,7 @@ class ExRegObject:
             E = Congruence(X, E)
         self.X = X
         self.E = E
+        self._realization = None
 
     def rel(self):
         """The congruence as a relation; the identity morphism's lower leg."""
@@ -248,7 +275,7 @@ def hom_leq(R, S):
         raise DomainMismatch("morphisms are not parallel")
     lower_side = S.lower.leq(R.lower)
     upper_side = R.upper.leq(S.upper)
-    assert lower_side == upper_side, "hom-order cross-check failed"
+    crosscheck(lower_side == upper_side, "hom-order: lower and upper legs disagree")
     return lower_side
 
 
@@ -272,8 +299,8 @@ def derive_right_adjoint(src, tgt, lower):
 def graph_of(R):
     """gr(R_*) = R_* ∩ (R^*)°, the honest graph underneath the adjoint pair."""
     gr = meet(R.lower, opposite(R.upper))
-    assert compose(R.tgt.rel(), gr) == R.lower
-    assert compose(opposite(gr), R.tgt.rel()) == R.upper
+    crosscheck(compose(R.tgt.rel(), gr) == R.lower, "graph_of: F gr = R_* fails")
+    crosscheck(compose(opposite(gr), R.tgt.rel()) == R.upper, "graph_of: gr° F = R^* fails")
     return gr
 
 
@@ -284,7 +311,7 @@ def classify(R):
     is_ff = compose(R.upper, R.lower) == E
     is_so = compose(R.lower, R.upper) == F
     gr = graph_of(R)
-    assert is_so == (compose(gr, opposite(gr)) == R.tgt.core())
+    crosscheck(is_so == (compose(gr, opposite(gr)) == R.tgt.core()), "classify: so by graph")
     return MapClass(is_ff, is_so)
 
 
@@ -298,18 +325,28 @@ def _q_morphism_check(phi, src, tgt):
         raise NotQMorphism("(F∩F°) Φ (E∩E°) = Φ fails")
 
 
+def _check_apex_size(count):
+    """Refuse a pair-set carrier of ``count`` elements above ``MAX_ELEMENTS``."""
+    if count > MAX_ELEMENTS:
+        raise TooLarge(f"apex of {count} elements exceeds the limit of {MAX_ELEMENTS}")
+
+
 def tabulate(phi, src, tgt):
     """Tabulate a relation Φ: (X,E) ⇸ (Y,F) of the completion.
 
     The apex carrier is the pair set of Φ in lexicographic order, with
     componentwise order from X and Y; T(z, z') holds when both
     coordinates are congruent, and the legs push coordinates through
-    the respective congruences."""
+    the respective congruences.  Raises ``TooLarge`` before building an
+    apex of more than ``MAX_ELEMENTS`` pairs."""
     _q_morphism_check(phi, src, tgt)
+    _check_apex_size(int(np.count_nonzero(phi.pairs)))
     pairs = phi.pair_list()  # already lexicographically sorted
     X, Y = src.X, tgt.X
-    Z = FinPoset(pair_order(X.leq, Y.leq, pairs))
-    apex = ExRegObject(Z, pair_order(src.E.E, tgt.E.E, pairs))
+    # the product order of two orders, on distinct pairs, is an order
+    Z = FinPoset._trusted(pair_order(X.leq, Y.leq, pairs))
+    # componentwise E x F is transitive and contains Z's order, as E and F do theirs
+    apex = ExRegObject(Z, Congruence._trusted(Z, pair_order(src.E.E, tgt.E.E, pairs)))
     E, F = src.rel(), tgt.rel()
     xs = [x for x, _ in pairs]
     ys = [y for _, y in pairs]
@@ -320,10 +357,10 @@ def tabulate(phi, src, tgt):
     leg0 = validate_morphism(apex, src, lower0, upper0)
     leg1 = validate_morphism(apex, tgt, lower1, upper1)
     tab = Tabulation(apex, leg0, leg1, phi)
-    assert compose(graph_of(leg1), opposite(graph_of(leg0))) == phi
-    assert meet(
-        compose(leg0.upper, leg0.lower), compose(leg1.upper, leg1.lower)
-    ) == apex.rel()
+    crosscheck(compose(graph_of(leg1), opposite(graph_of(leg0))) == phi,
+               "tabulate: gr(leg1) gr(leg0)° = Φ fails")
+    crosscheck(meet(compose(leg0.upper, leg0.lower), compose(leg1.upper, leg1.lower)) == apex.rel(),
+               "tabulate: the legs are not jointly order-mono")
     return tab
 
 
@@ -344,8 +381,8 @@ def tabulation_factor(tab, S0, S1):
         compose(S0.upper, tab.leg0.lower), compose(S1.upper, tab.leg1.lower)
     )
     H = validate_morphism(S0.src, tab.apex, lower, upper)
-    assert compose_morphisms(tab.leg0, H) == S0
-    assert compose_morphisms(tab.leg1, H) == S1
+    crosscheck(compose_morphisms(tab.leg0, H) == S0, "tabulation_factor: leg0 H = S0 fails")
+    crosscheck(compose_morphisms(tab.leg1, H) == S1, "tabulation_factor: leg1 H = S1 fails")
     return H
 
 
@@ -365,11 +402,12 @@ def factorize(R):
     so part is the factorization of the cone (R, R) through it."""
     phi = compose(graph_of(R), opposite(graph_of(R)))
     tab = tabulate(phi, R.tgt, R.tgt)
-    assert tab.leg0 == tab.leg1
+    crosscheck(tab.leg0 == tab.leg1, "factorize: the two legs differ")
     M = tab.leg0
     Q = tabulation_factor(tab, R, R)
-    assert classify(Q).is_so and classify(M).is_ff
-    assert compose_morphisms(M, Q) == R
+    crosscheck(classify(Q).is_so, "factorize: the first factor is not so")
+    crosscheck(classify(M).is_ff, "factorize: the second factor is not ff")
+    crosscheck(compose_morphisms(M, Q) == R, "factorize: the factors do not compose to R")
     return Q, M
 
 
@@ -428,9 +466,9 @@ def split_congruence(obj, R):
     rel = through.rel()
     q = validate_morphism(obj, through, rel, rel)
     m = QwMorphism(through, obj, rel)
-    assert compose(m.rel, q.lower) == rel
-    assert classify(q).is_so
-    assert compose(q.upper, q.lower) == rel  # kernel congruence of q is R
+    crosscheck(compose(m.rel, q.lower) == rel, "split_congruence: m q = R fails")
+    crosscheck(classify(q).is_so, "split_congruence: q is not so")
+    crosscheck(compose(q.upper, q.lower) == rel, "split_congruence: the kernel of q is not R")
     return q, m
 
 
@@ -444,6 +482,7 @@ def canonical_presentation(obj):
     the quotient is the effective morphism (E, E): Γ X -> (X, E)."""
     X = obj.X
     E = obj.rel()
+    _check_apex_size(int(np.count_nonzero(E.pairs)))
     K, e0, e1 = pair_span(X, X, E.pair_list())
     quotient = validate_morphism(gamma_object(X), obj, E, E)
     return Presentation(gamma_object(K), gamma_morphism(e0), gamma_morphism(e1), quotient)

@@ -20,12 +20,9 @@ import os
 
 import numpy as np
 
-from .poset import FinPoset, MonotoneMap
+from .poset import MAX_ELEMENTS, FinPoset, MonotoneMap
 from .relation import Relation
 from .exreg import Congruence, ExRegMorphism, ExRegObject, validate_morphism
-
-
-MAX_ELEMENTS = 2048  # largest declared poset; keeps an n x n float32 temporary at 16 MiB
 
 
 class ParseError(ValueError):

@@ -23,6 +23,11 @@ class NotMonotone(ValueError):
     pass
 
 
+class TooLarge(ValueError):
+    """Raised before building a carrier of more than ``MAX_ELEMENTS`` elements."""
+
+
+MAX_ELEMENTS = 2048  # largest carrier read or built; keeps an n x n float32 temporary at 16 MiB
 BLAS_MADDS = 8192  # multiply-adds from which float32 BLAS beats numpy's bool loop
 
 
@@ -56,12 +61,6 @@ def transitive_closure(mat):
         out = step
 
 
-def _freeze(mat):
-    mat = np.ascontiguousarray(mat, dtype=bool)
-    mat.flags.writeable = False
-    return mat
-
-
 class FinPoset:
     """An immutable finite poset given by its full order matrix."""
 
@@ -81,10 +80,24 @@ class FinPoset:
             raise AntisymmetryViolation(f"elements {i} and {j} form a 2-cycle")
         if (bool_mat(leq, leq) & ~leq).any():
             raise ValueError("order matrix is not transitive")
-        self.n = n
-        self.leq = _freeze(leq)
+        self._fill(leq, labels)
+
+    @classmethod
+    def _trusted(cls, leq):
+        """The poset of an order matrix that is valid by construction, unchecked.
+
+        Only for results of this package; every call site says why ``leq`` is
+        reflexive, antisymmetric and transitive."""
+        self = cls.__new__(cls)
+        self._fill(leq, None)
+        return self
+
+    def _fill(self, leq, labels):
+        self.leq = np.ascontiguousarray(leq, dtype=bool)
+        self.leq.flags.writeable = False
+        self.n = self.leq.shape[0]
         self.labels = tuple(labels) if labels is not None else None
-        self._hash = hash((n, self.leq.tobytes()))
+        self._hash = hash((self.n, self.leq.tobytes()))
 
     # -- construction helpers -------------------------------------------------
 
@@ -167,6 +180,16 @@ class MonotoneMap:
         self.dom = dom
         self.cod = cod
         self.assign = assign
+
+    @classmethod
+    def _trusted(cls, dom, cod, assign):
+        """The map given by ``assign`` (Python ints), unchecked; only for results
+        of this package whose call site says why the map is monotone."""
+        self = cls.__new__(cls)
+        self.dom = dom
+        self.cod = cod
+        self.assign = tuple(assign)
+        return self
 
     @classmethod
     def identity(cls, poset):
@@ -261,7 +284,8 @@ def all_monotone_maps(X, Y):
 
     def backtrack(k):
         if k == len(order):
-            results.append(MonotoneMap(X, Y, assign))
+            # every related pair j <= i with j before i in ``order`` was tested
+            results.append(MonotoneMap._trusted(X, Y, assign))
             return
         i = order[k]
         for c in range(Y.n):
@@ -358,10 +382,12 @@ def pair_order(A, B, pairs):
 
 
 def pair_span(X, Y, pairs):
-    """The pairs as a subposet of X x Y, with its two projections."""
-    P = FinPoset(pair_order(X.leq, Y.leq, pairs))
-    p0 = MonotoneMap(P, X, [x for x, _ in pairs])
-    p1 = MonotoneMap(P, Y, [y for _, y in pairs])
+    """The distinct pairs as a subposet of X x Y, with its two projections."""
+    # the product order of two orders, on distinct pairs, is an order
+    P = FinPoset._trusted(pair_order(X.leq, Y.leq, pairs))
+    # the order is componentwise, so each projection is monotone
+    p0 = MonotoneMap._trusted(P, X, [x for x, _ in pairs])
+    p1 = MonotoneMap._trusted(P, Y, [y for _, y in pairs])
     return P, p0, p1
 
 
@@ -494,7 +520,7 @@ def image_factorize(f):
 
 
 def poset_reflection(pre):
-    """Collapse a preorder matrix to a poset.
+    """Collapse a reflexive, transitive matrix to a poset.
 
     Returns (poset, class_of) where class_of[i] is the index of i's class;
     classes are numbered by their smallest member."""
@@ -511,7 +537,8 @@ def poset_reflection(pre):
         else:
             class_of[i] = len(reps)
             reps.append(i)
-    return FinPoset(pre[np.ix_(reps, reps)]), class_of
+    # a preorder on one representative per class of its symmetric part is an order
+    return FinPoset._trusted(pre[np.ix_(reps, reps)]), class_of
 
 
 def coinserter(f0, f1):
@@ -527,7 +554,8 @@ def coinserter(f0, f1):
         pre[f0.assign[c], f1.assign[c]] = True
     pre = transitive_closure(pre)
     Q, class_of = poset_reflection(pre)
-    return MonotoneMap(X, Q, class_of)
+    # pre contains the order of X, and Q orders the classes by pre
+    return MonotoneMap._trusted(X, Q, class_of)
 
 
 def hom_poset(X, Y):

@@ -613,3 +613,46 @@ def test_lift_functor_is_functorial_and_regular():
 def test_lift_functor_rejects_nondiscrete_for_set_inclusion():
     with pytest.raises(ValueError):
         lift_functor("discrete-inclusion", gamma_object(C2))
+
+
+PLANTED_CROSSCHECKS = """
+import sys
+from posrel.poset import FinPoset
+from posrel.relation import Relation
+from posrel.exreg import CrossCheckFailed, ExRegMorphism, gamma_object, hom_leq
+from posrel.equivalence import realize_morphism
+
+print("optimize", sys.flags.optimize)
+A = gamma_object(FinPoset.discrete(1))
+full, empty = Relation.full(A.X, A.X), Relation.empty(A.X, A.X)
+planted = [
+    lambda: hom_leq(ExRegMorphism(A, A, full, full), ExRegMorphism(A, A, full, empty)),
+    lambda: realize_morphism(ExRegMorphism(A, A, empty, empty)),
+]
+for plant in planted:
+    try:
+        plant()
+        print("not raised")
+    except CrossCheckFailed as exc:
+        print("raised:", exc)
+"""
+
+
+def test_crosschecks_survive_python_O():
+    import os
+    import subprocess
+    import sys
+
+    import posrel
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(posrel.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", PLANTED_CROSSCHECKS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "optimize 1",
+        "raised: hom-order: lower and upper legs disagree",
+        "raised: realize_morphism: the graph of a morphism must be total",
+    ]

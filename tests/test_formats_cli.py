@@ -545,3 +545,88 @@ def test_cli_harness_accepts_zero_trials_and_the_least_bounds(monkeypatch):
     assert run_cli("harness", "run", "modular-law", "--trials", "3")[0] == 0
     code, out, err = run_cli("equiv", "discrete")
     assert code == 0 and "bound 0" in out
+
+
+@pytest.mark.parametrize("argv", [["harness", "run", "modular-law", "--trials", "1"], ["equiv", "set-pos"]])
+@pytest.mark.parametrize("value", ["four", "2.5", ""])
+def test_cli_rejects_a_non_integer_env_bound(monkeypatch, argv, value):
+    monkeypatch.setenv("EXREG_BOUND", value)
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert err == f"error: BadBound: EXREG_BOUND must be an integer, got {value!r}\n"
+    assert out == ""
+
+
+@pytest.fixture
+def oversized_inputs(tmp_path):
+    """46-element objects, whose pair-set apexes have 46 * 46 = 2116 > 2048 elements."""
+    from posrel.exreg import identity_morphism
+
+    n = 46
+    D = FinPoset.discrete(n)
+    write(tmp_path, "d.poset", f"poset {n}\n")
+    write(tmp_path, "one.poset", "poset 1\n")
+    write(tmp_path, "g.exreg", "object d.poset\n")
+    write(tmp_path, "t.exreg", "object one.poset\n")
+    cycle = "".join(f"cong {i} ~ {(i + 1) % n}\n" for i in range(n))
+    write(tmp_path, "full.exreg", "object d.poset\n" + cycle)
+    R = gamma_morphism(MonotoneMap.constant(D, FinPoset.discrete(1), 0))
+    write(tmp_path, "c.exreg", serialize_exreg_morphism(R, "g.exreg", "t.exreg"))
+    full = ExRegObject(D, np.ones((n, n), dtype=bool))
+    write(tmp_path, "id.exreg",
+          serialize_exreg_morphism(identity_morphism(full), "full.exreg", "full.exreg"))
+    write(tmp_path, "phi.rel", serialize_rel(Relation.full(D, D), "d.poset", "d.poset"))
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limit", "product", "g.exreg", "g.exreg"],
+        ["limit", "comma", "c.exreg", "c.exreg"],
+        ["limit", "pullback", "c.exreg", "c.exreg"],
+        ["limit", "inserter", "id.exreg", "id.exreg"],
+        ["tabulate", "phi.rel", "g.exreg", "g.exreg"],
+        ["present", "full.exreg"],
+        ["factorize", "id.exreg"],
+    ],
+)
+def test_cli_refuses_an_oversized_apex_before_building_it(oversized_inputs, monkeypatch, argv):
+    from posrel import exreg, poset
+
+    sizes = []
+
+    def recording(A, B, pairs):
+        sizes.append(len(pairs))
+        return poset.pair_order(A, B, pairs)
+
+    monkeypatch.setattr(exreg, "pair_order", recording)
+    monkeypatch.setattr(poset, "pair_order", recording)
+    paths = [str(oversized_inputs / a) if "." in a else a for a in argv]
+    out_dir = oversized_inputs / "out"
+    code, out, err = run_cli(*paths, "--out-dir", str(out_dir))
+    assert code == 2
+    assert err == f"error: TooLarge: apex of 2116 elements exceeds the limit of {MAX_ELEMENTS}\n"
+    assert out == ""
+    assert sizes == []
+    assert not out_dir.exists() or not list(out_dir.iterdir())
+
+
+def test_apex_limit_is_inclusive(construction_inputs, monkeypatch):
+    from posrel import exreg
+
+    q, sy = str(construction_inputs / "q.exreg"), str(construction_inputs / "sy.exreg")
+    monkeypatch.setattr(exreg, "MAX_ELEMENTS", 4)
+    assert run_cli("limit", "product", q, sy) == (0, LIMIT_PRODUCT_STDOUT, "")
+    monkeypatch.setattr(exreg, "MAX_ELEMENTS", 3)
+    code, out, err = run_cli("limit", "product", q, sy)
+    assert (code, out) == (2, "")
+    assert err == "error: TooLarge: apex of 4 elements exceeds the limit of 3\n"
+
+
+def test_cli_does_not_report_a_failed_crosscheck_as_input(construction_inputs, monkeypatch):
+    from posrel import exreg
+
+    monkeypatch.setattr(exreg, "compose_morphisms", lambda S, R: None)
+    with pytest.raises(exreg.CrossCheckFailed, match="tabulation_factor: leg0 H = S0 fails"):
+        run_cli("factorize", str(construction_inputs / "m.exreg"))
