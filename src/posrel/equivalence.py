@@ -22,15 +22,13 @@ from .poset import (
     all_monotone_maps,
     are_isomorphic,
     classify_map,
-    find_order_iso,
+    hom_poset,
     pointwise_order,
     poset_reflection,
     transitive_closure,
 )
-from .relation import Relation, compose, hypergraph, hypograph
+from .relation import Relation
 from .exreg import (
-    Congruence,
-    ExRegMorphism,
     ExRegObject,
     crosscheck,
     gamma_object,
@@ -137,7 +135,8 @@ class ConcreteFunctor:
     ``objects(bound)`` yields source objects; ``object_action`` /
     ``morphism_action`` give the image in FinPos; ``source_homs`` lists
     the source hom-set as maps, ordered pointwise; ``cover`` exhibits a
-    surjection from an image object onto a given poset, or None."""
+    surjection from an image object onto a given poset, or None, and its
+    kernel is the characterization's witness for that poset."""
 
     def __init__(self, name, objects, object_action, morphism_action, source_homs, cover):
         self.name = name
@@ -173,32 +172,6 @@ def discrete_inclusion_functor():
         morphism_action=lambda f: f,
         source_homs=all_functions,
         cover=cover,
-    )
-
-
-def doubling_functor():
-    """X maps to two discrete copies of X; a deliberately non-full fixture."""
-
-    def objects(bound):
-        return [FinPoset.discrete(k) for k in range(bound + 1)]
-
-    def object_action(X):
-        return FinPoset.discrete(2 * X.n)
-
-    def morphism_action(f):
-        return MonotoneMap(
-            object_action(f.dom),
-            object_action(f.cod),
-            [f.assign[k // 2] * 2 + k % 2 for k in range(2 * f.dom.n)],
-        )
-
-    return ConcreteFunctor(
-        name="doubling",
-        objects=objects,
-        object_action=object_action,
-        morphism_action=morphism_action,
-        source_homs=all_functions,
-        cover=lambda Y: None,
     )
 
 
@@ -269,29 +242,35 @@ def check_covering(F, bound):
     return report
 
 
+def kernel_object(e):
+    """(dom e, e*<=): the kernel congruence of e as a completion object.
+
+    Its realization is the image of e, so it is isomorphic to cod e
+    exactly when e is surjective."""
+    return ExRegObject(e.dom, e.cod.leq[np.ix_(e.assign, e.assign)])
+
+
 def verify_characterization(F, bound):
     """Essential surjectivity + hom-poset comparison for the induced functor.
 
-    For the discrete inclusion this is the executable form of the
-    equivalence between the completion of finite sets and finite posets."""
+    The witness for each catalogue poset Y is the kernel congruence of
+    F's cover FX ↠ Y.  For the discrete inclusion this is the
+    executable form of the equivalence between the completion of finite
+    sets and finite posets."""
     report = Report(f"characterization: {F.name}, bound {bound}")
-    catalogue = all_posets_up_to(bound)
-    # essential surjectivity: hit every iso class by a constructive witness
-    for Y in catalogue:
-        if F.name == "identity":
-            obj = gamma_object(Y)
-        else:
-            obj = ExRegObject(FinPoset.discrete(Y.n), Y.leq)
+    # essential surjectivity: each class is realized by its cover's kernel
+    sample_objects = []
+    for Y in all_posets_up_to(bound):
+        got = F.cover(Y)
+        if got is None:
+            report.record(f"realizes n={Y.n} class", False, "no cover supplied")
+            continue
+        obj = kernel_object(got[1])
         Q, _ = quotient_realize(obj)
         report.record(f"realizes n={Y.n} class", are_isomorphic(Q, Y))
-    # hom-posets of the completion match hom-posets of realizations
-    sample_objects = []
-    for Y in catalogue:
         if Y.n <= 3:
-            if F.name == "identity":
-                sample_objects.append(gamma_object(Y))
-            else:
-                sample_objects.append(ExRegObject(FinPoset.discrete(Y.n), Y.leq))
+            sample_objects.append(obj)
+    # hom-posets of the completion match hom-posets of realizations
     for A in sample_objects:
         for B in sample_objects:
             morphisms = all_morphisms(A, B)
@@ -396,7 +375,7 @@ def commutation_check(bound):
     report = Report(
         f"commutation at bound {bound} (base category: finite sets only)"
     )
-    catalogue = [P for P in all_posets_up_to(bound) if P.n <= bound]
+    catalogue = all_posets_up_to(bound)
     # Ord(FinSet) vs FinPos: same objects, same hom-posets
     for A in catalogue:
         for B in catalogue:
@@ -404,8 +383,6 @@ def commutation_check(bound):
                 continue
             OA, OB = OrdObject.from_poset(A), OrdObject.from_poset(B)
             H_ord, _ = ord_hom_poset(OA, OB)
-            from .poset import hom_poset
-
             H_pos, _ = hom_poset(A, B)
             report.record(f"ord-hom ({A.n},{B.n})", are_isomorphic(H_ord, H_pos))
     # FinSet_ex/reg vs FinPos: essential surjectivity + homs

@@ -156,10 +156,6 @@ class ExRegObject:
         return f"ExRegObject(n={self.X.n}, pairs={int(self.E.E.sum())})"
 
 
-def make_object(X, E):
-    return ExRegObject(X, E)
-
-
 def gamma_object(X):
     """Γ X = (X, I_X)."""
     return ExRegObject(X, X.leq)
@@ -486,30 +482,3 @@ def canonical_presentation(obj):
     K, e0, e1 = pair_span(X, X, E.pair_list())
     quotient = validate_morphism(gamma_object(X), obj, E, E)
     return Presentation(gamma_object(K), gamma_morphism(e0), gamma_morphism(e1), quotient)
-
-
-def lift_functor(functor, value):
-    """Apply the induced exact functor to an object or morphism.
-
-    ``functor`` names a regular functor into finite posets: either
-    ``"identity"`` on posets or ``"discrete-inclusion"`` from finite
-    sets (objects must then have discrete carriers).  Objects (X, E) go
-    to the coinserter of the E-pairs, i.e. the poset reflection of E;
-    morphisms go to the induced monotone maps between reflections."""
-    from .equivalence import quotient_realize, realize_morphism
-
-    if functor not in ("identity", "discrete-inclusion"):
-        raise ValueError(f"unknown functor {functor!r}")
-
-    def check_carrier(obj):
-        if functor == "discrete-inclusion" and not obj.X.is_discrete():
-            raise ValueError("discrete-inclusion requires discrete carriers")
-
-    if isinstance(value, ExRegObject):
-        check_carrier(value)
-        return quotient_realize(value)[0]
-    if isinstance(value, ExRegMorphism):
-        check_carrier(value.src)
-        check_carrier(value.tgt)
-        return realize_morphism(value)
-    raise TypeError("expected an ExRegObject or ExRegMorphism")

@@ -336,8 +336,9 @@ def _trial_tabulation(rng, cap):
     phi = relation.compose(B.core(), relation.compose(raw, A.core()))
     tab = exreg.tabulate(phi, A, B)
     W = gen_exreg_object(rng, 3)
+    to_B = equivalence.all_morphisms(W, B)
     for S0 in equivalence.all_morphisms(W, A):
-        for S1 in equivalence.all_morphisms(W, B):
+        for S1 in to_B:
             cone = relation.compose(
                 exreg.graph_of(S1), relation.opposite(exreg.graph_of(S0))
             )
@@ -466,14 +467,12 @@ def _trial_universal_property(rng, cap):
     C = gen_exreg_object(rng, min(cap, 4))
     R = gen_exreg_morphism(rng, A, B)
     S = gen_exreg_morphism(rng, B, C)
-    lhs = exreg.lift_functor("identity", exreg.compose_morphisms(S, R))
-    rhs = exreg.lift_functor("identity", R).then(exreg.lift_functor("identity", S))
-    if lhs != rhs:
+    lift = equivalence.realize_morphism
+    if lift(exreg.compose_morphisms(S, R)) != lift(R).then(lift(S)):
         return "induced functor is not functorial"
     X = gen_poset(rng, rng.randrange(1, cap + 1))
-    if not poset.are_isomorphic(
-        exreg.lift_functor("identity", exreg.gamma_object(X)), X
-    ):
+    Q, _ = equivalence.quotient_realize(exreg.gamma_object(X))
+    if not poset.are_isomorphic(Q, X):
         return "induced functor does not restrict to the embedding"
     return None
 

@@ -232,11 +232,6 @@ class MonotoneMap:
         return f"MonotoneMap({list(self.assign)})"
 
 
-def compose(g, f):
-    """g o f as a function application order."""
-    return f.then(g)
-
-
 class MapClass:
     """Classification flags of a monotone map."""
 
@@ -449,7 +444,8 @@ def equalizer_via_inserters(f, g):
 def power(X, P):
     """The power poset of monotone maps P -> X under pointwise order."""
     maps = all_monotone_maps(P, X)
-    return FinPoset(pointwise_order(maps, X.leq)), maps
+    # distinct monotone maps into a poset, ordered pointwise: antisymmetric
+    return FinPoset._trusted(pointwise_order(maps, X.leq)), maps
 
 
 def power_via_inserters(X, P):

@@ -15,7 +15,9 @@ from posrel.poset import (
 from posrel.relation import compose, hypergraph, hypograph
 from posrel.exreg import Congruence, ExRegObject, gamma_morphism, gamma_object
 from posrel.equivalence import (
+    ConcreteFunctor,
     OrdObject,
+    all_functions,
     all_morphisms,
     all_posets_up_to,
     all_posets_up_to_iso,
@@ -24,8 +26,8 @@ from posrel.equivalence import (
     commutation_check,
     discrete_check,
     discrete_inclusion_functor,
-    doubling_functor,
     identity_functor,
+    kernel_object,
     morphism_from_map,
     ord_hom_poset,
     ord_image_factorize,
@@ -42,6 +44,32 @@ from test_exreg import random_object, random_morphism
 C2 = FinPoset.chain(2)
 C3 = FinPoset.chain(3)
 D2 = FinPoset.discrete(2)
+
+
+def doubling_functor():
+    """X maps to two discrete copies of X; neither full nor covering."""
+
+    def objects(bound):
+        return [FinPoset.discrete(k) for k in range(bound + 1)]
+
+    def object_action(X):
+        return FinPoset.discrete(2 * X.n)
+
+    def morphism_action(f):
+        return MonotoneMap(
+            object_action(f.dom),
+            object_action(f.cod),
+            [f.assign[k // 2] * 2 + k % 2 for k in range(2 * f.dom.n)],
+        )
+
+    return ConcreteFunctor(
+        name="doubling",
+        objects=objects,
+        object_action=object_action,
+        morphism_action=morphism_action,
+        source_homs=all_functions,
+        cover=lambda Y: None,
+    )
 
 
 def test_realize_gamma_object_is_carrier():
@@ -140,6 +168,35 @@ def test_characterization_identity_functor():
 def test_characterization_discrete_inclusion():
     report = verify_characterization(discrete_inclusion_functor(), 3)
     assert report.passed, report.render()
+
+
+def test_characterization_fails_without_a_cover():
+    report = verify_characterization(doubling_functor(), 2)
+    assert not report.passed
+    realizes = [line for line in report.lines if line[0].startswith("realizes")]
+    assert len(realizes) == len(all_posets_up_to(2))
+    assert all(not ok and detail == "no cover supplied" for _, ok, detail in realizes)
+
+
+def test_cover_kernel_is_the_canonical_witness():
+    # identity: Y itself with its order; discrete inclusion: |Y| with Y's order
+    for F, expected in [
+        (identity_functor(), gamma_object),
+        (discrete_inclusion_functor(), lambda Y: ExRegObject(FinPoset.discrete(Y.n), Y.leq)),
+    ]:
+        for Y in all_posets_up_to(4):
+            _, e = F.cover(Y)
+            assert kernel_object(e) == expected(Y)
+
+
+def test_kernel_object_realizes_the_image():
+    rng = random.Random(19)
+    for _ in range(30):
+        X = random_poset(rng, rng.randrange(0, 5))
+        Y = random_poset(rng, rng.randrange(1, 5))
+        f = random_monotone(rng, X, Y)
+        Q, _ = quotient_realize(kernel_object(f))
+        assert are_isomorphic(Q, image_factorize(f)[0].cod)
 
 
 def test_hom_of_collapsed_object_is_three_chain():

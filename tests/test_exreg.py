@@ -27,8 +27,6 @@ from posrel.exreg import (
     identity_morphism,
     jointly_order_mono_pair,
     limit,
-    lift_functor,
-    make_object,
     split_congruence,
     tabulate,
     tabulation_factor,
@@ -70,12 +68,12 @@ def test_gamma_object_is_order_congruence():
 
 
 def test_codiscrete_congruence_valid():
-    make_object(D2, np.ones((2, 2), dtype=bool))
+    ExRegObject(D2, np.ones((2, 2), dtype=bool))
 
 
 def test_diagonal_on_chain_is_not_congruence():
     with pytest.raises(NotCongruence):
-        make_object(C2, np.eye(2, dtype=bool))
+        ExRegObject(C2, np.eye(2, dtype=bool))
 
 
 def test_congruence_must_be_transitive():
@@ -569,18 +567,21 @@ def test_presentation_exact_fork():
 
 
 # -- the induced exact functor ------------------------------------------------
+#
+# The lift of a regular functor into finite posets sends (X, E) to its
+# realization and a morphism to the induced map between realizations.
 
 
 def test_lift_functor_reflects_congruence():
     obj = ExRegObject(D2, E_AB)
-    assert are_isomorphic(lift_functor("discrete-inclusion", obj), C2)
+    assert are_isomorphic(quotient_realize(obj)[0], C2)
 
 
 def test_lift_functor_on_identity_congruence():
     rng = random.Random(78)
     for _ in range(20):
         X = random_poset(rng, rng.randrange(1, 5))
-        assert are_isomorphic(lift_functor("identity", gamma_object(X)), X)
+        assert are_isomorphic(quotient_realize(gamma_object(X))[0], X)
 
 
 def test_lift_functor_commutes_with_gamma_on_maps():
@@ -589,7 +590,7 @@ def test_lift_functor_commutes_with_gamma_on_maps():
         X = random_poset(rng, rng.randrange(1, 5))
         Y = random_poset(rng, rng.randrange(1, 5))
         f = random_monotone(rng, X, Y)
-        lifted = lift_functor("identity", gamma_morphism(f))
+        lifted = realize_morphism(gamma_morphism(f))
         assert lifted.assign == tuple(f.assign)
 
 
@@ -601,18 +602,13 @@ def test_lift_functor_is_functorial_and_regular():
         C = random_object(rng, 4)
         R = random_morphism(rng, A, B)
         S = random_morphism(rng, B, C)
-        lhs = lift_functor("identity", compose_morphisms(S, R))
-        rhs = lift_functor("identity", R).then(lift_functor("identity", S))
+        lhs = realize_morphism(compose_morphisms(S, R))
+        rhs = realize_morphism(R).then(realize_morphism(S))
         assert lhs == rhs
         if classify(R).is_so:
             from posrel.poset import classify_map
 
-            assert classify_map(lift_functor("identity", R)).is_so
-
-
-def test_lift_functor_rejects_nondiscrete_for_set_inclusion():
-    with pytest.raises(ValueError):
-        lift_functor("discrete-inclusion", gamma_object(C2))
+            assert classify_map(realize_morphism(R)).is_so
 
 
 PLANTED_CROSSCHECKS = """

@@ -1,5 +1,6 @@
 import concurrent.futures
 import gc
+import hashlib
 import io
 import os
 import random
@@ -271,6 +272,17 @@ def test_cli_equiv_discrete():
     code, out, err = run_cli("equiv", "discrete", "--bound", "3")
     assert code == 0
     assert "pass" in out
+
+
+@pytest.mark.parametrize("what, digest", [
+    ("set-pos", "f24c3d1b3d578621186203451886fb83f9ab3df738cce9e9e6cc2f201e2f4f70"),
+    ("ord", "11123a40048bdf86971a6fa5d32576ca8bbacc260d8d45a2b91a04732ceb3fcc"),
+    ("discrete", "5257931109428a650f027617d7f30f04ea1d7a7d2c915b33205890a1999cf854"),
+])
+def test_cli_equiv_stdout_is_pinned(what, digest):
+    code, out, err = run_cli("equiv", what, "--bound", "4")
+    assert code == 0, out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_harness_run_single_suite():

@@ -124,6 +124,20 @@ def test_reports_are_deterministic():
     assert a == b
 
 
+def test_tabulation_trial_lists_each_hom_set_once(monkeypatch):
+    calls = []
+    all_morphisms = harness.equivalence.all_morphisms
+
+    def counting(src, tgt):
+        calls.append((src, tgt))
+        return all_morphisms(src, tgt)
+
+    monkeypatch.setattr(harness.equivalence, "all_morphisms", counting)
+    report = harness.run_suite("tabulation", 20, 1)
+    assert not report.failures
+    assert len(calls) == 2 * 20  # hom(W, A) and hom(W, B) once per trial
+
+
 def test_run_all_covers_registry():
     reports = run_all(2, 3)
     assert [r.name for r in reports] == sorted(SUITES)

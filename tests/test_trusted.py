@@ -17,7 +17,9 @@ from posrel.poset import (
     coinserter,
     pair_order,
     pair_span,
+    pointwise_order,
     poset_reflection,
+    power,
     transitive_closure,
 )
 from posrel.relation import Relation, compose
@@ -171,6 +173,26 @@ def test_all_monotone_maps_matches_filtered_functions_random():
         X = random_poset(rng, rng.randrange(0, 6))
         Y = random_poset(rng, rng.randrange(0, 5))
         assert all_monotone_maps(X, Y) == monotone_functions(X, Y)
+
+
+def check_power(X, P):
+    H, maps = power(X, P)
+    assert maps == all_monotone_maps(P, X)
+    assert H == FinPoset(pointwise_order(maps, X.leq))
+    assert_valid_poset(H)
+
+
+def test_power_matches_validating_constructor_exhaustive():
+    small = [P for n in range(3) for P in labelled_posets(n)]
+    for X in small + labelled_posets(3):
+        for P in small:
+            check_power(X, P)
+
+
+def test_power_matches_validating_constructor_random():
+    rng = random.Random(70)
+    for _ in range(40):
+        check_power(random_poset(rng, rng.randrange(0, 5)), random_poset(rng, rng.randrange(0, 4)))
 
 
 def check_quotient_map(obj):
