@@ -226,12 +226,12 @@ def cmd_equiv(args, out, err):
     if args.what == "set-pos":
         F = equivalence.discrete_inclusion_functor()
         reports.append(equivalence.check_fully_order_faithful(F, bound))
-        reports.append(equivalence.check_covering(F, min(bound, 4)))
-        reports.append(equivalence.verify_characterization(F, min(bound, 4)))
+        reports.append(equivalence.check_covering(F, bound))
+        reports.append(equivalence.verify_characterization(F, bound))
     elif args.what == "ord":
-        reports.append(equivalence.commutation_check(min(bound, 4)))
+        reports.append(equivalence.commutation_check(bound))
     elif args.what == "discrete":
-        reports.append(equivalence.discrete_check(min(bound, 4)))
+        reports.append(equivalence.discrete_check(bound))
     for report in reports:
         out.write(report.render() + "\n")
     return 0 if all(r.passed for r in reports) else 1

@@ -40,7 +40,17 @@ def gen_poset(rng, n, p=0.35):
 
 
 def gen_map(rng, X, Y):
-    maps = poset.all_monotone_maps(X, Y)
+    """A uniformly random monotone map X -> Y, or None when there is none."""
+    try:
+        maps = poset.all_monotone_maps(X, Y)
+    except poset.TooLarge:
+        # a hom-set over the enumeration budget is drawn uniformly by rejection
+        # from all functions; that stops, since such a hom-set is not empty
+        while True:
+            try:
+                return MonotoneMap(X, Y, [rng.randrange(Y.n) for _ in range(X.n)])
+            except poset.NotMonotone:
+                pass
     if not maps:
         return None
     return maps[rng.randrange(len(maps))]

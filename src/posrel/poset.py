@@ -12,6 +12,8 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -24,10 +26,12 @@ class NotMonotone(ValueError):
 
 
 class TooLarge(ValueError):
-    """Raised before building a carrier of more than ``MAX_ELEMENTS`` elements."""
+    """Raised before building a carrier of more than ``MAX_ELEMENTS`` elements,
+    or enumerating more than ``MAX_MAPS`` maps."""
 
 
 MAX_ELEMENTS = 2048  # largest carrier read or built; keeps an n x n float32 temporary at 16 MiB
+MAX_MAPS = 2**13  # largest hom-set enumerated; a k x k pointwise order is then at most 64 MiB
 BLAS_MADDS = 8192  # multiply-adds from which float32 BLAS beats numpy's bool loop
 
 
@@ -272,13 +276,19 @@ def linear_extension(poset):
 
 
 def all_monotone_maps(X, Y):
-    """All monotone maps X -> Y, lexicographic in the assignment tuple."""
+    """All monotone maps X -> Y, lexicographic in the assignment tuple.
+
+    Raises ``TooLarge`` as soon as there are more than ``MAX_MAPS``."""
     order = linear_extension(X)
     results = []
     assign = [None] * X.n
 
     def backtrack(k):
         if k == len(order):
+            if len(results) == MAX_MAPS:
+                raise TooLarge(
+                    f"monotone maps from {X.n} to {Y.n} elements exceed the limit of {MAX_MAPS}"
+                )
             # every related pair j <= i with j before i in ``order`` was tested
             results.append(MonotoneMap._trusted(X, Y, assign))
             return
@@ -354,6 +364,58 @@ def find_order_iso(X, Y):
 
 def are_isomorphic(X, Y):
     return find_order_iso(X, Y) is not None
+
+
+def _refined_colours(leq):
+    """Colours of the elements, refined to a fixpoint (a stable partition).
+
+    An element's next colour ranks its current colour together with the
+    sorted colours strictly below it and strictly above it.  Ranks are taken
+    in sorted order of those signatures, so an isomorphism maps each colour
+    class onto the class of the same colour."""
+    n = leq.shape[0]
+    lt = leq & ~np.eye(n, dtype=bool)
+    below = [np.flatnonzero(lt[:, i]) for i in range(n)]
+    above = [np.flatnonzero(lt[i]) for i in range(n)]
+    colour = [0] * n
+    while True:
+        sig = [
+            (
+                colour[i],
+                tuple(sorted(colour[j] for j in below[i])),
+                tuple(sorted(colour[j] for j in above[i])),
+            )
+            for i in range(n)
+        ]
+        rank = {s: k for k, s in enumerate(sorted(set(sig)))}
+        # the own colour leads the signature, so a round only splits classes
+        if len(rank) == len(set(colour)):
+            return colour
+        colour = [rank[s] for s in sig]
+
+
+def canonical_certificate(P):
+    """A key equal for two posets exactly when they are isomorphic.
+
+    The least packed order matrix, in lexicographic order, over the
+    labellings that list the refined colour classes in colour order and
+    each class in any order (the refinement-then-least-labelling form of
+    McKay & Piperno, "Practical graph isomorphism, II", 2014).  That is at
+    most the product of the class sizes' factorials, all compared at once:
+    meant for the catalogue's small posets, not for large antichains."""
+    colour = _refined_colours(P.leq)
+    labellings = np.zeros((1, 0), dtype=np.intp)
+    for c in range(max(colour, default=-1) + 1):
+        cell = [i for i in range(P.n) if colour[i] == c]
+        perms = np.array(list(itertools.permutations(cell)), dtype=np.intp)
+        labellings = np.concatenate(
+            [np.repeat(labellings, len(perms), axis=0), np.tile(perms, (len(labellings), 1))],
+            axis=1,
+        )
+    mats = P.leq[labellings[:, :, None], labellings[:, None, :]]
+    packed = np.packbits(mats.reshape(len(labellings), -1), axis=1)
+    least = np.lexsort(packed.T[::-1])[0] if P.n else 0
+    return P.n, packed[least].tobytes()
 
 
 # -- limits ------------------------------------------------------------------

@@ -1,16 +1,22 @@
+import itertools
 import random
 
 import numpy as np
+import pytest
 
+from posrel import equivalence
 from posrel.poset import (
     FinPoset,
     MonotoneMap,
+    TooLarge,
     all_monotone_maps,
     are_isomorphic,
+    canonical_certificate,
     hom_poset,
     image_factorize,
     inserter,
     product,
+    transitive_closure,
 )
 from posrel.relation import compose, hypergraph, hypograph
 from posrel.exreg import Congruence, ExRegObject, gamma_morphism, gamma_object
@@ -38,7 +44,7 @@ from posrel.equivalence import (
     verify_characterization,
 )
 
-from test_poset import random_monotone, random_poset
+from test_poset import random_monotone, random_poset, relabel
 from test_exreg import random_object, random_morphism
 
 C2 = FinPoset.chain(2)
@@ -142,7 +148,45 @@ def test_realized_lower_is_conjugated_relation():
 
 
 def test_poset_catalogue_counts():
-    assert [len(all_posets_up_to_iso(n)) for n in range(6)] == [1, 1, 2, 5, 16, 63]
+    # OEIS A000112
+    assert [len(all_posets_up_to_iso(n)) for n in range(8)] == [1, 1, 2, 5, 16, 63, 318, 2045]
+
+
+def edge_set_catalogue(n):
+    """The catalogue by brute force: close every strict upper-triangular edge
+    set and keep the first of each isomorphism class found by iso search."""
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    seen = []
+    for bits in range(1 << len(slots)):
+        mat = np.eye(n, dtype=bool)
+        for k, (i, j) in enumerate(slots):
+            mat[i, j] = bits >> k & 1
+        P = FinPoset(transitive_closure(mat))
+        if not any(are_isomorphic(P, Q) for Q in seen):
+            seen.append(P)
+    return seen
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_catalogue_matches_the_edge_set_enumeration(n):
+    old = edge_set_catalogue(n)
+    new = all_posets_up_to_iso(n)
+    assert len(new) == len(old)
+    for P in new:
+        assert sum(are_isomorphic(P, Q) for Q in old) == 1
+
+
+def test_certificate_is_invariant_under_every_relabelling():
+    for P in all_posets_up_to(4):
+        want = canonical_certificate(P)
+        for perm in itertools.permutations(range(P.n)):
+            assert canonical_certificate(relabel(P, perm)) == want
+
+
+def test_catalogue_is_in_certificate_order():
+    for n in range(7):
+        certificates = [canonical_certificate(P) for P in all_posets_up_to_iso(n)]
+        assert certificates == sorted(set(certificates))
 
 
 def test_identity_functor_checks_pass():
@@ -154,6 +198,38 @@ def test_discrete_inclusion_checks_pass():
     F = discrete_inclusion_functor()
     assert check_fully_order_faithful(F, 4).passed
     assert check_covering(F, 4).passed
+
+
+def outside_cover_functor():
+    """The discrete inclusion, but covering each Y by itself: a poset that
+    is not discrete is no source object, so its cover must not count."""
+    F = discrete_inclusion_functor()
+    F.name = "outside-cover"
+    F.cover = lambda Y: (Y, MonotoneMap.identity(Y))
+    return F
+
+
+def test_a_cover_must_start_at_a_source_object():
+    F = outside_cover_functor()
+    not_discrete = sum(not Y.is_discrete() for Y in all_posets_up_to(3))
+    assert not_discrete == 5
+    for report in (check_covering(F, 3), verify_characterization(F, 3)):
+        failed = [detail for _, ok, detail in report.lines if not ok]
+        assert failed == ["cover starts outside the source"] * not_discrete, report.render()
+
+
+def test_all_functions_refuses_from_the_declared_sizes():
+    # 5^6 = 15625 functions, refused before any is built
+    with pytest.raises(TooLarge, match=r"5\^6 functions exceed the limit of 8192"):
+        all_functions(FinPoset.discrete(6), FinPoset.discrete(5))
+    assert len(all_functions(FinPoset.discrete(4), FinPoset.discrete(6))) == 6**4
+
+
+def test_all_functions_budget_is_inclusive(monkeypatch):
+    monkeypatch.setattr(equivalence, "MAX_MAPS", 8)
+    assert len(all_functions(FinPoset.discrete(3), D2)) == 8
+    with pytest.raises(TooLarge):
+        all_functions(D2, FinPoset.discrete(3))
 
 
 def test_doubling_functor_fails_fullness():

@@ -285,6 +285,34 @@ def test_cli_equiv_stdout_is_pinned(what, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_cli_equiv_checks_are_not_clamped_at_four():
+    code, out, err = run_cli("equiv", "discrete", "--bound", "5")
+    assert code == 0, out
+    assert out.splitlines()[0] == "enough discrete objects, bound 5"
+    assert out.count("  ok   cover n=5\n") == 63
+
+
+@pytest.mark.parametrize("what", ["set-pos", "ord", "discrete"])
+def test_cli_equiv_bound_five_output_extends_bound_four(what):
+    # lifting the clamps only appends checks for the new sizes
+    _, four, _ = run_cli("equiv", what, "--bound", "4")
+    _, five, _ = run_cli("equiv", what, "--bound", "5")
+    kept = [line.replace("bound 4", "bound 5") for line in four.splitlines()]
+    lines = iter(five.splitlines())
+    assert all(line in lines for line in kept)
+
+
+def test_cli_equiv_past_the_enumeration_budget_exits_2(monkeypatch):
+    from posrel import equivalence, poset
+
+    # hom(3, 3) has 27 functions, one more than the budget
+    monkeypatch.setattr(poset, "MAX_MAPS", 26)
+    monkeypatch.setattr(equivalence, "MAX_MAPS", 26)
+    code, out, err = run_cli("equiv", "set-pos", "--bound", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: TooLarge: 3^3 functions exceed the limit of 26\n"
+
+
 def test_cli_harness_run_single_suite():
     code, out, err = run_cli("harness", "run", "modular-law", "--trials", "5", "--seed", "1")
     assert code == 0

@@ -379,3 +379,17 @@ def test_failure_reporting_includes_subseed():
         assert "broken-fixture" not in LAWS
     finally:
         del harness.SUITES["broken-fixture"]
+
+
+def test_gen_map_past_the_enumeration_budget_draws_every_monotone_map(monkeypatch):
+    from posrel import poset
+
+    X, Y = FinPoset.chain(2), FinPoset.chain(3)
+    want = {f.assign for f in poset.all_monotone_maps(X, Y)}
+    assert len(want) == 6  # of the 9 functions
+    monkeypatch.setattr(poset, "MAX_MAPS", 2)
+    rng = random.Random(5)
+    drawn = [gen_map(rng, X, Y) for _ in range(200)]
+    assert {f.assign for f in drawn} == want
+    # a replay with no draws left gets the simplest, a constant map
+    assert gen_map(ChoiceStream(replay=[]), X, Y).assign == (0, 0)

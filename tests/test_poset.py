@@ -4,15 +4,19 @@ import random
 import numpy as np
 import pytest
 
+from posrel import poset
 from posrel.poset import (
     BLAS_MADDS,
+    MAX_MAPS,
     AntisymmetryViolation,
     FinPoset,
     MonotoneMap,
     NotMonotone,
+    TooLarge,
     all_monotone_maps,
     are_isomorphic,
     bool_mat,
+    canonical_certificate,
     classify_map,
     coinserter,
     comma,
@@ -456,6 +460,59 @@ def test_find_order_iso_positive_and_negative():
     assert find_order_iso(C3, DIAMOND) is None
     P, _, _ = product(C2, C2)
     assert find_order_iso(P, DIAMOND) is not None
+
+
+def relabel(P, perm):
+    """The poset on the same carrier with element i renamed perm[i]."""
+    inv = np.argsort(perm)
+    return FinPoset(P.leq[np.ix_(inv, inv)])
+
+
+def test_certificate_equality_matches_find_order_iso():
+    rng = random.Random(71)
+    posets = []
+    for _ in range(1000):
+        # sparse orders on 5-7 elements often share their signature unisomorphically
+        n = rng.randrange(5, 8) if rng.random() < 0.8 else rng.randrange(0, 5)
+        mat = np.array([[j > i and rng.random() < 0.3 for j in range(n)] for i in range(n)])
+        X = FinPoset(transitive_closure(mat.reshape(n, n)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        Y = relabel(X, perm)
+        assert find_order_iso(X, Y) is not None
+        assert canonical_certificate(X) == canonical_certificate(Y)
+        posets += [X, Y]
+    # the hard pairs: equal (down-set size, up-set size) signatures
+    by_signature = {}
+    for P in posets:
+        sig = (P.n, tuple(sorted(zip(P.leq.sum(axis=0), P.leq.sum(axis=1)))))
+        by_signature.setdefault(sig, []).append(P)
+    certificate = {P: canonical_certificate(P) for P in posets}
+    verdicts = []
+    for group in by_signature.values():
+        for X, Y in itertools.combinations(group, 2):
+            iso = find_order_iso(X, Y) is not None
+            assert (certificate[X] == certificate[Y]) == iso
+            verdicts.append(iso)
+    assert verdicts.count(False) >= 20
+
+
+def test_certificate_separates_sizes_and_keeps_the_empty_poset():
+    E = FinPoset.discrete(0)
+    assert canonical_certificate(E) == (0, b"")
+    assert canonical_certificate(FinPoset.discrete(1)) != canonical_certificate(E)
+    assert canonical_certificate(C2) != canonical_certificate(D2)
+
+
+def test_all_monotone_maps_raises_past_the_budget(monkeypatch):
+    assert MAX_MAPS == 2**13
+    # three monotone C2 -> C2 fill a budget of three; D2 -> C2 has four
+    monkeypatch.setattr(poset, "MAX_MAPS", 3)
+    assert len(all_monotone_maps(C2, C2)) == 3
+    assert len(power(C2, C2)[1]) == 3
+    for enumerate_maps in (all_monotone_maps, hom_poset, lambda X, Y: power(Y, X)):
+        with pytest.raises(TooLarge, match="monotone maps from 2 to 2 elements exceed the limit of 3"):
+            enumerate_maps(D2, C2)
 
 
 def test_all_monotone_maps_counts():

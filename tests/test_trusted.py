@@ -72,6 +72,11 @@ def test_pair_span_matches_validating_constructors_random():
         check_pair_span(X, Y, [c for c in cells if rng.random() < 0.5])
 
 
+def test_catalogue_posets_match_validating_constructor():
+    for P in equivalence.all_posets_up_to(6):
+        assert_valid_poset(P)
+
+
 def check_tabulation_apex(A, B, phi):
     tab = tabulate(phi, A, B)
     pairs = phi.pair_list()
