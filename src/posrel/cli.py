@@ -222,16 +222,12 @@ def cmd_present(args, out, err):
 
 def cmd_equiv(args, out, err):
     bound = args.bound if args.bound is not None else _default_bound()
-    reports = []
     if args.what == "set-pos":
-        F = equivalence.discrete_inclusion_functor()
-        reports.append(equivalence.check_fully_order_faithful(F, bound))
-        reports.append(equivalence.check_covering(F, bound))
-        reports.append(equivalence.verify_characterization(F, bound))
+        reports = equivalence.characterize(equivalence.discrete_inclusion_functor(), bound)
     elif args.what == "ord":
-        reports.append(equivalence.commutation_check(bound))
-    elif args.what == "discrete":
-        reports.append(equivalence.discrete_check(bound))
+        reports = [equivalence.commutation_check(bound)]
+    else:
+        reports = [equivalence.discrete_check(bound)]
     for report in reports:
         out.write(report.render() + "\n")
     return 0 if all(r.passed for r in reports) else 1

@@ -27,8 +27,7 @@ from posrel.equivalence import (
     all_morphisms,
     all_posets_up_to,
     all_posets_up_to_iso,
-    check_covering,
-    check_fully_order_faithful,
+    characterize,
     commutation_check,
     discrete_check,
     discrete_inclusion_functor,
@@ -41,7 +40,6 @@ from posrel.equivalence import (
     ord_product,
     quotient_realize,
     realize_morphism,
-    verify_characterization,
 )
 
 from test_poset import random_monotone, random_poset, relabel
@@ -190,14 +188,15 @@ def test_catalogue_is_in_certificate_order():
 
 
 def test_identity_functor_checks_pass():
-    assert check_fully_order_faithful(identity_functor(), 3).passed
-    assert check_covering(identity_functor(), 3).passed
+    faithful, covering, _ = characterize(identity_functor(), 3)
+    assert faithful.passed
+    assert covering.passed
 
 
 def test_discrete_inclusion_checks_pass():
-    F = discrete_inclusion_functor()
-    assert check_fully_order_faithful(F, 4).passed
-    assert check_covering(F, 4).passed
+    faithful, covering, _ = characterize(discrete_inclusion_functor(), 4)
+    assert faithful.passed
+    assert covering.passed
 
 
 def outside_cover_functor():
@@ -209,13 +208,66 @@ def outside_cover_functor():
     return F
 
 
+def injections_only_functor():
+    """Finite sets with injective functions only: covering, but not full."""
+    F = discrete_inclusion_functor()
+    F.name = "injections-only"
+    F.source_homs = lambda A, B: [f for f in all_functions(A, B) if len(set(f.assign)) == A.n]
+    return F
+
+
+@pytest.mark.parametrize("make, bound, expected", [
+    (identity_functor, 3, [True, True, True]),
+    (discrete_inclusion_functor, 3, [True, True, True]),
+    (outside_cover_functor, 3, [True, False, False]),
+    (doubling_functor, 2, [False, False, False]),
+    (injections_only_functor, 3, [False, True, True]),
+])
+def test_characterize_reports_each_clause(make, bound, expected):
+    reports = characterize(make(), bound)
+    assert [r.title.split(":")[0] for r in reports] == [
+        "fully-order-faithful", "covering", "characterization"
+    ]
+    assert [r.passed for r in reports] == expected, "\n".join(r.render() for r in reports)
+
+
+def test_injections_only_fails_on_exactly_the_non_injective_hom_sets():
+    faithful = characterize(injections_only_functor(), 3)[0]
+    failed = [label for label, ok, _ in faithful.lines if not ok]
+    # hom(a, b) has a non-injective function exactly when a >= 2 and b >= 1
+    assert failed == [f"hom({a},{b})" for a in range(2, 4) for b in range(1, 4)]
+
+
 def test_a_cover_must_start_at_a_source_object():
     F = outside_cover_functor()
     not_discrete = sum(not Y.is_discrete() for Y in all_posets_up_to(3))
     assert not_discrete == 5
-    for report in (check_covering(F, 3), verify_characterization(F, 3)):
+    for report in characterize(F, 3)[1:]:
         failed = [detail for _, ok, detail in report.lines if not ok]
         assert failed == ["cover starts outside the source"] * not_discrete, report.render()
+
+
+def test_catalogue_refuses_past_its_limit_from_the_declared_size(monkeypatch):
+    assert equivalence.MAX_CATALOGUE == 8
+    all_posets_up_to(4)  # size 4 is cached before the limit drops below it
+    monkeypatch.setattr(equivalence, "MAX_CATALOGUE", 3)
+    for build in (all_posets_up_to_iso, all_posets_up_to):
+        with pytest.raises(TooLarge, match="posets on 4 elements exceed the catalogue limit of 3"):
+            build(4)
+    assert len(all_posets_up_to(3)) == 9
+
+
+def test_commutation_check_builds_only_the_sampled_catalogue(monkeypatch):
+    sizes = []
+
+    def recording(n):
+        sizes.append(n)
+        return all_posets_up_to(n)
+
+    monkeypatch.setattr(equivalence, "all_posets_up_to", recording)
+    report = commutation_check(5)
+    assert report.passed, report.render()
+    assert sizes and max(sizes) == 3
 
 
 def test_all_functions_refuses_from_the_declared_sizes():
@@ -233,21 +285,21 @@ def test_all_functions_budget_is_inclusive(monkeypatch):
 
 
 def test_doubling_functor_fails_fullness():
-    report = check_fully_order_faithful(doubling_functor(), 2)
+    report, _, _ = characterize(doubling_functor(), 2)
     assert not report.passed
 
 
 def test_characterization_identity_functor():
-    assert verify_characterization(identity_functor(), 3).passed
+    assert characterize(identity_functor(), 3)[2].passed
 
 
 def test_characterization_discrete_inclusion():
-    report = verify_characterization(discrete_inclusion_functor(), 3)
+    report = characterize(discrete_inclusion_functor(), 3)[2]
     assert report.passed, report.render()
 
 
 def test_characterization_fails_without_a_cover():
-    report = verify_characterization(doubling_functor(), 2)
+    report = characterize(doubling_functor(), 2)[2]
     assert not report.passed
     realizes = [line for line in report.lines if line[0].startswith("realizes")]
     assert len(realizes) == len(all_posets_up_to(2))

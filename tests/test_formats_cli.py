@@ -305,12 +305,34 @@ def test_cli_equiv_bound_five_output_extends_bound_four(what):
 def test_cli_equiv_past_the_enumeration_budget_exits_2(monkeypatch):
     from posrel import equivalence, poset
 
-    # hom(3, 3) has 27 functions, one more than the budget
+    def refuse(maps, leq):
+        raise AssertionError("a pointwise order was built before the budget refused")
+
+    # hom(3, 3) has 27 functions, one more than the budget, and it is refused
+    # before any hom-set is compared
     monkeypatch.setattr(poset, "MAX_MAPS", 26)
     monkeypatch.setattr(equivalence, "MAX_MAPS", 26)
+    monkeypatch.setattr(equivalence, "pointwise_order", refuse)
     code, out, err = run_cli("equiv", "set-pos", "--bound", "3")
     assert (code, out) == (2, "")
     assert err == "error: TooLarge: 3^3 functions exceed the limit of 26\n"
+
+
+@pytest.mark.parametrize("what", ["set-pos", "ord", "discrete"])
+def test_cli_equiv_past_the_catalogue_limit_exits_2(monkeypatch, what):
+    from posrel import equivalence
+
+    monkeypatch.setattr(equivalence, "MAX_CATALOGUE", 3)
+    code, out, err = run_cli("equiv", what, "--bound", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: TooLarge: posets on 4 elements exceed the catalogue limit of 3\n"
+
+
+def test_cli_equiv_set_pos_bound_five_is_pinned():
+    code, out, err = run_cli("equiv", "set-pos", "--bound", "5")
+    assert code == 0, out
+    digest = "f48bcb1e0079b137d5ff58a6768d2a8e1c4658d32bf246a1985debbf74e8eb07"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_harness_run_single_suite():
