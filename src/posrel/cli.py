@@ -302,72 +302,117 @@ CONSTRUCTION_VERBS = {
 }
 
 
-def _add_construction_verbs(sub):
-    for name, (handler, positionals) in CONSTRUCTION_VERBS.items():
-        p = sub.add_parser(name)
+def _verb(handler, positionals, *flags):
+    """A verb with the given positional arguments and, given `flags`, one option."""
+
+    def add(p):
         for arg, kwargs in positionals.items():
             p.add_argument(arg, **kwargs)
-        p.add_argument("--out-dir")
+        if flags:
+            p.add_argument(*flags)
         p.set_defaults(run=handler)
+
+    return add
+
+
+def _equiv_args(p):
+    p.add_argument("what", choices=["set-pos", "ord", "discrete"])
+    p.add_argument("--bound", type=_int_at_least(0), default=None)
+    p.set_defaults(run=cmd_equiv)
+
+
+def _harness_run_args(p):
+    p.add_argument("suite")
+    p.add_argument("--trials", type=_int_at_least(0), default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bound", type=_int_at_least(1), default=None)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.set_defaults(run=cmd_harness)
+
+
+def _verbs():
+    """The command tree, read afresh so that it follows CONSTRUCTION_VERBS.
+
+    Each name maps to (help, command), where command is a function that adds
+    the verb's arguments to a parser, or a dict of sub-verbs of the same form.
+    """
+    construction = {
+        name: (None, _verb(*spec, "--out-dir")) for name, spec in CONSTRUCTION_VERBS.items()
+    }
+    return {
+        "poset": (
+            "validate and print a poset file",
+            {"check": (None, _verb(cmd_poset, {"file": {}}, "--dot"))},
+        ),
+        "rel": (
+            "validate and print a relation file",
+            {"check": (None, _verb(cmd_rel, {"file": {}}, "--dot"))},
+        ),
+        "exreg": (
+            "work with objects-with-congruence",
+            {"check": (None, _verb(cmd_exreg_check, {"file": {}})), **construction},
+        ),
+        **construction,
+        "equiv": (None, _equiv_args),
+        "harness": (None, {"run": (None, _harness_run_args)}),
+        "dot": (None, _verb(cmd_dot, {"file": {}}, "-o", "--out")),
+    }
+
+
+# The namespace attribute naming the chosen sub-verb at each depth.
+_DESTS = ("verb", "action")
+
+
+def _add_verbs(parser, verbs, depth=0):
+    sub = parser.add_subparsers(dest=_DESTS[depth], required=True)
+    for name, (text, command) in verbs.items():
+        # help=None would still list the verb in the help text
+        p = sub.add_parser(name, **({"help": text} if text else {}))
+        if callable(command):
+            command(p)
+        else:
+            _add_verbs(p, command, depth + 1)
 
 
 def build_parser():
+    """The whole command tree: used for help and errors, and as the reference for `parse`."""
     parser = argparse.ArgumentParser(
         prog="posrel",
         description="relational calculus and exact-completion engine over finite posets",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("poset", help="validate and print a poset file")
-    ps = p.add_subparsers(dest="action", required=True)
-    pc = ps.add_parser("check")
-    pc.add_argument("file")
-    pc.add_argument("--dot")
-    pc.set_defaults(run=cmd_poset)
-
-    r = sub.add_parser("rel", help="validate and print a relation file")
-    rs = r.add_subparsers(dest="action", required=True)
-    rc = rs.add_parser("check")
-    rc.add_argument("file")
-    rc.add_argument("--dot")
-    rc.set_defaults(run=cmd_rel)
-
-    e = sub.add_parser("exreg", help="work with objects-with-congruence")
-    es = e.add_subparsers(dest="action", required=True)
-    ec = es.add_parser("check")
-    ec.add_argument("file")
-    ec.set_defaults(run=cmd_exreg_check)
-    _add_construction_verbs(es)
-
-    _add_construction_verbs(sub)
-
-    q = sub.add_parser("equiv")
-    q.add_argument("what", choices=["set-pos", "ord", "discrete"])
-    q.add_argument("--bound", type=_int_at_least(0), default=None)
-    q.set_defaults(run=cmd_equiv)
-
-    h = sub.add_parser("harness")
-    hs = h.add_subparsers(dest="action", required=True)
-    hr = hs.add_parser("run")
-    hr.add_argument("suite")
-    hr.add_argument("--trials", type=_int_at_least(0), default=100)
-    hr.add_argument("--seed", type=int, default=0)
-    hr.add_argument("--bound", type=_int_at_least(1), default=None)
-    hr.add_argument("--jobs", type=_int_at_least(1), default=1)
-    hr.set_defaults(run=cmd_harness)
-
-    d = sub.add_parser("dot")
-    d.add_argument("file")
-    d.add_argument("-o", "--out")
-    d.set_defaults(run=cmd_dot)
+    _add_verbs(parser, _verbs())
     return parser
+
+
+def parse(argv=None):
+    """`build_parser().parse_args(argv)`, building only the named verb's parser.
+
+    argv that names no complete verb, or that leaves arguments over, goes to
+    the full parser, so help and error text are the full parser's.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command, path = _verbs(), []
+    for word in argv:
+        if callable(command) or word not in command:
+            break
+        path.append(word)
+        command = command[word][1]
+    if callable(command):
+        # the same prog and arguments as the full tree's parser for this verb
+        parser = argparse.ArgumentParser(prog=" ".join(["posrel", *path]))
+        command(parser)
+        args, extras = parser.parse_known_args(
+            argv[len(path):], argparse.Namespace(**dict(zip(_DESTS, path)))
+        )
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None, stdout=None, stderr=None):
     out = stdout or sys.stdout
     err = stderr or sys.stderr
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse(argv)
     try:
         return args.run(args, out, err)
     except LAW_ERRORS as exc:

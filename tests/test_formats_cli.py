@@ -1,9 +1,11 @@
+import argparse
 import concurrent.futures
 import gc
 import hashlib
 import io
 import os
 import random
+import sys
 import warnings
 
 import numpy as np
@@ -181,6 +183,90 @@ def test_cli_unknown_verb_rejected():
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate")
     assert exc.value.code == 2
+
+
+# argv that main rejects or answers with help: the full parser is the reference
+FRONT_END_EXITS = [
+    [],
+    ["-h"],
+    ["-h", "harness"],
+    ["bogus"],
+    ["harness"],
+    ["harness", "-h"],
+    ["harness", "run", "-h"],
+    ["harness", "run"],
+    ["harness", "run", "modular-law", "--trials", "x"],
+    ["harness", "run", "modular-law", "--trials", "-1"],
+    ["harness", "run", "modular-law", "--bogus"],
+    ["harness", "run", "modular-law", "extra"],
+    ["equiv", "nope"],
+    ["poset", "check"],
+    ["poset", "bogus"],
+    ["exreg", "-h"],
+    ["exreg", "limit", "-h"],
+    ["limit", "bogus"],
+    ["dot"],
+]
+
+
+@pytest.mark.parametrize("argv", FRONT_END_EXITS, ids=lambda argv: "_".join(argv) or "none")
+def test_cli_help_and_errors_match_the_full_parser(capsys, monkeypatch, argv):
+    from posrel import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as via_main:
+        run_cli(*argv)
+    seen = capsys.readouterr()
+    with pytest.raises(SystemExit) as via_parser:
+        cli.build_parser().parse_args(argv)
+    assert capsys.readouterr() == seen
+    assert via_main.value.code == via_parser.value.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["harness", "run", "modular-law", "--trials", "1", "--seed", "0"],
+        ["harness", "run", "all", "--jobs", "2", "--bound", "3"],
+        ["equiv", "set-pos", "--bound", "3"],
+        ["poset", "check", "p.poset", "--dot", "p.dot"],
+        ["rel", "check", "r.rel"],
+        ["exreg", "check", "o.exreg"],
+        ["exreg", "limit", "product", "a.exreg", "b.exreg", "--out-dir", "out"],
+        ["limit", "terminal"],
+        ["tabulate", "r.rel", "a.exreg", "b.exreg"],
+        ["dot", "p.poset", "-o", "p.dot"],
+    ],
+    ids="_".join,
+)
+def test_cli_parse_gives_the_full_parsers_namespace(monkeypatch, argv):
+    from posrel import cli
+
+    args = cli.parse(argv)
+    assert args == cli.build_parser().parse_args(argv)
+    assert args.verb == argv[0]
+    monkeypatch.setattr(sys, "argv", ["posrel", *argv])
+    assert cli.parse() == args
+
+
+def test_cli_builds_only_the_named_verbs_parser(construction_inputs, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli("harness", "run", "modular-law", "--trials", "1", "--seed", "0")[0] == 0
+    assert built == ["posrel harness run"]
+    built.clear()
+    q, sy = str(construction_inputs / "q.exreg"), str(construction_inputs / "sy.exreg")
+    assert run_cli("exreg", "limit", "product", q, sy)[0] == 0
+    assert built == ["posrel exreg limit"]
+    built.clear()
+    assert run_cli("limit", "terminal")[0] == 0
+    assert built == ["posrel limit"]
 
 
 def test_cli_tabulate_roundtrip(tmp_path):
