@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a law or property check fails, 2 for
-input errors (parse failures, invalid structures, bad shapes).  All
+input errors (parse failures, invalid structures, bad shapes), 141 when
+the reader of standard output closes it early.  All
 output is deterministic and sorted; timing goes to stderr only.
 """
 
@@ -414,7 +415,19 @@ def main(argv=None, stdout=None, stderr=None):
     err = stderr or sys.stderr
     args = parse(argv)
     try:
-        return args.run(args, out, err)
+        code = args.run(args, out, err)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of our output has gone (`posrel ... | head`). Python
+        # flushes sys.stdout again at exit; pointing its descriptor at devnull
+        # makes that flush succeed (see the note on SIGPIPE in the `signal`
+        # module docs). 141 = 128 + SIGPIPE, as a shell reports such an exit.
+        if out is sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+        return 141
     except LAW_ERRORS as exc:
         err.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1

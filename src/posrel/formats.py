@@ -20,9 +20,9 @@ import os
 
 import numpy as np
 
-from .poset import MAX_ELEMENTS, FinPoset, MonotoneMap
+from .poset import MAX_ELEMENTS, FinPoset, transitive_closure
 from .relation import Relation
-from .exreg import Congruence, ExRegMorphism, ExRegObject, validate_morphism
+from .exreg import Congruence, ExRegObject, validate_morphism
 
 
 class ParseError(ValueError):
@@ -32,11 +32,13 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _lines(text, path):
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield no, line
+def _lines(text):
+    """The numbered lines of ``text`` that are not blank once comments are cut."""
+    return [
+        (no, line)
+        for no, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.split("#", 1)[0].strip())
+    ]
 
 
 def _int(tok, path, no):
@@ -46,8 +48,25 @@ def _int(tok, path, no):
         raise ParseError(path, no, f"expected an integer, got {tok!r}") from None
 
 
+def _bad_ints(toks, message, path, no):
+    """For a line whose integer tokens ``toks`` are not all in range: raise
+    the error for the first one that is not an integer, else return the
+    error carrying ``message``."""
+    for tok in toks:
+        _int(tok, path, no)
+    return ParseError(path, no, message)
+
+
+def _pair_lines(fmt, mask):
+    """``fmt`` (two ``%d`` fields) once per True entry of ``mask``, row-major."""
+    rows, cols = np.nonzero(mask)
+    flat = np.empty(2 * len(rows), dtype=np.intp)
+    flat[0::2], flat[1::2] = rows, cols
+    return fmt * len(rows) % tuple(flat.tolist())
+
+
 def parse_poset(text, path="<string>"):
-    lines = list(_lines(text, path))
+    lines = _lines(text)
     if not lines:
         raise ParseError(path, 1, "empty poset file")
     no, header = lines[0]
@@ -62,23 +81,29 @@ def parse_poset(text, path="<string>"):
     for no, line in lines[1:]:
         toks = line.split()
         if len(toks) == 3 and toks[1] == "<":
-            i, j = _int(toks[0], path, no), _int(toks[2], path, no)
-            if not (0 <= i < n and 0 <= j < n):
-                raise ParseError(path, no, f"element out of range 0..{n - 1}")
+            try:
+                i, j = int(toks[0]), int(toks[2])
+                if not (0 <= i < n and 0 <= j < n):
+                    raise ValueError
+            except ValueError:
+                raise _bad_ints(toks[::2], f"element out of range 0..{n - 1}", path, no) from None
             pairs.append((i, j))
         elif len(toks) == 3 and toks[0] == "label":
             if labels is None:
                 labels = [str(k) for k in range(n)]
-            i = _int(toks[1], path, no)
-            if not 0 <= i < n:
-                raise ParseError(path, no, f"element out of range 0..{n - 1}")
+            try:
+                i = int(toks[1])
+                if not 0 <= i < n:
+                    raise ValueError
+            except ValueError:
+                raise _bad_ints(toks[1:2], f"element out of range 0..{n - 1}", path, no) from None
             labels[i] = toks[2]
         else:
             raise ParseError(path, no, f"unrecognized line {line!r}")
     try:
         return FinPoset.from_covers(n, pairs, labels=labels)
     except ValueError as exc:
-        raise ParseError(path, no if lines[1:] else lines[0][0], str(exc)) from exc
+        raise ParseError(path, lines[-1][0], str(exc)) from exc
 
 
 def serialize_poset(P):
@@ -103,23 +128,50 @@ def _resolve(ref, base_path):
     return os.path.join(os.path.dirname(os.path.abspath(base_path)), ref)
 
 
-def _parse_pairs(lines, keyword, n_dom, n_cod, path, sep="~"):
-    mat = np.zeros((n_dom, n_cod), dtype=bool)
-    rest = []
+def _parse_pairs(lines, shapes, path):
+    """The matrices of ``<keyword> i ~ j`` lines, one per keyword of ``shapes``
+    (which maps each keyword to its matrix's shape), read in one pass.
+
+    The error raised is the first one met by reading the lines once per
+    keyword, in the order of ``shapes``, and then once for a line that is no
+    keyword's: the first bad pair of the first keyword wins, then that of the
+    next, then the first unrecognized line."""
+    found = {keyword: ([], []) for keyword in shapes}
+    bad = {}
+    unrecognized = None
     for no, line in lines:
         toks = line.split()
-        if len(toks) == 4 and toks[0] == keyword and toks[2] == sep:
-            i, j = _int(toks[1], path, no), _int(toks[3], path, no)
-            if not (0 <= i < n_dom and 0 <= j < n_cod):
-                raise ParseError(path, no, "pair element out of range")
-            mat[i, j] = True
-        else:
-            rest.append((no, line))
-    return mat, rest
+        shape = shapes.get(toks[0]) if len(toks) == 4 and toks[2] == "~" else None
+        if shape is None:
+            if unrecognized is None:
+                unrecognized = ParseError(path, no, f"unrecognized line {line!r}")
+            continue
+        try:
+            i, j = int(toks[1]), int(toks[3])
+            if not (0 <= i < shape[0] and 0 <= j < shape[1]):
+                raise ValueError
+        except ValueError:
+            bad.setdefault(toks[0], (no, toks[1::2]))
+            continue
+        rows, cols = found[toks[0]]
+        rows.append(i)
+        cols.append(j)
+    for keyword in shapes:
+        if keyword in bad:
+            no, toks = bad[keyword]
+            raise _bad_ints(toks, "pair element out of range", path, no)
+    if unrecognized is not None:
+        raise unrecognized
+    mats = []
+    for keyword, shape in shapes.items():
+        mat = np.zeros(shape, dtype=bool)
+        mat[found[keyword]] = True
+        mats.append(mat)
+    return mats
 
 
 def parse_rel(text, path="<string>"):
-    lines = list(_lines(text, path))
+    lines = _lines(text)
     if not lines:
         raise ParseError(path, 1, "empty relation file")
     no, header = lines[0]
@@ -128,23 +180,26 @@ def parse_rel(text, path="<string>"):
         raise ParseError(path, no, "expected header 'rel <domfile> <codfile>'")
     dom = load_poset(_resolve(parts[1], path))
     cod = load_poset(_resolve(parts[2], path))
-    mat = np.zeros((dom.n, cod.n), dtype=bool)
+    rows, cols = [], []
     for no, line in lines[1:]:
         toks = line.split()
         if len(toks) != 3 or toks[1] != "~":
             raise ParseError(path, no, f"expected 'i ~ j', got {line!r}")
-        i, j = _int(toks[0], path, no), _int(toks[2], path, no)
-        if not (0 <= i < dom.n and 0 <= j < cod.n):
-            raise ParseError(path, no, "pair element out of range")
-        mat[i, j] = True
+        try:
+            i, j = int(toks[0]), int(toks[2])
+            if not (0 <= i < dom.n and 0 <= j < cod.n):
+                raise ValueError
+        except ValueError:
+            raise _bad_ints(toks[::2], "pair element out of range", path, no) from None
+        rows.append(i)
+        cols.append(j)
+    mat = np.zeros((dom.n, cod.n), dtype=bool)
+    mat[rows, cols] = True
     return Relation(dom, cod, mat)
 
 
 def serialize_rel(R, dom_ref, cod_ref):
-    out = [f"rel {dom_ref} {cod_ref}"]
-    for i, j in R.pair_list():
-        out.append(f"{i} ~ {j}")
-    return "\n".join(out) + "\n"
+    return f"rel {dom_ref} {cod_ref}\n" + _pair_lines("%d ~ %d\n", R.pairs)
 
 
 def load_rel(path):
@@ -153,28 +208,24 @@ def load_rel(path):
 
 
 def parse_exreg(text, path="<string>"):
-    lines = list(_lines(text, path))
+    lines = _lines(text)
     if not lines:
         raise ParseError(path, 1, "empty file")
     no, header = lines[0]
     parts = header.split()
     if parts[0] == "object" and len(parts) == 2:
         X = load_poset(_resolve(parts[1], path))
-        mat, rest = _parse_pairs(lines[1:], "cong", X.n, X.n, path)
-        if rest:
-            bad_no, bad = rest[0]
-            raise ParseError(path, bad_no, f"unrecognized line {bad!r}")
-        return ExRegObject(X, Congruence.from_pairs(X, [tuple(p) for p in np.argwhere(mat)]))
+        (pairs,) = _parse_pairs(lines[1:], {"cong": (X.n, X.n)}, path)
+        # the closure of a matrix that holds the order is a congruence
+        return ExRegObject(X, Congruence._trusted(X, transitive_closure(X.leq | pairs)))
     if parts[0] == "morphism" and len(parts) == 3:
         src = load_exreg(_resolve(parts[1], path))
         tgt = load_exreg(_resolve(parts[2], path))
         if not isinstance(src, ExRegObject) or not isinstance(tgt, ExRegObject):
             raise ParseError(path, no, "morphism endpoints must be object files")
-        lower, rest = _parse_pairs(lines[1:], "lower", src.X.n, tgt.X.n, path)
-        upper, rest = _parse_pairs(rest, "upper", tgt.X.n, src.X.n, path)
-        if rest:
-            bad_no, bad = rest[0]
-            raise ParseError(path, bad_no, f"unrecognized line {bad!r}")
+        lower, upper = _parse_pairs(
+            lines[1:], {"lower": (src.X.n, tgt.X.n), "upper": (tgt.X.n, src.X.n)}, path
+        )
         return validate_morphism(
             src, tgt, Relation(src.X, tgt.X, lower), Relation(tgt.X, src.X, upper)
         )
@@ -182,20 +233,16 @@ def parse_exreg(text, path="<string>"):
 
 
 def serialize_exreg_object(obj, poset_ref):
-    out = [f"object {poset_ref}"]
-    for i, j in obj.rel().pair_list():
-        if not obj.X.leq[i, j]:  # order pairs are implied by closure
-            out.append(f"cong {i} ~ {j}")
-    return "\n".join(out) + "\n"
+    # order pairs are implied by closure
+    return f"object {poset_ref}\n" + _pair_lines("cong %d ~ %d\n", obj.E.E & ~obj.X.leq)
 
 
 def serialize_exreg_morphism(R, src_ref, tgt_ref):
-    out = [f"morphism {src_ref} {tgt_ref}"]
-    for i, j in R.lower.pair_list():
-        out.append(f"lower {i} ~ {j}")
-    for j, i in R.upper.pair_list():
-        out.append(f"upper {j} ~ {i}")
-    return "\n".join(out) + "\n"
+    return "".join([
+        f"morphism {src_ref} {tgt_ref}\n",
+        _pair_lines("lower %d ~ %d\n", R.lower.pairs),
+        _pair_lines("upper %d ~ %d\n", R.upper.pairs),
+    ])
 
 
 def load_exreg(path):
@@ -224,7 +271,4 @@ def dot_relation(R, name="rel"):
         out.append(f'  d{i} [label="{R.dom.label(i)}"];')
     for j in range(R.cod.n):
         out.append(f'  c{j} [label="{R.cod.label(j)}"];')
-    for i, j in R.pair_list():
-        out.append(f"  d{i} -> c{j};")
-    out.append("}")
-    return "\n".join(out) + "\n"
+    return "\n".join(out) + "\n" + _pair_lines("  d%d -> c%d;\n", R.pairs) + "}\n"

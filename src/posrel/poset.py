@@ -132,8 +132,8 @@ class FinPoset:
     def covers(self):
         """Cover pairs (i, j): i < j with nothing strictly between."""
         lt = self.leq & ~np.eye(self.n, dtype=bool)
-        red = lt & ~bool_mat(lt, lt)
-        return [(int(i), int(j)) for i, j in np.argwhere(red)]
+        rows, cols = np.nonzero(lt & ~bool_mat(lt, lt))
+        return list(zip(rows.tolist(), cols.tolist()))
 
     def __eq__(self, other):
         return self is other or (

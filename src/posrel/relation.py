@@ -65,7 +65,9 @@ class Relation:
         return cls(dom, cod, np.ones((dom.n, cod.n), dtype=bool))
 
     def pair_list(self):
-        return [(int(x), int(y)) for x, y in np.argwhere(self.pairs)]
+        """The pairs as tuples of Python ints, in row-major order."""
+        rows, cols = np.nonzero(self.pairs)
+        return list(zip(rows.tolist(), cols.tolist()))
 
     def weakening_closure(self):
         """Smallest weakening-closed relation containing this one: I_Y R I_X."""

@@ -5,13 +5,14 @@ import hashlib
 import io
 import os
 import random
+import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from posrel.poset import FinPoset, MonotoneMap, are_isomorphic
+from posrel.poset import FinPoset, MonotoneMap, are_isomorphic, transitive_closure
 from posrel.relation import Relation
 from posrel.exreg import Congruence, ExRegObject, gamma_morphism, gamma_object
 from posrel.formats import (
@@ -128,11 +129,327 @@ def test_comments_and_blank_lines_ignored():
     assert P == C2
 
 
+# Files the parse-error cases refer to: two carriers, a carrier with an error,
+# two Γ-objects, an object file with an error and a morphism file.
+REFERENCED_FILES = {
+    "a.poset": "poset 2\n0 < 1\n",
+    "d.poset": "poset 3\n",
+    "bad.poset": "poset 2\n0 < 5\n",
+    "o.exreg": "object d.poset\n",
+    "c.exreg": "object a.poset\n",
+    "bad.exreg": "object d.poset\ncong 0 ~ 9\n",
+    "id.exreg": "morphism c.exreg c.exreg\nlower 0 ~ 0\nlower 0 ~ 1\nlower 1 ~ 1\n"
+    "upper 0 ~ 0\nupper 0 ~ 1\nupper 1 ~ 1\n",
+}
+
+REL = "rel a.poset d.poset\n"  # a 2 x 3 relation
+MOR = "morphism o.exreg c.exreg\n"  # lower legs 3 x 2, upper legs 2 x 3
+
+# (case, parsed file, its text, (file, line, message) of the ParseError)
+PARSE_ERRORS = [
+    # parse_poset
+    ("poset-empty", "x.poset", "", ("x.poset", 1, "empty poset file")),
+    ("poset-only-comments", "x.poset", "# nothing\n\n  \n", ("x.poset", 1, "empty poset file")),
+    ("poset-header-word", "x.poset", "\n# c\npose 2\n",
+     ("x.poset", 3, "expected header 'poset <n>'")),
+    ("poset-header-short", "x.poset", "poset\n", ("x.poset", 1, "expected header 'poset <n>'")),
+    ("poset-header-long", "x.poset", "poset 2 3\n", ("x.poset", 1, "expected header 'poset <n>'")),
+    ("poset-header-int", "x.poset", "poset two\n",
+     ("x.poset", 1, "expected an integer, got 'two'")),
+    ("poset-too-large", "x.poset", f"poset {MAX_ELEMENTS + 1}\n0 < x\n",
+     ("x.poset", 1, f"poset of {MAX_ELEMENTS + 1} elements exceeds the limit of {MAX_ELEMENTS}")),
+    ("poset-negative", "x.poset", "poset -1\n",
+     ("x.poset", 1, "negative dimensions are not allowed")),
+    ("poset-negative-with-pair", "x.poset", "poset -1\n0 < 0\n",
+     ("x.poset", 2, "element out of range 0..-2")),
+    ("poset-pair-first-int", "x.poset", "poset 2\ny < 0\n",
+     ("x.poset", 2, "expected an integer, got 'y'")),
+    ("poset-pair-second-int", "x.poset", "poset 2\n0 < 1.0\n",
+     ("x.poset", 2, "expected an integer, got '1.0'")),
+    ("poset-pair-both-ints", "x.poset", "poset 2\ny < z\n",
+     ("x.poset", 2, "expected an integer, got 'y'")),
+    ("poset-pair-high", "x.poset", "poset 2\n0 < 2\n", ("x.poset", 2, "element out of range 0..1")),
+    ("poset-pair-negative", "x.poset", "poset 2\n-1 < 0\n",
+     ("x.poset", 2, "element out of range 0..1")),
+    ("poset-label-int", "x.poset", "poset 2\nlabel top 1\n",
+     ("x.poset", 2, "expected an integer, got 'top'")),
+    ("poset-label-range", "x.poset", "poset 2\nlabel 2 top\n",
+     ("x.poset", 2, "element out of range 0..1")),
+    ("poset-unrecognized", "x.poset", "poset 2\n0 <= 1\n",
+     ("x.poset", 2, "unrecognized line '0 <= 1'")),
+    ("poset-label-short", "x.poset", "poset 2\nlabel 0\n",
+     ("x.poset", 2, "unrecognized line 'label 0'")),
+    ("poset-cycle-at-last-line", "x.poset", "poset 2\n0 < 1\n1 < 0\n# end\n\n",
+     ("x.poset", 3, "elements 0 and 1 form a 2-cycle")),
+    ("poset-cycle-then-label", "x.poset", "poset 3\n0 < 1\n1 < 0\nlabel 2 top\n",
+     ("x.poset", 4, "elements 0 and 1 form a 2-cycle")),
+    ("poset-range-before-int", "x.poset", "poset 2\n0 < 5\n0 < x\n",
+     ("x.poset", 2, "element out of range 0..1")),
+    ("poset-int-before-range", "x.poset", "poset 2\n0 < x\n0 < 5\n",
+     ("x.poset", 2, "expected an integer, got 'x'")),
+    ("poset-unrecognized-before-range", "x.poset", "poset 2\nnope\n0 < 5\n",
+     ("x.poset", 2, "unrecognized line 'nope'")),
+    ("poset-tabs-and-comments", "x.poset", "poset\t2  # two\n0\t<\t1\n1\t<\t2\t# bad\n",
+     ("x.poset", 3, "element out of range 0..1")),
+    ("poset-tabs-unrecognized", "x.poset", "poset 2\n0\t<=\t1  # c\n",
+     ("x.poset", 2, "unrecognized line '0\\t<=\\t1'")),
+    # parse_rel
+    ("rel-empty", "x.rel", "# nothing\n", ("x.rel", 1, "empty relation file")),
+    ("rel-header-short", "x.rel", "rel a.poset\n",
+     ("x.rel", 1, "expected header 'rel <domfile> <codfile>'")),
+    ("rel-header-word", "x.rel", "\nrelation a.poset d.poset\n",
+     ("x.rel", 2, "expected header 'rel <domfile> <codfile>'")),
+    ("rel-dom-file", "x.rel", "rel bad.poset d.poset\n",
+     ("bad.poset", 2, "element out of range 0..1")),
+    ("rel-cod-file", "x.rel", "rel a.poset bad.poset\n0 ~ x\n",
+     ("bad.poset", 2, "element out of range 0..1")),
+    ("rel-short-line", "x.rel", REL + "0 ~\n", ("x.rel", 2, "expected 'i ~ j', got '0 ~'")),
+    ("rel-wrong-separator", "x.rel", REL + "0 - 1\n",
+     ("x.rel", 2, "expected 'i ~ j', got '0 - 1'")),
+    ("rel-first-int", "x.rel", REL + "x ~ 1\n", ("x.rel", 2, "expected an integer, got 'x'")),
+    ("rel-second-int", "x.rel", REL + "0 ~ y\n", ("x.rel", 2, "expected an integer, got 'y'")),
+    ("rel-dom-range", "x.rel", REL + "0 ~ 0\n2 ~ 0\n", ("x.rel", 3, "pair element out of range")),
+    ("rel-cod-range", "x.rel", REL + "1 ~ 3\n", ("x.rel", 2, "pair element out of range")),
+    ("rel-negative", "x.rel", REL + "0 ~ -1\n", ("x.rel", 2, "pair element out of range")),
+    ("rel-range-before-int", "x.rel", REL + "0 ~ 3\nx ~ 0\n",
+     ("x.rel", 2, "pair element out of range")),
+    ("rel-int-before-shape", "x.rel", REL + "x ~ 0\n0 ~\n",
+     ("x.rel", 2, "expected an integer, got 'x'")),
+    ("rel-shape-before-range", "x.rel", REL + "0 ~ 0 ~ 0\n0 ~ 3\n",
+     ("x.rel", 2, "expected 'i ~ j', got '0 ~ 0 ~ 0'")),
+    ("rel-tabs-and-comments", "x.rel", "rel\ta.poset\td.poset # r\n1\t~\t2\n\n1\t~\t3 # bad\n",
+     ("x.rel", 4, "pair element out of range")),
+    # parse_exreg
+    ("exreg-empty", "x.exreg", "\n\n", ("x.exreg", 1, "empty file")),
+    ("exreg-header-word", "x.exreg", "thing d.poset\n",
+     ("x.exreg", 1, "expected 'object <posetfile>' or 'morphism <src> <tgt>'")),
+    ("exreg-object-short", "x.exreg", "# o\nobject\n",
+     ("x.exreg", 2, "expected 'object <posetfile>' or 'morphism <src> <tgt>'")),
+    ("exreg-object-long", "x.exreg", "object d.poset a.poset\n",
+     ("x.exreg", 1, "expected 'object <posetfile>' or 'morphism <src> <tgt>'")),
+    ("exreg-morphism-short", "x.exreg", "morphism o.exreg\n",
+     ("x.exreg", 1, "expected 'object <posetfile>' or 'morphism <src> <tgt>'")),
+    ("exreg-object-carrier-file", "x.exreg", "object bad.poset\n",
+     ("bad.poset", 2, "element out of range 0..1")),
+    ("exreg-cong-first-int", "x.exreg", "object d.poset\ncong x ~ 1\n",
+     ("x.exreg", 2, "expected an integer, got 'x'")),
+    ("exreg-cong-second-int", "x.exreg", "object d.poset\ncong 0 ~ 0x1\n",
+     ("x.exreg", 2, "expected an integer, got '0x1'")),
+    ("exreg-cong-range", "x.exreg", "object d.poset\ncong 0 ~ 1\ncong 0 ~ 3\n",
+     ("x.exreg", 3, "pair element out of range")),
+    ("exreg-cong-negative", "x.exreg", "object d.poset\ncong -1 ~ 0\n",
+     ("x.exreg", 2, "pair element out of range")),
+    ("exreg-object-unrecognized", "x.exreg", "object d.poset\ncong 0 ~ 1\nfoo\nbar\n",
+     ("x.exreg", 3, "unrecognized line 'foo'")),
+    ("exreg-cong-separator", "x.exreg", "object d.poset\ncong 0 - 1\n",
+     ("x.exreg", 2, "unrecognized line 'cong 0 - 1'")),
+    ("exreg-object-with-legs", "x.exreg", "object d.poset\nlower 0 ~ 1\n",
+     ("x.exreg", 2, "unrecognized line 'lower 0 ~ 1'")),
+    ("exreg-cong-range-after-unrecognized", "x.exreg", "object d.poset\nfoo\ncong 0 ~ 3\n",
+     ("x.exreg", 3, "pair element out of range")),
+    ("exreg-cong-int-after-unrecognized", "x.exreg", "object d.poset\nfoo\ncong 0 ~ x\n",
+     ("x.exreg", 3, "expected an integer, got 'x'")),
+    ("exreg-cong-range-before-int", "x.exreg", "object d.poset\ncong 0 ~ 3\ncong x ~ 0\n",
+     ("x.exreg", 2, "pair element out of range")),
+    ("exreg-cong-tabs-and-comments", "x.exreg",
+     "object\td.poset\t# o\n\ncong\t0\t~\t1  # ok\ncong\t2 ~\t3\n",
+     ("x.exreg", 4, "pair element out of range")),
+    ("exreg-source-file", "x.exreg", "morphism bad.exreg c.exreg\n",
+     ("bad.exreg", 2, "pair element out of range")),
+    ("exreg-target-file", "x.exreg", "morphism o.exreg bad.exreg\nlower x ~ 0\n",
+     ("bad.exreg", 2, "pair element out of range")),
+    ("exreg-morphism-endpoint", "x.exreg", "\nmorphism id.exreg c.exreg\n",
+     ("x.exreg", 2, "morphism endpoints must be object files")),
+    ("exreg-lower-first-int", "x.exreg", MOR + "lower x ~ 0\n",
+     ("x.exreg", 2, "expected an integer, got 'x'")),
+    ("exreg-lower-second-int", "x.exreg", MOR + "lower 0 ~ y\n",
+     ("x.exreg", 2, "expected an integer, got 'y'")),
+    ("exreg-lower-range", "x.exreg", MOR + "lower 0 ~ 0\nlower 0 ~ 2\n",
+     ("x.exreg", 3, "pair element out of range")),
+    ("exreg-lower-range-source", "x.exreg", MOR + "lower 3 ~ 0\n",
+     ("x.exreg", 2, "pair element out of range")),
+    ("exreg-upper-int", "x.exreg", MOR + "upper 0 ~ z\n",
+     ("x.exreg", 2, "expected an integer, got 'z'")),
+    ("exreg-upper-range", "x.exreg", MOR + "upper 2 ~ 0\n",
+     ("x.exreg", 2, "pair element out of range")),
+    ("exreg-upper-range-source", "x.exreg", MOR + "upper 0 ~ 3\n",
+     ("x.exreg", 2, "pair element out of range")),
+    ("exreg-morphism-unrecognized", "x.exreg", MOR + "lower 0 ~ 0\nupper 0 ~ 0\nfoo\nbar\n",
+     ("x.exreg", 4, "unrecognized line 'foo'")),
+    ("exreg-leg-separator", "x.exreg", MOR + "upper 0 < 0\n",
+     ("x.exreg", 2, "unrecognized line 'upper 0 < 0'")),
+    ("exreg-morphism-with-cong", "x.exreg", MOR + "cong 0 ~ 0\n",
+     ("x.exreg", 2, "unrecognized line 'cong 0 ~ 0'")),
+    # every lower line is read before any upper line, and every leg line
+    # before an unrecognized line is reported
+    ("exreg-lower-error-beats-earlier-upper-error", "x.exreg",
+     MOR + "upper 5 ~ 0\nupper x ~ 0\nlower 0 ~ 5\n",
+     ("x.exreg", 4, "pair element out of range")),
+    ("exreg-lower-int-beats-earlier-upper-range", "x.exreg", MOR + "upper 5 ~ 0\nlower x ~ 0\n",
+     ("x.exreg", 3, "expected an integer, got 'x'")),
+    ("exreg-first-upper-error", "x.exreg", MOR + "upper 5 ~ 0\nupper x ~ 0\n",
+     ("x.exreg", 2, "pair element out of range")),
+    ("exreg-upper-error-beats-earlier-unrecognized", "x.exreg", MOR + "bogus\nupper 0 ~ x\n",
+     ("x.exreg", 3, "expected an integer, got 'x'")),
+    ("exreg-lower-error-beats-earlier-unrecognized", "x.exreg", MOR + "bogus\nlower 9 ~ 0\n",
+     ("x.exreg", 3, "pair element out of range")),
+    ("exreg-legs-tabs-and-comments", "x.exreg",
+     "morphism\to.exreg  c.exreg\t# m\nlower\t0\t~\t0\n# gap\nupper\t1 ~ 3  # bad\n",
+     ("x.exreg", 4, "pair element out of range")),
+]
+
+
+@pytest.mark.parametrize(
+    "name, text, error", [case[1:] for case in PARSE_ERRORS], ids=[case[0] for case in PARSE_ERRORS]
+)
+def test_parse_errors_are_pinned(tmp_path, name, text, error):
+    for ref, body in REFERENCED_FILES.items():
+        write(tmp_path, ref, body)
+    path = write(tmp_path, name, text)
+    load = {".poset": load_poset, ".rel": load_rel, ".exreg": load_exreg}[os.path.splitext(name)[1]]
+    with pytest.raises(ParseError) as exc:
+        load(path)
+    file, line, message = error
+    assert str(exc.value) == f"{tmp_path / file}:{line}: {message}"
+    assert (exc.value.path, exc.value.line_no) == (str(tmp_path / file), line)
+
+
+def test_referenced_files_parse(tmp_path):
+    # the files the error cases refer to are valid, apart from the bad ones
+    for ref, body in REFERENCED_FILES.items():
+        write(tmp_path, ref, body)
+    assert load_rel(write(tmp_path, "r.rel", REL + "0 ~ 2\n")).pairs.sum() == 1
+    assert load_exreg(str(tmp_path / "id.exreg")).src == load_exreg(str(tmp_path / "c.exreg"))
+
+
 def test_dot_outputs_mention_all_elements():
     text = dot_poset(FinPoset.from_covers(3, [(0, 1), (1, 2)]))
     assert text.count("->") == 2  # transitive edge reduced away
     rel_text = dot_relation(Relation.from_pairs(C2, D2, [(0, 0)]))
     assert "d0 -> c0" in rel_text
+
+
+
+# -- serializers against the pair-loop serializers they replaced --------------
+
+
+def _pairs(mat):
+    return [(int(i), int(j)) for i, j in np.argwhere(mat)]
+
+
+def loop_serialize_poset(P):
+    lt = P.leq & ~np.eye(P.n, dtype=bool)
+    out = [f"poset {P.n}"]
+    for i, j in _pairs(lt & ~((lt.astype(int) @ lt.astype(int)) > 0)):
+        out.append(f"{i} < {j}")
+    if P.labels is not None:
+        for i, lab in enumerate(P.labels):
+            if lab != str(i):
+                out.append(f"label {i} {lab}")
+    return "\n".join(out) + "\n"
+
+
+def loop_serialize_rel(R, dom_ref, cod_ref):
+    out = [f"rel {dom_ref} {cod_ref}"]
+    for i, j in _pairs(R.pairs):
+        out.append(f"{i} ~ {j}")
+    return "\n".join(out) + "\n"
+
+
+def loop_serialize_exreg_object(obj, poset_ref):
+    out = [f"object {poset_ref}"]
+    for i, j in _pairs(obj.E.E):
+        if not obj.X.leq[i, j]:
+            out.append(f"cong {i} ~ {j}")
+    return "\n".join(out) + "\n"
+
+
+def loop_serialize_exreg_morphism(R, src_ref, tgt_ref):
+    out = [f"morphism {src_ref} {tgt_ref}"]
+    for i, j in _pairs(R.lower.pairs):
+        out.append(f"lower {i} ~ {j}")
+    for j, i in _pairs(R.upper.pairs):
+        out.append(f"upper {j} ~ {i}")
+    return "\n".join(out) + "\n"
+
+
+def random_carrier(rng, n):
+    """A seeded n-element poset of random density, some elements labelled."""
+    p = rng.choice([0.0, 0.05, 0.3])
+    mat = np.array([[i < j and rng.random() < p for j in range(n)] for i in range(n)], bool)
+    labels = [rng.choice([str(i), f"x{i}", "top"]) for i in range(n)]
+    return FinPoset(transitive_closure(mat), labels=labels if rng.random() < 0.5 else None)
+
+
+def random_congruence_object(rng, X):
+    count = rng.randrange(4) if X.n else 0
+    pairs = [(rng.randrange(X.n), rng.randrange(X.n)) for _ in range(count)]
+    return ExRegObject(X, Congruence.from_pairs(X, pairs))
+
+
+def check_serialized(tmp_path, name, text, oracle_text, load, value):
+    assert text == oracle_text
+    assert load(write(tmp_path, name, text)) == value
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_serializers_match_the_pair_loops_and_reparse(tmp_path, seed):
+    from posrel.exreg import limit
+
+    rng = random.Random(seed)
+    sizes = [0, 1, rng.randrange(2, 10), rng.randrange(30, 61)]
+    for k, n in enumerate(sizes):
+        X = random_carrier(rng, n)
+        check_serialized(tmp_path, f"x{k}.poset", serialize_poset(X), loop_serialize_poset(X),
+                         load_poset, X)
+        parsed = load_poset(str(tmp_path / f"x{k}.poset"))
+        assert [parsed.label(i) for i in range(n)] == [X.label(i) for i in range(n)]
+        obj = random_congruence_object(rng, X)
+        check_serialized(tmp_path, f"o{k}.exreg", serialize_exreg_object(obj, f"x{k}.poset"),
+                         loop_serialize_exreg_object(obj, f"x{k}.poset"), load_exreg, obj)
+        m = rng.randrange(0, 61)
+        Y = random_carrier(rng, m)
+        write(tmp_path, f"y{k}.poset", serialize_poset(Y))
+        R = Relation(X, Y, np.array([[rng.random() < 0.4 for _ in range(m)] for _ in range(n)],
+                                    bool).reshape(n, m))
+        check_serialized(tmp_path, f"r{k}.rel", serialize_rel(R, f"x{k}.poset", f"y{k}.poset"),
+                         loop_serialize_rel(R, f"x{k}.poset", f"y{k}.poset"), load_rel, R)
+        # Γ-morphisms: the rank map into a chain, and the identity into a
+        # stronger order
+        ranks = [int(r) - 1 for r in X.leq.sum(axis=0)]
+        stronger = FinPoset(transitive_closure(X.leq | random_carrier(rng, n).leq))
+        for target, assign in ((FinPoset.chain(max(n, 1)), ranks), (stronger, range(n))):
+            f = gamma_morphism(MonotoneMap(X, target, assign))
+            write(tmp_path, "g.exreg", serialize_exreg_object(f.src, f"x{k}.poset"))
+            write(tmp_path, "t.poset", serialize_poset(target))
+            write(tmp_path, "t.exreg", serialize_exreg_object(f.tgt, "t.poset"))
+            check_serialized(tmp_path, f"f{k}.exreg",
+                             serialize_exreg_morphism(f, "g.exreg", "t.exreg"),
+                             loop_serialize_exreg_morphism(f, "g.exreg", "t.exreg"), load_exreg, f)
+    # a product of objects with congruence: an apex of up to 49 elements with
+    # its congruence, and legs that are not Γ-morphisms
+    A = random_congruence_object(rng, random_carrier(rng, rng.randrange(2, 8)))
+    B = random_congruence_object(rng, random_carrier(rng, rng.randrange(2, 8)))
+    tab = limit("product", A, B)
+    for name, obj in (("a", A), ("b", B), ("apex", tab.apex)):
+        write(tmp_path, f"{name}.poset", serialize_poset(obj.X))
+        check_serialized(tmp_path, f"{name}.exreg", serialize_exreg_object(obj, f"{name}.poset"),
+                         loop_serialize_exreg_object(obj, f"{name}.poset"), load_exreg, obj)
+    for leg, end in ((tab.leg0, "a"), (tab.leg1, "b")):
+        check_serialized(tmp_path, "leg.exreg",
+                         serialize_exreg_morphism(leg, "apex.exreg", f"{end}.exreg"),
+                         loop_serialize_exreg_morphism(leg, "apex.exreg", f"{end}.exreg"),
+                         load_exreg, leg)
+
+
+def test_dot_relation_lists_every_pair_in_order():
+    R = Relation(C2, FinPoset.discrete(3), np.array([[1, 0, 1], [0, 1, 1]], bool))
+    assert dot_relation(R, "r") == (
+        "digraph r {\n  rankdir=LR;\n"
+        '  d0 [label="0"];\n  d1 [label="1"];\n'
+        '  c0 [label="0"];\n  c1 [label="1"];\n  c2 [label="2"];\n'
+        "  d0 -> c0;\n  d0 -> c2;\n  d1 -> c1;\n  d1 -> c2;\n}\n"
+    )
 
 
 # -- cli ----------------------------------------------------------------------
@@ -778,3 +1095,52 @@ def test_cli_does_not_report_a_failed_crosscheck_as_input(construction_inputs, m
     monkeypatch.setattr(exreg, "compose_morphisms", lambda S, R: None)
     with pytest.raises(exreg.CrossCheckFailed, match="tabulation_factor: leg0 H = S0 fails"):
         run_cli("factorize", str(construction_inputs / "m.exreg"))
+
+
+# -- a reader that goes away ----------------------------------------------------
+
+
+def test_cli_exits_141_quietly_when_stdout_closes_early(tmp_path):
+    import posrel
+
+    write(tmp_path, "c.poset", "poset 30\n" + "".join(f"{i} < {i + 1}\n" for i in range(29)))
+    obj = write(tmp_path, "c.exreg", "object c.poset\n")
+    # far more than a pipe's 64 KiB buffer, so the writer meets the closed end
+    assert len(run_cli("limit", "product", obj, obj)[1]) > 4 * 65536
+    src = os.path.dirname(os.path.dirname(os.path.abspath(posrel.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "posrel.cli", "limit", "product", obj, obj],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"# file: src0.poset\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
+class ClosedPipe(io.StringIO):
+    """An output stream whose reader has gone, on write or only on flush."""
+
+    def __init__(self, fail_on_write):
+        super().__init__()
+        self.fail_on_write = fail_on_write
+
+    def write(self, text):
+        if self.fail_on_write:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fail_on_write", [True, False])
+def test_cli_broken_pipe_is_not_an_input_error(construction_inputs, fail_on_write):
+    err = io.StringIO()
+    q, sy = str(construction_inputs / "q.exreg"), str(construction_inputs / "sy.exreg")
+    code = main(["limit", "product", q, sy], stdout=ClosedPipe(fail_on_write), stderr=err)
+    assert (code, err.getvalue()) == (141, "")

@@ -582,3 +582,15 @@ def test_pointwise_order_matches_monotone_map_leq():
     # empty domain: one map, below itself; empty codomain: no maps at all
     assert np.array_equal(pointwise_order(all_monotone_maps(E, C2), C2.leq), [[True]])
     assert pointwise_order(all_monotone_maps(C2, E), E.leq).shape == (0, 0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 30])
+def test_covers_match_argwhere(n):
+    rng = random.Random(n)
+    for _ in range(5):
+        P = random_poset(rng, n)
+        lt = P.leq & ~np.eye(n, dtype=bool)
+        below = (lt.astype(int) @ lt.astype(int)) > 0  # i < k < j for some k
+        covers = P.covers()
+        assert covers == [(int(i), int(j)) for i, j in np.argwhere(lt & ~below)]
+        assert all(type(i) is int and type(j) is int for i, j in covers)

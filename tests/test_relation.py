@@ -459,3 +459,14 @@ def test_membership_lemma_pointwise():
             for z in range(Z.n):
                 exists = any(R.pairs[x, y] and S.pairs[y, z] for y in range(Y.n))
                 assert SR.pairs[x, z] == exists
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 4), (3, 0), (1, 1), (5, 7), (40, 33)])
+def test_pair_list_matches_argwhere(rows, cols):
+    rng = np.random.default_rng(rows * 100 + cols)
+    X, Y = FinPoset.discrete(rows), FinPoset.discrete(cols)
+    for p in (0.0, 0.3, 1.0):
+        R = Relation(X, Y, rng.random((rows, cols)) < p)
+        pairs = R.pair_list()
+        assert pairs == [(int(x), int(y)) for x, y in np.argwhere(R.pairs)]
+        assert all(type(x) is int and type(y) is int for x, y in pairs)

@@ -264,3 +264,18 @@ def test_equal_objects_built_apart_realize_equal():
         assert B == A and B is not A
         (QA, qA), (QB, qB) = quotient_realize(A), quotient_realize(B)
         assert QB == QA and qB == qA and QB is not QA
+
+
+def test_parsed_congruence_matches_the_validating_constructor(tmp_path):
+    from posrel.formats import parse_exreg, serialize_poset
+
+    rng = random.Random(37)
+    for k in range(40):
+        X = random_poset(rng, rng.randrange(0, 7))
+        (tmp_path / f"x{k}.poset").write_text(serialize_poset(X))
+        count = rng.randrange(4) if X.n else 0
+        pairs = [(rng.randrange(X.n), rng.randrange(X.n)) for _ in range(count)]
+        text = f"object x{k}.poset\n" + "".join(f"cong {i} ~ {j}\n" for i, j in pairs)
+        obj = parse_exreg(text, str(tmp_path / "o.exreg"))
+        assert obj.E == Congruence.from_pairs(X, pairs)
+        assert obj.E == Congruence(X, obj.E.E)
