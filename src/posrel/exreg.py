@@ -421,9 +421,8 @@ def limit(kind, *args):
         raise DomainMismatch(f"{kind} takes two arguments, got {len(args)}")
     if kind == "product":
         A, B = args
-        phi = Relation.full(A.X, B.X)
-        phi = compose(B.core(), compose(phi, A.core()))
-        return tabulate(phi, A, B)
+        # the full relation is already closed under both (reflexive) cores
+        return tabulate(Relation.full(A.X, B.X), A, B)
     if kind == "comma":
         R, S = args
         if R.tgt != S.tgt:

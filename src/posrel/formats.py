@@ -74,9 +74,11 @@ def parse_poset(text, path="<string>"):
     if len(parts) != 2 or parts[0] != "poset":
         raise ParseError(path, no, "expected header 'poset <n>'")
     n = _int(parts[1], path, no)
+    if n < 0:
+        raise ParseError(path, no, f"element count must be at least 0, got {n}")
     if n > MAX_ELEMENTS:
         raise ParseError(path, no, f"poset of {n} elements exceeds the limit of {MAX_ELEMENTS}")
-    pairs = []
+    pairs, pair_nos = [], []
     labels = None
     for no, line in lines[1:]:
         toks = line.split()
@@ -88,6 +90,7 @@ def parse_poset(text, path="<string>"):
             except ValueError:
                 raise _bad_ints(toks[::2], f"element out of range 0..{n - 1}", path, no) from None
             pairs.append((i, j))
+            pair_nos.append(no)
         elif len(toks) == 3 and toks[0] == "label":
             if labels is None:
                 labels = [str(k) for k in range(n)]
@@ -102,8 +105,28 @@ def parse_poset(text, path="<string>"):
             raise ParseError(path, no, f"unrecognized line {line!r}")
     try:
         return FinPoset.from_covers(n, pairs, labels=labels)
+    except ValueError:
+        pass
+    # The pairs close a cycle, and a cycle stays closed as pairs are added:
+    # the shortest failing prefix of the pair lines ends at the line closing it.
+    lo, hi = 0, len(pairs)  # pairs[:lo] generate an order, pairs[:hi] do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _order_error(n, pairs[:mid]) is None:
+            lo = mid
+        else:
+            hi = mid
+    exc = _order_error(n, pairs[:hi])
+    raise ParseError(path, pair_nos[hi - 1], str(exc)) from exc
+
+
+def _order_error(n, pairs):
+    """The error ``FinPoset.from_covers(n, pairs)`` raises, or None."""
+    try:
+        FinPoset.from_covers(n, pairs)
     except ValueError as exc:
-        raise ParseError(path, lines[-1][0], str(exc)) from exc
+        return exc
+    return None
 
 
 def serialize_poset(P):

@@ -40,20 +40,31 @@ def gen_poset(rng, n, p=0.35):
 
 
 def gen_map(rng, X, Y):
-    """A uniformly random monotone map X -> Y, or None when there is none."""
-    try:
-        maps = poset.all_monotone_maps(X, Y)
-    except poset.TooLarge:
-        # a hom-set over the enumeration budget is drawn uniformly by rejection
-        # from all functions; that stops, since such a hom-set is not empty
-        while True:
-            try:
-                return MonotoneMap(X, Y, [rng.randrange(Y.n) for _ in range(X.n)])
-            except poset.NotMonotone:
-                pass
-    if not maps:
-        return None
-    return maps[rng.randrange(len(maps))]
+    """A random monotone map X -> Y, or None when there is none (Y is empty and
+    X is not).
+
+    Walks a linear extension of X and draws the value of each x from the
+    elements of Y above the values already given to the elements below x.  A
+    value that leaves a later element with no option is dropped and another
+    is drawn.  Every monotone map can be drawn, but not uniformly.  Each draw
+    goes through ``rng``, so the shrinker reduces maps too: all-zero draws
+    give the least choices."""
+    order = poset.linear_extension(X)
+    assign = [None] * X.n
+    untried = []  # for each element of ``order`` given a value, the values not drawn yet
+    while len(untried) < X.n:
+        k = len(untried)
+        x = order[k]
+        below = [assign[j] for j in order[:k] if X.leq[j, x]]
+        untried.append(np.flatnonzero(Y.leq[below].all(axis=0)).tolist())
+        while untried and not untried[-1]:  # no value left here: redraw an earlier one
+            untried.pop()
+        if not untried:
+            return None
+        options = untried[-1]
+        assign[order[len(untried) - 1]] = options.pop(rng.randrange(len(options)))
+    # each value lies above the values of the elements below it in X
+    return MonotoneMap._trusted(X, Y, assign)
 
 
 def gen_relation(rng, X, Y, p=0.4):
@@ -80,7 +91,8 @@ def gen_exreg_object(rng, cap):
 
 
 def gen_exreg_morphism(rng, src=None, tgt=None, cap=4):
-    """A valid morphism, either a lifted poset map or a realized random map."""
+    """A random morphism src -> tgt: the one of a ``gen_map`` draw between their
+    realizations.  An object not given is drawn with at most ``cap`` elements."""
     if src is None:
         src = gen_exreg_object(rng, cap)
     if tgt is None:

@@ -309,6 +309,17 @@ def test_tabulate_maximal_relation_is_product():
     assert are_isomorphic(Qapex, P)
 
 
+def test_product_tabulates_the_full_relation_closed_under_the_cores():
+    # the product's relation needs no closure: the cores are reflexive
+    rng = random.Random(57)
+    for _ in range(20):
+        A = random_object(rng, 4, n_min=0)
+        B = random_object(rng, 4, n_min=0)
+        full = Relation.full(A.X, B.X)
+        assert compose(B.core(), compose(full, A.core())) == full
+        assert limit("product", A, B) == tabulate(full, A, B)
+
+
 def test_tabulate_rejects_unsaturated_relation():
     obj = ExRegObject(D2, np.ones((2, 2), dtype=bool))
     with pytest.raises(NotQMorphism):

@@ -159,9 +159,9 @@ PARSE_ERRORS = [
     ("poset-too-large", "x.poset", f"poset {MAX_ELEMENTS + 1}\n0 < x\n",
      ("x.poset", 1, f"poset of {MAX_ELEMENTS + 1} elements exceeds the limit of {MAX_ELEMENTS}")),
     ("poset-negative", "x.poset", "poset -1\n",
-     ("x.poset", 1, "negative dimensions are not allowed")),
+     ("x.poset", 1, "element count must be at least 0, got -1")),
     ("poset-negative-with-pair", "x.poset", "poset -1\n0 < 0\n",
-     ("x.poset", 2, "element out of range 0..-2")),
+     ("x.poset", 1, "element count must be at least 0, got -1")),
     ("poset-pair-first-int", "x.poset", "poset 2\ny < 0\n",
      ("x.poset", 2, "expected an integer, got 'y'")),
     ("poset-pair-second-int", "x.poset", "poset 2\n0 < 1.0\n",
@@ -182,7 +182,10 @@ PARSE_ERRORS = [
     ("poset-cycle-at-last-line", "x.poset", "poset 2\n0 < 1\n1 < 0\n# end\n\n",
      ("x.poset", 3, "elements 0 and 1 form a 2-cycle")),
     ("poset-cycle-then-label", "x.poset", "poset 3\n0 < 1\n1 < 0\nlabel 2 top\n",
-     ("x.poset", 4, "elements 0 and 1 form a 2-cycle")),
+     ("x.poset", 3, "elements 0 and 1 form a 2-cycle")),
+    ("poset-cycle-closed-mid-file", "x.poset",
+     "poset 5\n0 < 1\n1 < 2\n3 < 4\n\n2 < 0  # closes\n4 < 3\n2 < 3\nlabel 0 a\n",
+     ("x.poset", 6, "elements 0 and 1 form a 2-cycle")),
     ("poset-range-before-int", "x.poset", "poset 2\n0 < 5\n0 < x\n",
      ("x.poset", 2, "element out of range 0..1")),
     ("poset-int-before-range", "x.poset", "poset 2\n0 < x\n0 < 5\n",
@@ -312,6 +315,29 @@ def test_parse_errors_are_pinned(tmp_path, name, text, error):
     file, line, message = error
     assert str(exc.value) == f"{tmp_path / file}:{line}: {message}"
     assert (exc.value.path, exc.value.line_no) == (str(tmp_path / file), line)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_poset_cycle_is_reported_at_the_pair_line_that_closes_it(seed):
+    # oracle: add the pair lines one at a time until the order breaks
+    rng = random.Random(seed)
+    for _ in range(25):
+        n = rng.randrange(2, 7)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(1, 12))]
+        closing = None
+        for k in range(1, len(pairs) + 1):
+            try:
+                FinPoset.from_covers(n, pairs[:k])
+            except ValueError as exc:
+                closing = (k + 1, str(exc))  # the header is line 1
+                break
+        text = f"poset {n}\n" + "".join(f"{i} < {j}\n" for i, j in pairs) + "label 0 z\n"
+        if closing is None:
+            assert parse_poset(text).n == n
+        else:
+            with pytest.raises(ParseError) as err:
+                parse_poset(text, "x.poset")
+            assert (err.value.line_no, str(err.value)) == (closing[0], f"x.poset:{closing[0]}: {closing[1]}")
 
 
 def test_referenced_files_parse(tmp_path):

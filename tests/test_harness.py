@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from posrel import harness, relation
-from posrel.poset import FinPoset
+from posrel.poset import FinPoset, MonotoneMap
 from posrel.relation import Relation
 from posrel.harness import (
     SIMPLEST_FLOAT,
@@ -393,3 +393,101 @@ def test_gen_map_past_the_enumeration_budget_draws_every_monotone_map(monkeypatc
     assert {f.assign for f in drawn} == want
     # a replay with no draws left gets the simplest, a constant map
     assert gen_map(ChoiceStream(replay=[]), X, Y).assign == (0, 0)
+
+
+# -- the monotone-map sampler -------------------------------------------------
+
+
+def _reversed(P):
+    """P with its elements numbered backwards: a strict pair i < j becomes one with i > j."""
+    return FinPoset(P.leq[::-1, ::-1])
+
+
+def test_gen_map_draws_valid_maps_without_enumerating(monkeypatch):
+    from posrel import poset
+
+    def refuse(X, Y):
+        raise AssertionError("gen_map enumerated a hom-set")
+
+    monkeypatch.setattr(poset, "all_monotone_maps", refuse)
+    rng = random.Random(41)
+    for n in range(13):
+        for _ in range(8):
+            X = gen_poset(rng, n, p=rng.choice([0.1, 0.35, 0.7]))
+            Y = gen_poset(rng, rng.randrange(1, 13), p=rng.choice([0.1, 0.35, 0.7]))
+            if rng.random() < 0.5:
+                X, Y = _reversed(X), _reversed(Y)
+            f = gen_map(rng, X, Y)
+            assert f.dom is X and f.cod is Y
+            assert MonotoneMap(X, Y, f.assign) == f
+            assert all(type(a) is int for a in f.assign)
+
+
+def test_gen_map_reaches_every_map_of_small_hom_sets():
+    from posrel.equivalence import all_posets_up_to
+    from posrel.poset import all_monotone_maps
+
+    posets = all_posets_up_to(3)
+    posets += [R for P in posets if (R := _reversed(P)) != P]
+    rng = random.Random(43)
+    for X in posets:
+        for Y in posets:
+            want = {f.assign for f in all_monotone_maps(X, Y)}
+            drawn = [gen_map(rng, X, Y) for _ in range(20 * len(want) + 1)]
+            if want:
+                assert {f.assign for f in drawn} == want
+            else:  # from a non-empty poset to the empty one
+                assert drawn == [None]
+
+
+def test_gen_map_backtracks_out_of_dead_ends():
+    from posrel.poset import all_monotone_maps
+
+    # 1 and 2 below 0, into a 2-antichain: drawing different values for 1 and 2
+    # leaves 0 with no value, so only the two constant maps remain
+    X, Y = FinPoset.from_covers(3, [(1, 0), (2, 0)]), FinPoset.discrete(2)
+    assert [f.assign for f in all_monotone_maps(X, Y)] == [(0, 0, 0), (1, 1, 1)]
+    rng = random.Random(47)
+    assert {gen_map(rng, X, Y).assign for _ in range(50)} == {(0, 0, 0), (1, 1, 1)}
+    # the draws walk 1, 2, 0: 1 -> 0, 2 -> 1 is a dead end, 2 is redrawn as 0
+    rng = ChoiceStream(replay=[0, 1])
+    assert gen_map(rng, X, Y).assign == (0, 0, 0)
+    assert rng.draws == [0, 1, 0, 0]
+
+
+def test_gen_map_on_empty_posets():
+    rng = random.Random(53)
+    empty, two = FinPoset.discrete(0), FinPoset.chain(2)
+    assert gen_map(rng, two, empty) is None
+    assert gen_map(rng, empty, empty).assign == ()
+    assert gen_map(rng, empty, two).assign == ()
+
+
+def test_gen_map_replay_without_draws_takes_the_least_choices():
+    rng = random.Random(59)
+    for _ in range(30):
+        X = gen_poset(rng, rng.randrange(0, 13))
+        Y = _reversed(gen_poset(rng, rng.randrange(1, 13)))
+        replay = ChoiceStream(replay=[])
+        assert gen_map(replay, X, Y).assign == (0,) * X.n
+        assert set(replay.draws) <= {0}
+
+
+def test_planted_compose_bug_is_found_and_shrunk_at_bound_10(fixture_suite, monkeypatch):
+    # shaped like the kernel-identity suite, with the carrier sizes in the message
+    def kernel_identity(rng, cap):
+        X = gen_poset(rng, rng.randrange(1, cap + 1))
+        Y = gen_poset(rng, rng.randrange(1, cap + 1))
+        if not relation.kernel_identity_check(gen_map(rng, X, Y)):
+            return f"carriers {X.n} {Y.n}"
+        return None
+
+    assert run_suite(fixture_suite(kernel_identity), 20, 3, cap=10).passed
+    monkeypatch.setattr(relation, "compose", _dropping_last_pair(relation.compose))
+    report = run_suite(fixture_suite(kernel_identity), 20, 3, cap=10)
+    failures = _messages(report)
+    assert len(failures) == 20
+    assert any(max(map(int, message.split()[1:])) > 3 for message, _ in failures)
+    for _, shrunk in failures:
+        assert shrunk is not None and " draws: carriers " in shrunk
+        assert max(map(int, shrunk.split("carriers ")[1].split())) <= 3
