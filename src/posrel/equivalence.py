@@ -47,7 +47,7 @@ def quotient_realize(obj):
     [x] <= [y] iff E(x, y).  Returns (poset, projection), computed once
     per object and kept on it, so every caller gets the same pair."""
     if obj._realization is None:
-        Q, class_of = poset_reflection(obj.E.E)
+        Q, class_of = poset_reflection(obj.E.pairs)
         # E contains the order of X, and Q orders the classes by E
         obj._realization = Q, MonotoneMap._trusted(obj.X, Q, class_of)
     return obj._realization

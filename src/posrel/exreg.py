@@ -1,11 +1,11 @@
 """Objects-with-congruence over finite posets and their calculus.
 
-An object is a pair (X, E) of a finite poset and a congruence E on it
-(a weakening-closed relation containing the order and closed under
-composition).  Morphisms (X, E) -> (Y, F) are adjoint pairs of
-bimodules (R_*, R^*); the identity on (X, E) is (E, E).  Tabulations
-give all finite limits, (so, ff)-factorizations, and the exactness
-witnesses (split_congruence, canonical_presentation).
+An object is one ``ExRegObject(X, E)``: a finite poset X with a congruence
+E on it, the relation X ⇸ X that contains the order and is closed under
+composition (hence weakening-closed).  Morphisms (X, E) -> (Y, F) are
+adjoint pairs of bimodules (R_*, R^*); the identity on (X, E) is (E, E).
+Tabulations give all finite limits, (so, ff)-factorizations, and the
+exactness witnesses (split_congruence, canonical_presentation).
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from .relation import (
     NotAMap,
     Relation,
     compose,
-    identity_I,
+    hypergraph,
+    hypograph,
     meet,
     opposite,
     residual,
@@ -70,90 +71,60 @@ def crosscheck(cond, label):
         raise CrossCheckFailed(label)
 
 
-class Congruence:
-    """A reflexive-over-order, transitive, weakening-closed relation on X."""
-
-    __slots__ = ("base", "E")
-
-    def __init__(self, base, E):
-        E = np.ascontiguousarray(E, dtype=bool)
-        if E.shape != (base.n, base.n):
-            raise NotCongruence(f"expected {(base.n, base.n)} matrix, got {E.shape}")
-        if (base.leq & ~E).any():
-            raise NotCongruence("congruence does not contain the order")
-        if (bool_mat(E, E) & ~E).any():
-            raise NotCongruence("congruence is not transitive")
-        self._fill(base, E)
-
-    @classmethod
-    def _trusted(cls, base, E):
-        """The congruence ``E`` on ``base``, unchecked; only for results of this
-        package whose call site says why E is transitive and contains the order."""
-        self = cls.__new__(cls)
-        self._fill(base, np.ascontiguousarray(E, dtype=bool))
-        return self
-
-    def _fill(self, base, E):
-        E.flags.writeable = False
-        self.base = base
-        self.E = E
-
-    @classmethod
-    def from_pairs(cls, base, pair_list):
-        """Smallest congruence containing the order and the given pairs."""
-        mat = base.leq.copy()
-        for x, y in pair_list:
-            mat[x, y] = True
-        return cls(base, transitive_closure(mat))
-
-    def as_relation(self):
-        return Relation(self.base, self.base, self.E)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Congruence)
-            and self.base == other.base
-            and (self.E == other.E).all()
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.E.tobytes()))
-
-
 class ExRegObject:
     """A pair (X, E): a finite poset with a congruence on it.
 
-    ``_realization`` holds the (Q, q) pair of ``equivalence.quotient_realize``,
-    which computes it on first use; every later caller shares it."""
+    ``E`` is the relation X ⇸ X; it contains the order and is transitive, so
+    it is weakening-closed.  ``_realization`` holds the (Q, q) pair of
+    ``equivalence.quotient_realize``, which computes it on first use; every
+    later caller shares it."""
 
     __slots__ = ("X", "E", "_realization")
 
     def __init__(self, X, E):
-        if isinstance(E, Congruence):
-            if E.base != X:
-                raise NotCongruence("congruence lives on a different poset")
-        else:
-            E = Congruence(X, E)
+        E = np.ascontiguousarray(E, dtype=bool)
+        if E.shape != (X.n, X.n):
+            raise NotCongruence(f"expected {(X.n, X.n)} matrix, got {E.shape}")
+        if (X.leq & ~E).any():
+            raise NotCongruence("congruence does not contain the order")
+        if (bool_mat(E, E) & ~E).any():
+            raise NotCongruence("congruence is not transitive")
+        self._fill(X, E)
+
+    @classmethod
+    def _trusted(cls, X, E):
+        """The object (X, E), unchecked; only for results of this package whose
+        call site says why E is transitive and contains the order."""
+        self = cls.__new__(cls)
+        self._fill(X, E)
+        return self
+
+    def _fill(self, X, E):
         self.X = X
-        self.E = E
+        self.E = Relation(X, X, E)
         self._realization = None
 
-    def rel(self):
-        """The congruence as a relation; the identity morphism's lower leg."""
-        return self.E.as_relation()
+    @classmethod
+    def from_pairs(cls, X, pair_list):
+        """X with the smallest congruence containing its order and the given pairs."""
+        mat = X.leq.copy()
+        for x, y in pair_list:
+            mat[x, y] = True
+        return cls(X, transitive_closure(mat))
 
     def core(self):
         """E ∩ E°, the symmetric part; identity of the ambient allegory."""
-        return meet(self.rel(), opposite(self.rel()))
+        return meet(self.E, opposite(self.E))
 
     def __eq__(self, other):
-        return isinstance(other, ExRegObject) and self.X == other.X and self.E == other.E
+        # E is a relation X ⇸ X, so equal congruences have equal carriers
+        return isinstance(other, ExRegObject) and self.E == other.E
 
     def __hash__(self):
-        return hash((self.X, self.E))
+        return hash(self.E)
 
     def __repr__(self):
-        return f"ExRegObject(n={self.X.n}, pairs={int(self.E.E.sum())})"
+        return f"ExRegObject(n={self.X.n}, pairs={int(self.E.pairs.sum())})"
 
 
 def gamma_object(X):
@@ -172,27 +143,11 @@ class QwMorphism:
     def __init__(self, src, tgt, rel):
         if rel.dom != src.X or rel.cod != tgt.X:
             raise DomainMismatch("relation does not match src/tgt carriers")
-        if compose(tgt.rel(), compose(rel, src.rel())) != rel:
+        if compose(tgt.E, compose(rel, src.E)) != rel:
             raise BimoduleLawFailed("F Φ E = Φ fails")
         self.src = src
         self.tgt = tgt
         self.rel = rel
-
-    def then(self, other):
-        if other.src != self.tgt:
-            raise DomainMismatch("composition mismatch")
-        return QwMorphism(self.src, other.tgt, compose(other.rel, self.rel))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QwMorphism)
-            and self.src == other.src
-            and self.tgt == other.tgt
-            and self.rel == other.rel
-        )
-
-    def __hash__(self):
-        return hash((self.src, self.tgt, self.rel))
 
 
 class ExRegMorphism:
@@ -224,8 +179,8 @@ class ExRegMorphism:
 
 def validate_morphism(src, tgt, lower, upper):
     """Check all four morphism laws and return the validated morphism."""
-    E = src.rel()
-    F = tgt.rel()
+    E = src.E
+    F = tgt.E
     if lower.dom != src.X or lower.cod != tgt.X:
         raise DomainMismatch("lower leg does not match src -> tgt carriers")
     if upper.dom != tgt.X or upper.cod != src.X:
@@ -243,14 +198,11 @@ def validate_morphism(src, tgt, lower, upper):
 
 def identity_morphism(obj):
     """1_{(X,E)} = (E, E)."""
-    E = obj.rel()
-    return ExRegMorphism(obj, obj, E, E)
+    return ExRegMorphism(obj, obj, obj.E, obj.E)
 
 
 def gamma_morphism(f):
     """Γ f = (f_*, f^*) between Γ-objects."""
-    from .relation import hypergraph, hypograph
-
     return validate_morphism(
         gamma_object(f.dom), gamma_object(f.cod), hypergraph(f), hypograph(f)
     )
@@ -282,8 +234,8 @@ def derive_right_adjoint(src, tgt, lower):
     R^*(y, x) ⇔ ∀y'. R_*(x, y') ⇒ F(y, y'); any right adjoint is
     contained in it, so the adjunction unit holds for some R^* iff it
     holds for the candidate."""
-    E = src.rel()
-    F = tgt.rel()
+    E = src.E
+    F = tgt.E
     if compose(F, compose(lower, E)) != lower:
         raise BimoduleLawFailed("F R_* E = R_* fails")
     upper = residual(F, lower)
@@ -295,15 +247,15 @@ def derive_right_adjoint(src, tgt, lower):
 def graph_of(R):
     """gr(R_*) = R_* ∩ (R^*)°, the honest graph underneath the adjoint pair."""
     gr = meet(R.lower, opposite(R.upper))
-    crosscheck(compose(R.tgt.rel(), gr) == R.lower, "graph_of: F gr = R_* fails")
-    crosscheck(compose(opposite(gr), R.tgt.rel()) == R.upper, "graph_of: gr° F = R^* fails")
+    crosscheck(compose(R.tgt.E, gr) == R.lower, "graph_of: F gr = R_* fails")
+    crosscheck(compose(opposite(gr), R.tgt.E) == R.upper, "graph_of: gr° F = R^* fails")
     return gr
 
 
 def classify(R):
     """ff iff R^* R_* = E; so iff R_* R^* = F; iso iff both."""
-    E = R.src.rel()
-    F = R.tgt.rel()
+    E = R.src.E
+    F = R.tgt.E
     is_ff = compose(R.upper, R.lower) == E
     is_so = compose(R.lower, R.upper) == F
     gr = graph_of(R)
@@ -342,20 +294,17 @@ def tabulate(phi, src, tgt):
     # the product order of two orders, on distinct pairs, is an order
     Z = FinPoset._trusted(pair_order(X.leq, Y.leq, pairs))
     # componentwise E x F is transitive and contains Z's order, as E and F do theirs
-    apex = ExRegObject(Z, Congruence._trusted(Z, pair_order(src.E.E, tgt.E.E, pairs)))
-    E, F = src.rel(), tgt.rel()
+    apex = ExRegObject._trusted(Z, pair_order(src.E.pairs, tgt.E.pairs, pairs))
+    E, F = src.E.pairs, tgt.E.pairs
     xs = [x for x, _ in pairs]
     ys = [y for _, y in pairs]
-    lower0 = Relation(Z, X, E.pairs[xs, :])
-    upper0 = Relation(X, Z, E.pairs[:, xs])
-    lower1 = Relation(Z, Y, F.pairs[ys, :])
-    upper1 = Relation(Y, Z, F.pairs[:, ys])
-    leg0 = validate_morphism(apex, src, lower0, upper0)
-    leg1 = validate_morphism(apex, tgt, lower1, upper1)
+    # rows and columns of the transitive E and F, with the apex's E x F: morphisms by construction
+    leg0 = ExRegMorphism(apex, src, Relation(Z, X, E[xs, :]), Relation(X, Z, E[:, xs]))
+    leg1 = ExRegMorphism(apex, tgt, Relation(Z, Y, F[ys, :]), Relation(Y, Z, F[:, ys]))
     tab = Tabulation(apex, leg0, leg1, phi)
     crosscheck(compose(graph_of(leg1), opposite(graph_of(leg0))) == phi,
                "tabulate: gr(leg1) gr(leg0)° = Φ fails")
-    crosscheck(meet(compose(leg0.upper, leg0.lower), compose(leg1.upper, leg1.lower)) == apex.rel(),
+    crosscheck(meet(compose(leg0.upper, leg0.lower), compose(leg1.upper, leg1.lower)) == apex.E,
                "tabulate: the legs are not jointly order-mono")
     return tab
 
@@ -388,7 +337,7 @@ def jointly_order_mono_pair(R, S):
     Criterion: R^* R_* ∩ S^* S_* = E."""
     if R.src != S.src:
         raise DomainMismatch("legs have different sources")
-    return meet(compose(R.upper, R.lower), compose(S.upper, S.lower)) == R.src.rel()
+    return meet(compose(R.upper, R.lower), compose(S.upper, S.lower)) == R.src.E
 
 
 def factorize(R):
@@ -450,15 +399,11 @@ def split_congruence(obj, R):
     surjective with kernel congruence R) and the backward bimodule
     m: (X, R) -> (X, E); their composite is R as an endo-bimodule of
     (X, E).  The backward leg is in general only a bimodule, not a map."""
-    if isinstance(R, Congruence):
-        if R.base != obj.X:
-            raise NotCongruenceOver("congruence lives on a different carrier")
-        R = R.E
     R = np.asarray(R, dtype=bool)
-    if (obj.E.E & ~R).any():
+    if (obj.E.pairs & ~R).any():
         raise NotCongruenceOver("R does not contain E")
     through = ExRegObject(obj.X, R)
-    rel = through.rel()
+    rel = through.E
     q = validate_morphism(obj, through, rel, rel)
     m = QwMorphism(through, obj, rel)
     crosscheck(compose(m.rel, q.lower) == rel, "split_congruence: m q = R fails")
@@ -476,7 +421,7 @@ def canonical_presentation(obj):
     The kernel carrier is the pair poset of E with componentwise order;
     the quotient is the effective morphism (E, E): Γ X -> (X, E)."""
     X = obj.X
-    E = obj.rel()
+    E = obj.E
     _check_apex_size(int(np.count_nonzero(E.pairs)))
     K, e0, e1 = pair_span(X, X, E.pair_list())
     quotient = validate_morphism(gamma_object(X), obj, E, E)

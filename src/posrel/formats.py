@@ -22,7 +22,7 @@ import numpy as np
 
 from .poset import MAX_ELEMENTS, FinPoset, transitive_closure
 from .relation import Relation
-from .exreg import Congruence, ExRegObject, validate_morphism
+from .exreg import ExRegObject, validate_morphism
 
 
 class ParseError(ValueError):
@@ -240,7 +240,7 @@ def parse_exreg(text, path="<string>"):
         X = load_poset(_resolve(parts[1], path))
         (pairs,) = _parse_pairs(lines[1:], {"cong": (X.n, X.n)}, path)
         # the closure of a matrix that holds the order is a congruence
-        return ExRegObject(X, Congruence._trusted(X, transitive_closure(X.leq | pairs)))
+        return ExRegObject._trusted(X, transitive_closure(X.leq | pairs))
     if parts[0] == "morphism" and len(parts) == 3:
         src = load_exreg(_resolve(parts[1], path))
         tgt = load_exreg(_resolve(parts[2], path))
@@ -257,7 +257,7 @@ def parse_exreg(text, path="<string>"):
 
 def serialize_exreg_object(obj, poset_ref):
     # order pairs are implied by closure
-    return f"object {poset_ref}\n" + _pair_lines("cong %d ~ %d\n", obj.E.E & ~obj.X.leq)
+    return f"object {poset_ref}\n" + _pair_lines("cong %d ~ %d\n", obj.E.pairs & ~obj.X.leq)
 
 
 def serialize_exreg_morphism(R, src_ref, tgt_ref):

@@ -81,13 +81,13 @@ def gen_weakening_relation(rng, X, Y, p=0.3):
 
 
 def gen_congruence(rng, X, extra=2):
+    """The object X with the congruence generated by its order and ``extra`` random pairs."""
     pairs = [(rng.randrange(X.n), rng.randrange(X.n)) for _ in range(extra)] if X.n else []
-    return exreg.Congruence.from_pairs(X, pairs)
+    return exreg.ExRegObject.from_pairs(X, pairs)
 
 
 def gen_exreg_object(rng, cap):
-    X = gen_poset(rng, rng.randrange(1, cap + 1))
-    return exreg.ExRegObject(X, gen_congruence(rng, X))
+    return gen_congruence(rng, gen_poset(rng, rng.randrange(1, cap + 1)))
 
 
 def gen_exreg_morphism(rng, src=None, tgt=None, cap=4):
@@ -324,12 +324,11 @@ def _trial_coinserters_are_so(rng, cap):
 def _trial_effective_splitting(rng, cap):
     # every congruence here is effective: it splits through its quotient
     X = gen_poset(rng, rng.randrange(1, cap + 1))
-    E = gen_congruence(rng, X)
-    obj = exreg.ExRegObject(X, E)
+    obj = gen_congruence(rng, X)
     _, p = equivalence.quotient_realize(obj)
     unit = relation.compose(relation.hypograph(p), relation.hypergraph(p))
     counit = relation.compose(relation.hypergraph(p), relation.hypograph(p))
-    if unit != E.as_relation():
+    if unit != obj.E:
         return "p^* p_* differs from the congruence"
     if counit != relation.identity_I(p.cod):
         return "p_* p^* differs from the identity on the quotient"
@@ -455,15 +454,15 @@ def _trial_so_stability(rng, cap):
 
 def _trial_exactness(rng, cap):
     obj = gen_exreg_object(rng, min(cap, 4))
-    R = exreg.Congruence.from_pairs(
+    R = exreg.ExRegObject.from_pairs(
         obj.X,
-        obj.rel().pair_list()
+        obj.E.pair_list()
         + [(rng.randrange(obj.X.n), rng.randrange(obj.X.n)) for _ in range(2)],
-    )
-    q, m = exreg.split_congruence(obj, R)
-    if relation.compose(m.rel, q.lower) != R.as_relation():
+    ).E
+    q, m = exreg.split_congruence(obj, R.pairs)
+    if relation.compose(m.rel, q.lower) != R:
         return "legs do not compose to the congruence"
-    if relation.compose(q.upper, q.lower) != R.as_relation():
+    if relation.compose(q.upper, q.lower) != R:
         return "kernel congruence of the quotient leg is not the congruence"
     if not exreg.classify(q).is_so:
         return "quotient leg is not so"

@@ -193,7 +193,7 @@ def test_acceptance_4_tabulations():
         assert relation.meet(
             relation.compose(tab.leg0.upper, tab.leg0.lower),
             relation.compose(tab.leg1.upper, tab.leg1.lower),
-        ) == tab.apex.rel()
+        ) == tab.apex.E
         # the legs are jointly order-mono, which is exactly uniqueness of factors
         assert exreg.jointly_order_mono_pair(tab.leg0, tab.leg1)
         if tab.apex.X.n == 0:
@@ -242,7 +242,7 @@ def test_acceptance_5_completion_structure():
         B = harness.gen_exreg_object(rng, 4)
         R = harness.gen_exreg_morphism(rng, A, B)
         cls = exreg.classify(R)
-        E, F = A.rel(), B.rel()
+        E, F = A.E, B.E
         assert cls.is_ff == (relation.compose(R.upper, R.lower) == E)
         so_eq = relation.compose(R.lower, R.upper) == F
         gr = exreg.graph_of(R)
@@ -262,15 +262,15 @@ def test_acceptance_6_exactness():
 
     for _ in range(200):
         obj = harness.gen_exreg_object(rng, 4)
-        R = exreg.Congruence.from_pairs(
+        R = exreg.ExRegObject.from_pairs(
             obj.X,
-            obj.rel().pair_list()
+            obj.E.pair_list()
             + [(rng.randrange(obj.X.n), rng.randrange(obj.X.n)) for _ in range(2)],
-        )
-        q, m = exreg.split_congruence(obj, R)
-        assert relation.compose(m.rel, q.lower) == R.as_relation()
+        ).E
+        q, m = exreg.split_congruence(obj, R.pairs)
+        assert relation.compose(m.rel, q.lower) == R
         assert exreg.classify(q).is_so
-        assert relation.compose(q.upper, q.lower) == R.as_relation()
+        assert relation.compose(q.upper, q.lower) == R
 
         pres = exreg.canonical_presentation(obj)
         # comma: the kernel is the comma of the quotient with itself
@@ -307,7 +307,7 @@ def _brute_force_morphisms(A, B):
     Candidate lower legs are all |X| x |Y| matrices, filtered in bulk by
     the bimodule law; the right adjoint of each survivor is then derived
     and validated.  Independent of the realization bijection."""
-    E, F = A.rel(), B.rel()
+    E, F = A.E, B.E
     n, m = A.X.n, B.X.n
     K = 1 << (n * m)
     bits = (np.arange(K, dtype=np.uint32)[:, None] >> np.arange(n * m)[None, :]) & 1
@@ -333,8 +333,8 @@ def test_acceptance_7_set_completion_is_posets():
     for _ in range(100):
         nA, nB = rng.randrange(1, 5), rng.randrange(1, 5)
         DA, DB = FinPoset.discrete(nA), FinPoset.discrete(nB)
-        A = exreg.ExRegObject(DA, harness.gen_congruence(rng, DA))
-        B = exreg.ExRegObject(DB, harness.gen_congruence(rng, DB))
+        A = harness.gen_congruence(rng, DA)
+        B = harness.gen_congruence(rng, DB)
         morphisms = _brute_force_morphisms(A, B)
         PA, _ = equivalence.quotient_realize(A)
         PB, _ = equivalence.quotient_realize(B)

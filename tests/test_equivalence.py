@@ -19,7 +19,7 @@ from posrel.poset import (
     transitive_closure,
 )
 from posrel.relation import compose, hypergraph, hypograph
-from posrel.exreg import Congruence, ExRegObject, gamma_morphism, gamma_object
+from posrel.exreg import ExRegObject, gamma_morphism, gamma_object
 from posrel.equivalence import (
     ConcreteFunctor,
     OrdObject,
@@ -85,7 +85,7 @@ def test_realize_gamma_object_is_carrier():
 
 
 def test_realize_collapses_inserted_pair():
-    obj = ExRegObject(D2, Congruence.from_pairs(D2, [(0, 1)]))
+    obj = ExRegObject.from_pairs(D2, [(0, 1)])
     Q, p = quotient_realize(obj)
     assert Q == C2
 
@@ -328,7 +328,7 @@ def test_kernel_object_realizes_the_image():
 
 
 def test_hom_of_collapsed_object_is_three_chain():
-    A = ExRegObject(D2, Congruence.from_pairs(D2, [(0, 1)]))
+    A = ExRegObject.from_pairs(D2, [(0, 1)])
     B = gamma_object(C2)
     morphisms = all_morphisms(A, B)
     assert len(morphisms) == 3

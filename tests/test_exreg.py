@@ -8,7 +8,6 @@ from posrel.relation import NotAMap, Relation, compose, delta, identity_I, meet,
 from posrel.exreg import (
     AdjunctionFailed,
     BimoduleLawFailed,
-    Congruence,
     ConeNotIncluded,
     ExRegObject,
     NotCongruence,
@@ -39,19 +38,18 @@ from test_poset import labelled_posets, random_monotone, random_poset
 C2 = FinPoset.chain(2)
 C3 = FinPoset.chain(3)
 D2 = FinPoset.discrete(2)
-E_AB = Congruence.from_pairs(D2, [(0, 1)])
+E_AB = ExRegObject.from_pairs(D2, [(0, 1)]).E.pairs
 
 
 def random_congruence(rng, X, extra=2):
     pairs = [
         (rng.randrange(X.n), rng.randrange(X.n)) for _ in range(extra)
     ] if X.n else []
-    return Congruence.from_pairs(X, pairs)
+    return ExRegObject.from_pairs(X, pairs)
 
 
 def random_object(rng, n_max=5, n_min=1):
-    X = random_poset(rng, rng.randrange(n_min, n_max + 1))
-    return ExRegObject(X, random_congruence(rng, X))
+    return random_congruence(rng, random_poset(rng, rng.randrange(n_min, n_max + 1)))
 
 
 def random_morphism(rng, src, tgt):
@@ -64,7 +62,7 @@ def random_morphism(rng, src, tgt):
 
 def test_gamma_object_is_order_congruence():
     obj = gamma_object(C2)
-    assert obj.rel() == identity_I(C2)
+    assert obj.E == identity_I(C2)
 
 
 def test_codiscrete_congruence_valid():
@@ -76,18 +74,23 @@ def test_diagonal_on_chain_is_not_congruence():
         ExRegObject(C2, np.eye(2, dtype=bool))
 
 
+def test_congruence_must_have_the_carrier_shape():
+    with pytest.raises(NotCongruence, match=r"^expected \(2, 2\) matrix, got \(2, 3\)$"):
+        ExRegObject(C2, np.ones((2, 3), dtype=bool))
+
+
 def test_congruence_must_be_transitive():
     mat = np.eye(3, dtype=bool)
     mat[0, 1] = mat[1, 2] = True
     with pytest.raises(NotCongruence):
-        Congruence(FinPoset.discrete(3), mat)
+        ExRegObject(FinPoset.discrete(3), mat)
 
 
 def test_congruences_are_weakening_closed():
     rng = random.Random(40)
     for _ in range(40):
         obj = random_object(rng)
-        assert obj.rel().is_weakening
+        assert obj.E.is_weakening
 
 
 # -- morphisms ---------------------------------------------------------------
@@ -115,7 +118,7 @@ def test_gamma_morphism_valid_and_functorial():
 def test_bimodule_law_rejects_bare_diagonal():
     obj = ExRegObject(D2, E_AB)
     with pytest.raises(BimoduleLawFailed):
-        validate_morphism(obj, obj, Relation.from_pairs(D2, D2, [(0, 0), (1, 1)]), obj.rel())
+        validate_morphism(obj, obj, Relation.from_pairs(D2, D2, [(0, 0), (1, 1)]), obj.E)
 
 
 def bool_matrices(rows, cols):
@@ -138,7 +141,7 @@ def objects_up_to(n_max):
 
 
 def check_bimodule_law_implies_weakening(A, B, R):
-    E, F = A.rel(), B.rel()
+    E, F = A.E, B.E
     if compose(F, compose(R, E)) == R:
         assert R.is_weakening
         QwMorphism(A, B, R)
@@ -165,7 +168,7 @@ def test_bimodule_law_implies_weakening_random():
         mat = [[rng.random() < 0.4 for _ in range(B.X.n)] for _ in range(A.X.n)]
         raw = Relation(A.X, B.X, mat)
         check_bimodule_law_implies_weakening(A, B, raw)
-        closed = compose(B.rel(), compose(raw, A.rel()))
+        closed = compose(B.E, compose(raw, A.E))
         check_bimodule_law_implies_weakening(A, B, closed)
 
 
@@ -205,7 +208,7 @@ def test_hom_leq_matches_pointwise_order_under_gamma():
 
 def test_derive_right_adjoint_identity():
     obj = ExRegObject(D2, E_AB)
-    assert derive_right_adjoint(obj, obj, obj.rel()) == obj.rel()
+    assert derive_right_adjoint(obj, obj, obj.E) == obj.E
 
 
 def test_derive_right_adjoint_recovers_hypograph():
@@ -506,7 +509,7 @@ def test_inserter_legs_satisfy_inequality():
 
 def test_split_identity_congruence():
     obj = ExRegObject(D2, E_AB)
-    q, m = split_congruence(obj, obj.E)
+    q, m = split_congruence(obj, obj.E.pairs)
     assert classify(q).is_iso
 
 
@@ -534,15 +537,15 @@ def test_split_random_congruences():
     rng = random.Random(72)
     for _ in range(30):
         obj = random_object(rng, 4)
-        R = Congruence.from_pairs(
+        R = ExRegObject.from_pairs(
             obj.X,
-            obj.rel().pair_list()
+            obj.E.pair_list()
             + [(rng.randrange(obj.X.n), rng.randrange(obj.X.n)) for _ in range(2)],
-        )
-        q, m = split_congruence(obj, R)
+        ).E
+        q, m = split_congruence(obj, R.pairs)
         assert classify(q).is_so
-        assert compose(q.upper, q.lower) == R.as_relation()
-        assert compose(m.rel, q.lower) == R.as_relation()
+        assert compose(q.upper, q.lower) == R
+        assert compose(m.rel, q.lower) == R
 
 
 def test_canonical_presentation_shapes():
@@ -573,7 +576,7 @@ def test_presentation_exact_fork():
     for _ in range(20):
         obj = random_object(rng, 4)
         Q, p = quotient_realize(obj)
-        report = exact_fork_identities(p, obj.rel())
+        report = exact_fork_identities(p, obj.E)
         assert all(report.values()), report
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from posrel.poset import FinPoset, MonotoneMap, are_isomorphic, transitive_closure
 from posrel.relation import Relation
-from posrel.exreg import Congruence, ExRegObject, gamma_morphism, gamma_object
+from posrel.exreg import ExRegObject, gamma_morphism, gamma_object
 from posrel.formats import (
     MAX_ELEMENTS,
     ParseError,
@@ -92,7 +92,7 @@ def test_rel_roundtrip(tmp_path):
 
 def test_exreg_object_roundtrip(tmp_path):
     write(tmp_path, "d2.poset", serialize_poset(D2))
-    obj = ExRegObject(D2, Congruence.from_pairs(D2, [(0, 1)]))
+    obj = ExRegObject.from_pairs(D2, [(0, 1)])
     path = write(tmp_path, "obj.exreg", serialize_exreg_object(obj, "d2.poset"))
     assert load_exreg(path) == obj
 
@@ -384,7 +384,7 @@ def loop_serialize_rel(R, dom_ref, cod_ref):
 
 def loop_serialize_exreg_object(obj, poset_ref):
     out = [f"object {poset_ref}"]
-    for i, j in _pairs(obj.E.E):
+    for i, j in _pairs(obj.E.pairs):
         if not obj.X.leq[i, j]:
             out.append(f"cong {i} ~ {j}")
     return "\n".join(out) + "\n"
@@ -410,7 +410,7 @@ def random_carrier(rng, n):
 def random_congruence_object(rng, X):
     count = rng.randrange(4) if X.n else 0
     pairs = [(rng.randrange(X.n), rng.randrange(X.n)) for _ in range(count)]
-    return ExRegObject(X, Congruence.from_pairs(X, pairs))
+    return ExRegObject.from_pairs(X, pairs)
 
 
 def check_serialized(tmp_path, name, text, oracle_text, load, value):

@@ -22,8 +22,8 @@ from posrel.poset import (
     power,
     transitive_closure,
 )
-from posrel.relation import Relation, compose
-from posrel.exreg import Congruence, ExRegObject, tabulate
+from posrel.relation import Relation, compose, hypergraph, hypograph
+from posrel.exreg import ExRegObject, tabulate, validate_morphism
 from posrel.equivalence import (
     all_morphisms,
     morphism_from_map,
@@ -83,28 +83,59 @@ def check_tabulation_apex(A, B, phi):
     Z = tab.apex.X
     assert Z == FinPoset(pair_order(A.X.leq, B.X.leq, pairs))
     assert_valid_poset(Z)
-    checked = Congruence(Z, pair_order(A.E.E, B.E.E, pairs))
-    assert tab.apex.E == checked
-    assert tab.apex == ExRegObject(Z, checked.E)
+    checked = ExRegObject(Z, pair_order(A.E.pairs, B.E.pairs, pairs))
+    assert tab.apex == checked and hash(tab.apex) == hash(checked)
 
 
-def test_tabulation_apex_matches_validating_constructors_exhaustive():
+def check_tabulation_legs(A, B, phi):
+    """Each leg is (E p_*, p^* E) for its coordinate projection p, validated."""
+    tab = tabulate(phi, A, B)
+    pairs = phi.pair_list()
+    for leg, obj, coord in ((tab.leg0, A, 0), (tab.leg1, B, 1)):
+        p = MonotoneMap(tab.apex.X, obj.X, [pair[coord] for pair in pairs])
+        lower = compose(obj.E, hypergraph(p))
+        upper = compose(hypograph(p), obj.E)
+        assert leg == validate_morphism(tab.apex, obj, lower, upper)
+
+
+def small_q_morphisms():
+    """Every (A, B, Φ) with carriers of at most 2 elements, the empty one included."""
     objects = objects_up_to(2)
     for A in objects:
         for B in objects:
             for mat in bool_matrices(A.X.n, B.X.n):
                 phi = Relation(A.X, B.X, mat)
                 if compose(B.core(), compose(phi, A.core())) == phi:
-                    check_tabulation_apex(A, B, phi)
+                    yield A, B, phi
 
 
-def test_tabulation_apex_matches_validating_constructors_random():
-    rng = random.Random(62)
-    for _ in range(60):
+def seeded_q_morphisms(seed, count=60):
+    rng = random.Random(seed)
+    for _ in range(count):
         A, B = (random_object(rng, 5, n_min=0) for _ in range(2))
         mat = np.array([rng.random() < 0.4 for _ in range(A.X.n * B.X.n)], dtype=bool)
         raw = Relation(A.X, B.X, mat.reshape(A.X.n, B.X.n))
-        check_tabulation_apex(A, B, compose(B.core(), compose(raw, A.core())))
+        yield A, B, compose(B.core(), compose(raw, A.core()))
+
+
+def test_tabulation_apex_matches_validating_constructors_exhaustive():
+    for A, B, phi in small_q_morphisms():
+        check_tabulation_apex(A, B, phi)
+
+
+def test_tabulation_apex_matches_validating_constructors_random():
+    for A, B, phi in seeded_q_morphisms(62):
+        check_tabulation_apex(A, B, phi)
+
+
+def test_tabulation_legs_match_validate_morphism_exhaustive():
+    for A, B, phi in small_q_morphisms():
+        check_tabulation_legs(A, B, phi)
+
+
+def test_tabulation_legs_match_validate_morphism_random():
+    for A, B, phi in seeded_q_morphisms(71):
+        check_tabulation_legs(A, B, phi)
 
 
 def preorders(n):
@@ -260,7 +291,7 @@ def test_equal_objects_built_apart_realize_equal():
     rng = random.Random(69)
     for _ in range(50):
         A = random_object(rng, 6, n_min=0)
-        B = ExRegObject(FinPoset(A.X.leq.copy()), A.E.E.copy())
+        B = ExRegObject(FinPoset(A.X.leq.copy()), A.E.pairs.copy())
         assert B == A and B is not A
         (QA, qA), (QB, qB) = quotient_realize(A), quotient_realize(B)
         assert QB == QA and qB == qA and QB is not QA
@@ -277,5 +308,5 @@ def test_parsed_congruence_matches_the_validating_constructor(tmp_path):
         pairs = [(rng.randrange(X.n), rng.randrange(X.n)) for _ in range(count)]
         text = f"object x{k}.poset\n" + "".join(f"cong {i} ~ {j}\n" for i, j in pairs)
         obj = parse_exreg(text, str(tmp_path / "o.exreg"))
-        assert obj.E == Congruence.from_pairs(X, pairs)
-        assert obj.E == Congruence(X, obj.E.E)
+        assert obj == ExRegObject.from_pairs(X, pairs)
+        assert obj == ExRegObject(X, obj.E.pairs)
