@@ -304,8 +304,7 @@ def tabulate(phi, src, tgt):
     tab = Tabulation(apex, leg0, leg1, phi)
     crosscheck(compose(graph_of(leg1), opposite(graph_of(leg0))) == phi,
                "tabulate: gr(leg1) gr(leg0)° = Φ fails")
-    crosscheck(meet(compose(leg0.upper, leg0.lower), compose(leg1.upper, leg1.lower)) == apex.E,
-               "tabulate: the legs are not jointly order-mono")
+    crosscheck(jointly_order_mono_pair(leg0, leg1), "tabulate: the legs are not jointly order-mono")
     return tab
 
 

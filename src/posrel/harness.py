@@ -43,28 +43,13 @@ def gen_map(rng, X, Y):
     """A random monotone map X -> Y, or None when there is none (Y is empty and
     X is not).
 
-    Walks a linear extension of X and draws the value of each x from the
-    elements of Y above the values already given to the elements below x.  A
-    value that leaves a later element with no option is dropped and another
-    is drawn.  Every monotone map can be drawn, but not uniformly.  Each draw
-    goes through ``rng``, so the shrinker reduces maps too: all-zero draws
-    give the least choices."""
-    order = poset.linear_extension(X)
-    assign = [None] * X.n
-    untried = []  # for each element of ``order`` given a value, the values not drawn yet
-    while len(untried) < X.n:
-        k = len(untried)
-        x = order[k]
-        below = [assign[j] for j in order[:k] if X.leq[j, x]]
-        untried.append(np.flatnonzero(Y.leq[below].all(axis=0)).tolist())
-        while untried and not untried[-1]:  # no value left here: redraw an earlier one
-            untried.pop()
-        if not untried:
-            return None
-        options = untried[-1]
-        assign[order[len(untried) - 1]] = options.pop(rng.randrange(len(options)))
-    # each value lies above the values of the elements below it in X
-    return MonotoneMap._trusted(X, Y, assign)
+    The first map of ``poset.walk_monotone_maps`` that draws each value from
+    its options: a value that leaves a later element with no option is
+    dropped and another is drawn.  Every monotone map can be drawn, but not
+    uniformly.  Each draw goes through ``rng``, so the shrinker reduces maps
+    too: all-zero draws give the least choices."""
+    walk = poset.walk_monotone_maps(X, Y, lambda options: options.pop(rng.randrange(len(options))))
+    return next(walk, None)
 
 
 def gen_relation(rng, X, Y, p=0.4):

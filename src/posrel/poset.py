@@ -275,38 +275,51 @@ def linear_extension(poset):
     return out
 
 
+def walk_monotone_maps(X, Y, pick):
+    """The monotone maps X -> Y, one at a time, depth first.
+
+    Walks ``linear_extension(X)``.  The options of each element are the
+    elements of Y above the values already given to the elements below it,
+    in index order; ``pick(options)`` removes and returns the value to try
+    next.  A level with no option left is popped and the latest level that
+    still has one is redrawn.  Each up-set of Y is held as the bits of an
+    int, so a level's options cost one AND per element below."""
+    order = linear_extension(X)
+    leq = X.leq.tolist()
+    below = [[j for j in order[:k] if leq[j][x]] for k, x in enumerate(order)]
+    rows = np.packbits(Y.leq, axis=1, bitorder="little")
+    up = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    assign = [None] * X.n
+    untried = []  # for each element of ``order`` given a value, the values not tried yet
+    while True:
+        k = len(untried)
+        if k == X.n:
+            # every element below x comes before x in ``order``, and x's value lies above theirs
+            yield MonotoneMap._trusted(X, Y, assign)
+        else:
+            mask = (1 << Y.n) - 1
+            for j in below[k]:
+                mask &= up[assign[j]]
+            untried.append([c for c in range(Y.n) if mask >> c & 1])
+        while untried and not untried[-1]:  # no value left here: redraw an earlier one
+            untried.pop()
+        if not untried:
+            return
+        assign[order[len(untried) - 1]] = pick(untried[-1])
+
+
 def all_monotone_maps(X, Y):
     """All monotone maps X -> Y, lexicographic in the assignment tuple.
 
     Raises ``TooLarge`` as soon as there are more than ``MAX_MAPS``."""
-    order = linear_extension(X)
-    results = []
-    assign = [None] * X.n
-
-    def backtrack(k):
-        if k == len(order):
-            if len(results) == MAX_MAPS:
-                raise TooLarge(
-                    f"monotone maps from {X.n} to {Y.n} elements exceed the limit of {MAX_MAPS}"
-                )
-            # every related pair j <= i with j before i in ``order`` was tested
-            results.append(MonotoneMap._trusted(X, Y, assign))
-            return
-        i = order[k]
-        for c in range(Y.n):
-            ok = True
-            for j in order[:k]:
-                if X.leq[j, i] and not Y.leq[assign[j], c]:
-                    ok = False
-                    break
-            if ok:
-                assign[i] = c
-                backtrack(k + 1)
-                assign[i] = None
-
-    backtrack(0)
-    results.sort(key=lambda m: m.assign)
-    return results
+    walk = walk_monotone_maps(X, Y, lambda options: options.pop(0))
+    maps = list(itertools.islice(walk, MAX_MAPS + 1))
+    if len(maps) > MAX_MAPS:
+        raise TooLarge(
+            f"monotone maps from {X.n} to {Y.n} elements exceed the limit of {MAX_MAPS}"
+        )
+    maps.sort(key=lambda m: m.assign)
+    return maps
 
 
 def _iso_signature(poset):

@@ -393,6 +393,23 @@ def test_commutation_check_small_bound():
     assert "finite sets" in report.title
 
 
+def test_commutation_check_compares_hom_posets_under_the_bijection(monkeypatch):
+    real = equivalence.ord_hom_poset
+
+    def dual(A, B):
+        H, maps = real(A, B)
+        return FinPoset(H.leq.T), maps
+
+    # the dual order on the same functions: hom(1, C2) = C2 is self-dual, so
+    # an isomorphism test passes it, but it differs under the bijection
+    one = FinPoset.chain(1)
+    H_dual, _ = dual(OrdObject.from_poset(one), OrdObject.from_poset(C2))
+    assert are_isomorphic(H_dual, hom_poset(one, C2)[0])
+    monkeypatch.setattr(equivalence, "ord_hom_poset", dual)
+    report = commutation_check(2)
+    assert {label for label, ok, _ in report.lines if not ok} == {"ord-hom (1,2)", "ord-hom (2,2)"}
+
+
 def test_discrete_check():
     report = discrete_check(4)
     assert report.passed

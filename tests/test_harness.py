@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from posrel import harness, relation
+from posrel import harness, poset, relation
 from posrel.poset import FinPoset, MonotoneMap
 from posrel.relation import Relation
 from posrel.harness import (
@@ -382,8 +382,6 @@ def test_failure_reporting_includes_subseed():
 
 
 def test_gen_map_past_the_enumeration_budget_draws_every_monotone_map(monkeypatch):
-    from posrel import poset
-
     X, Y = FinPoset.chain(2), FinPoset.chain(3)
     want = {f.assign for f in poset.all_monotone_maps(X, Y)}
     assert len(want) == 6  # of the 9 functions
@@ -403,9 +401,36 @@ def _reversed(P):
     return FinPoset(P.leq[::-1, ::-1])
 
 
-def test_gen_map_draws_valid_maps_without_enumerating(monkeypatch):
-    from posrel import poset
+def reference_gen_map(rng, X, Y):
+    """``gen_map`` as it was before it shared ``poset.walk_monotone_maps``:
+    the reference for its maps and for its exact sequence of draws."""
+    order = poset.linear_extension(X)
+    assign = [None] * X.n
+    untried = []  # for each element of ``order`` given a value, the values not drawn yet
+    while len(untried) < X.n:
+        k = len(untried)
+        x = order[k]
+        below = [assign[j] for j in order[:k] if X.leq[j, x]]
+        untried.append(np.flatnonzero(Y.leq[below].all(axis=0)).tolist())
+        while untried and not untried[-1]:  # no value left here: redraw an earlier one
+            untried.pop()
+        if not untried:
+            return None
+        options = untried[-1]
+        assign[order[len(untried) - 1]] = options.pop(rng.randrange(len(options)))
+    return MonotoneMap(X, Y, assign)
 
+
+def assert_same_as_reference(make_stream, X, Y):
+    """gen_map and the reference give the same map from equal streams, and draw alike."""
+    new, old = make_stream(), make_stream()
+    f, g = gen_map(new, X, Y), reference_gen_map(old, X, Y)
+    assert (f is None) == (g is None)
+    assert f is None or f.assign == g.assign
+    assert new.draws == old.draws
+
+
+def test_gen_map_draws_valid_maps_without_enumerating(monkeypatch):
     def refuse(X, Y):
         raise AssertionError("gen_map enumerated a hom-set")
 
@@ -453,6 +478,10 @@ def test_gen_map_backtracks_out_of_dead_ends():
     rng = ChoiceStream(replay=[0, 1])
     assert gen_map(rng, X, Y).assign == (0, 0, 0)
     assert rng.draws == [0, 1, 0, 0]
+    for seed in range(50):
+        assert_same_as_reference(lambda: ChoiceStream(seed), X, Y)
+    for draws in ([], [0, 1], [1, 0], [0, 1, 1], [1, 0, 0, 1], [5, 7]):
+        assert_same_as_reference(lambda: ChoiceStream(replay=draws), X, Y)
 
 
 def test_gen_map_on_empty_posets():
@@ -471,6 +500,23 @@ def test_gen_map_replay_without_draws_takes_the_least_choices():
         replay = ChoiceStream(replay=[])
         assert gen_map(replay, X, Y).assign == (0,) * X.n
         assert set(replay.draws) <= {0}
+        assert len(replay.draws) == X.n  # one draw per element, none after the first map
+
+
+def test_gen_map_draws_as_the_reference():
+    rng = random.Random(67)
+    for n in range(13):
+        for _ in range(6):
+            X = gen_poset(rng, n, p=rng.choice([0.1, 0.35, 0.7]))
+            Y = gen_poset(rng, rng.randrange(0, 13), p=rng.choice([0.1, 0.35, 0.7]))
+            for A, B in ((X, Y), (_reversed(X), _reversed(Y))):
+                seed = rng.randrange(2**32)
+                assert_same_as_reference(lambda: ChoiceStream(seed), A, B)
+                recorded = ChoiceStream(seed)
+                gen_map(recorded, A, B)
+                cut = rng.randrange(len(recorded.draws) + 1)
+                for draws in (recorded.draws, [], recorded.draws[:cut]):
+                    assert_same_as_reference(lambda: ChoiceStream(replay=draws), A, B)
 
 
 def test_planted_compose_bug_is_found_and_shrunk_at_bound_10(fixture_suite, monkeypatch):

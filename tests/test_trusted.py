@@ -209,6 +209,14 @@ def test_all_monotone_maps_matches_filtered_functions_random():
         X = random_poset(rng, rng.randrange(0, 6))
         Y = random_poset(rng, rng.randrange(0, 5))
         assert all_monotone_maps(X, Y) == monotone_functions(X, Y)
+    # past the exhaustive sizes: X of 4-5 elements into Y of 0-4; the twin
+    # numbered backwards walks X out of index order, so the order comes from the sort
+    for n in (4, 5):
+        for m in range(5):
+            for _ in range(3):
+                X, Y = random_poset(rng, n), random_poset(rng, m)
+                for A, B in ((X, Y), (FinPoset(X.leq[::-1, ::-1]), FinPoset(Y.leq[::-1, ::-1]))):
+                    assert all_monotone_maps(A, B) == monotone_functions(A, B)
 
 
 def check_power(X, P):
