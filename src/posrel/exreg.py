@@ -20,6 +20,7 @@ from .poset import (
     MapClass,
     TooLarge,
     bool_mat,
+    pair_mask,
     pair_order,
     pair_span,
     transitive_closure,
@@ -107,10 +108,7 @@ class ExRegObject:
     @classmethod
     def from_pairs(cls, X, pair_list):
         """X with the smallest congruence containing its order and the given pairs."""
-        mat = X.leq.copy()
-        for x, y in pair_list:
-            mat[x, y] = True
-        return cls(X, transitive_closure(mat))
+        return cls(X, transitive_closure(X.leq | pair_mask((X.n, X.n), pair_list)))
 
     def core(self):
         """E ∩ E°, the symmetric part; identity of the ambient allegory."""
@@ -289,15 +287,13 @@ def tabulate(phi, src, tgt):
     apex of more than ``MAX_ELEMENTS`` pairs."""
     _q_morphism_check(phi, src, tgt)
     _check_apex_size(int(np.count_nonzero(phi.pairs)))
-    pairs = phi.pair_list()  # already lexicographically sorted
     X, Y = src.X, tgt.X
-    # the product order of two orders, on distinct pairs, is an order
-    Z = FinPoset._trusted(pair_order(X.leq, Y.leq, pairs))
-    # componentwise E x F is transitive and contains Z's order, as E and F do theirs
-    apex = ExRegObject._trusted(Z, pair_order(src.E.pairs, tgt.E.pairs, pairs))
     E, F = src.E.pairs, tgt.E.pairs
-    xs = [x for x, _ in pairs]
-    ys = [y for _, y in pairs]
+    # the product order of two orders, on distinct pairs (the cells of Φ's matrix), is an order
+    Z = FinPoset._trusted(pair_order(X.leq, Y.leq, phi.pairs))
+    # componentwise E x F is transitive and contains Z's order, as E and F do theirs
+    apex = ExRegObject._trusted(Z, pair_order(E, F, phi.pairs))
+    xs, ys = np.nonzero(phi.pairs)
     # rows and columns of the transitive E and F, with the apex's E x F: morphisms by construction
     leg0 = ExRegMorphism(apex, src, Relation(Z, X, E[xs, :]), Relation(X, Z, E[:, xs]))
     leg1 = ExRegMorphism(apex, tgt, Relation(Z, Y, F[ys, :]), Relation(Y, Z, F[:, ys]))
@@ -422,6 +418,6 @@ def canonical_presentation(obj):
     X = obj.X
     E = obj.E
     _check_apex_size(int(np.count_nonzero(E.pairs)))
-    K, e0, e1 = pair_span(X, X, E.pair_list())
+    K, e0, e1 = pair_span(X, X, E.pairs)
     quotient = validate_morphism(gamma_object(X), obj, E, E)
     return Presentation(gamma_object(K), gamma_morphism(e0), gamma_morphism(e1), quotient)

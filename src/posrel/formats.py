@@ -230,6 +230,19 @@ def load_rel(path):
         return parse_rel(fh.read(), path)
 
 
+def _load_endpoint(ref, path, no):
+    """The object file ``ref`` named at line ``no`` of ``path``.  A morphism file
+    is refused from its header, before its own endpoints are loaded, so a
+    file that reaches itself through its endpoints cannot recurse."""
+    ref_path = _resolve(ref, path)
+    with open(ref_path) as fh:
+        text = fh.read()
+    lines = _lines(text)
+    if lines and lines[0][1].split()[0] == "morphism":
+        raise ParseError(path, no, "morphism endpoints must be object files")
+    return parse_exreg(text, ref_path)
+
+
 def parse_exreg(text, path="<string>"):
     lines = _lines(text)
     if not lines:
@@ -242,10 +255,7 @@ def parse_exreg(text, path="<string>"):
         # the closure of a matrix that holds the order is a congruence
         return ExRegObject._trusted(X, transitive_closure(X.leq | pairs))
     if parts[0] == "morphism" and len(parts) == 3:
-        src = load_exreg(_resolve(parts[1], path))
-        tgt = load_exreg(_resolve(parts[2], path))
-        if not isinstance(src, ExRegObject) or not isinstance(tgt, ExRegObject):
-            raise ParseError(path, no, "morphism endpoints must be object files")
+        src, tgt = (_load_endpoint(ref, path, no) for ref in parts[1:])
         lower, upper = _parse_pairs(
             lines[1:], {"lower": (src.X.n, tgt.X.n), "upper": (tgt.X.n, src.X.n)}, path
         )

@@ -5,8 +5,8 @@ Conventions used throughout:
   - Elements of a poset of size n are the indices 0..n-1; ``labels`` is
     cosmetic only and never affects equality or any construction.
   - ``leq`` is an n x n boolean matrix with leq[i, j] iff i <= j.
-  - Limit carriers over pairs use lexicographic order of the index pairs,
-    so repeated runs produce bit-identical objects.
+  - A pair set is a boolean mask; carriers over pairs list its True cells
+    in row-major (lexicographic) order, so repeated runs are bit-identical.
   - The empty poset is a legal value everywhere.
 """
 
@@ -108,10 +108,7 @@ class FinPoset:
     @classmethod
     def from_covers(cls, n, pairs, labels=None):
         """Poset generated by ``pairs`` (i <= j), closed reflexively/transitively."""
-        mat = np.zeros((n, n), dtype=bool)
-        for i, j in pairs:
-            mat[i, j] = True
-        return cls(transitive_closure(mat), labels=labels)
+        return cls(transitive_closure(pair_mask((n, n), pairs)), labels=labels)
 
     @classmethod
     def discrete(cls, n, labels=None):
@@ -148,6 +145,21 @@ class FinPoset:
 
     def __repr__(self):
         return f"FinPoset(n={self.n}, covers={self.covers()})"
+
+
+def pair_mask(shape, pairs):
+    """The ``shape`` boolean matrix that is True at the index pairs ``pairs``: the
+    boundary check of the public constructors that take pair lists.  An index
+    outside the shape, negative ones included, raises ``ValueError``."""
+    mask = np.zeros(shape, dtype=bool)
+    pairs = list(pairs)
+    if pairs:
+        rows, cols = zip(*pairs)
+        if min(rows) < 0 or max(rows) >= shape[0] or min(cols) < 0 or max(cols) >= shape[1]:
+            i, j = next(p for p in pairs if not (0 <= p[0] < shape[0] and 0 <= p[1] < shape[1]))
+            raise ValueError(f"pair ({i}, {j}) is outside a {shape[0]} x {shape[1]} matrix")
+        mask[rows, cols] = True
+    return mask
 
 
 def make_poset(elements, cover_pairs):
@@ -441,23 +453,22 @@ def subposet(X, elements):
     return sub, MonotoneMap(sub, X, elements)
 
 
-def pair_order(A, B, pairs):
-    """Componentwise order on a list of index pairs.
-
-    ``A`` and ``B`` are square boolean matrices; out[a, b] iff
-    A[x_a, x_b] and B[y_a, y_b] for pairs[a] = (x_a, y_a)."""
-    xs = [x for x, _ in pairs]
-    ys = [y for _, y in pairs]
+def pair_order(A, B, mask):
+    """Componentwise order on the True cells of ``mask``, a len(A) x len(B) boolean
+    matrix, in row-major order: for square boolean ``A`` and ``B``, out[a, b]
+    iff A[x_a, x_b] and B[y_a, y_b] for the a-th cell (x_a, y_a)."""
+    xs, ys = np.nonzero(mask)
     return A[np.ix_(xs, xs)] & B[np.ix_(ys, ys)]
 
 
-def pair_span(X, Y, pairs):
-    """The distinct pairs as a subposet of X x Y, with its two projections."""
-    # the product order of two orders, on distinct pairs, is an order
-    P = FinPoset._trusted(pair_order(X.leq, Y.leq, pairs))
+def pair_span(X, Y, mask):
+    """The True cells of an |X| x |Y| mask, row-major, as a subposet of X x Y with projections."""
+    # the product order of two orders, on distinct pairs (a mask cannot repeat a cell), is an order
+    P = FinPoset._trusted(pair_order(X.leq, Y.leq, mask))
+    xs, ys = np.nonzero(mask)
     # the order is componentwise, so each projection is monotone
-    p0 = MonotoneMap._trusted(P, X, [x for x, _ in pairs])
-    p1 = MonotoneMap._trusted(P, Y, [y for _, y in pairs])
+    p0 = MonotoneMap._trusted(P, X, xs.tolist())
+    p1 = MonotoneMap._trusted(P, Y, ys.tolist())
     return P, p0, p1
 
 
@@ -551,13 +562,7 @@ def comma(f, g):
     """Comma object f/g = {(x, y) : f(x) <= g(y)} with its two projections."""
     if f.cod != g.cod:
         raise ValueError("comma needs a common codomain")
-    pairs = [
-        (x, y)
-        for x in range(f.dom.n)
-        for y in range(g.dom.n)
-        if f.cod.leq[f.assign[x], g.assign[y]]
-    ]
-    return pair_span(f.dom, g.dom, pairs)
+    return pair_span(f.dom, g.dom, f.cod.leq[np.ix_(f.assign, g.assign)])
 
 
 def kernel_congruence(f):
@@ -569,13 +574,7 @@ def pullback(f, g):
     """Pullback {(x, y) : f(x) = g(y)} with induced order and projections."""
     if f.cod != g.cod:
         raise ValueError("pullback needs a common codomain")
-    pairs = [
-        (x, y)
-        for x in range(f.dom.n)
-        for y in range(g.dom.n)
-        if f.assign[x] == g.assign[y]
-    ]
-    return pair_span(f.dom, g.dom, pairs)
+    return pair_span(f.dom, g.dom, np.equal.outer(f.assign, g.assign))
 
 
 def image_factorize(f):
@@ -621,8 +620,7 @@ def coinserter(f0, f1):
         raise ValueError("coinserter needs a parallel pair")
     X = f0.cod
     pre = X.leq.copy()
-    for c in range(f0.dom.n):
-        pre[f0.assign[c], f1.assign[c]] = True
+    pre[f0.assign, f1.assign] = True
     pre = transitive_closure(pre)
     Q, class_of = poset_reflection(pre)
     # pre contains the order of X, and Q orders the classes by pre

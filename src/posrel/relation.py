@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .poset import MonotoneMap, NotMonotone, bool_mat, image_factorize, pullback
+from .poset import MonotoneMap, NotMonotone, bool_mat, image_factorize, pair_mask, pullback
 
 
 class DomainMismatch(ValueError):
@@ -51,10 +51,7 @@ class Relation:
 
     @classmethod
     def from_pairs(cls, dom, cod, pair_list):
-        mat = np.zeros((dom.n, cod.n), dtype=bool)
-        for x, y in pair_list:
-            mat[x, y] = True
-        return cls(dom, cod, mat)
+        return cls(dom, cod, pair_mask((dom.n, cod.n), pair_list))
 
     @classmethod
     def empty(cls, dom, cod):
@@ -166,8 +163,7 @@ def identity_I(X):
 
 def graph(f):
     mat = np.zeros((f.dom.n, f.cod.n), dtype=bool)
-    for x, y in enumerate(f.assign):
-        mat[x, y] = True
+    mat[range(f.dom.n), f.assign] = True
     return Relation(f.dom, f.cod, mat)
 
 
@@ -276,10 +272,9 @@ def kernel_identity_check(f):
     from .poset import kernel_congruence
 
     composite = compose(hypograph(f), hypergraph(f))
-    K, k0, k1 = kernel_congruence(f)
+    _, k0, k1 = kernel_congruence(f)
     mat = np.zeros((f.dom.n, f.dom.n), dtype=bool)
-    for c in range(K.n):
-        mat[k0.assign[c], k1.assign[c]] = True
+    mat[k0.assign, k1.assign] = True
     return composite == Relation(f.dom, f.dom, mat)
 
 

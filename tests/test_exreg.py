@@ -74,6 +74,12 @@ def test_diagonal_on_chain_is_not_congruence():
         ExRegObject(C2, np.eye(2, dtype=bool))
 
 
+@pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (3, 0)])
+def test_from_pairs_refuses_an_index_outside_the_carrier(pair):
+    with pytest.raises(ValueError, match=r"outside a 3 x 3 matrix"):
+        ExRegObject.from_pairs(C3, [(0, 1), pair])
+
+
 def test_congruence_must_have_the_carrier_shape():
     with pytest.raises(NotCongruence, match=r"^expected \(2, 2\) matrix, got \(2, 3\)$"):
         ExRegObject(C2, np.ones((2, 3), dtype=bool))

@@ -348,6 +348,32 @@ def test_referenced_files_parse(tmp_path):
     assert load_exreg(str(tmp_path / "id.exreg")).src == load_exreg(str(tmp_path / "c.exreg"))
 
 
+@pytest.mark.parametrize(
+    "files, checked, line",
+    [
+        # a file that refers to itself, as source and as target
+        ({"x.exreg": "morphism x.exreg c.exreg\n"}, "x.exreg", 1),
+        ({"x.exreg": "# m\nmorphism c.exreg x.exreg\n"}, "x.exreg", 2),
+        # a two-file cycle, reported in the file that is checked
+        ({"x.exreg": "morphism o.exreg y.exreg\n", "y.exreg": "\nmorphism x.exreg o.exreg\n"},
+         "x.exreg", 1),
+        ({"x.exreg": "morphism o.exreg y.exreg\n", "y.exreg": "\nmorphism x.exreg o.exreg\n"},
+         "y.exreg", 2),
+        # a valid morphism file, and one whose own endpoints are missing
+        ({"x.exreg": "morphism id.exreg c.exreg\n"}, "x.exreg", 1),
+        ({"x.exreg": "morphism o.exreg z.exreg\n", "z.exreg": "morphism no.exreg no.exreg\n"},
+         "x.exreg", 1),
+    ],
+)
+def test_a_morphism_endpoint_is_refused_before_it_is_loaded(tmp_path, files, checked, line):
+    for ref, body in {**REFERENCED_FILES, **files}.items():
+        write(tmp_path, ref, body)
+    path = str(tmp_path / checked)
+    code, out, err = run_cli("exreg", "check", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: ParseError: {path}:{line}: morphism endpoints must be object files\n"
+
+
 def test_dot_outputs_mention_all_elements():
     text = dot_poset(FinPoset.from_covers(3, [(0, 1), (1, 2)]))
     assert text.count("->") == 2  # transitive edge reduced away
@@ -1087,9 +1113,9 @@ def test_cli_refuses_an_oversized_apex_before_building_it(oversized_inputs, monk
 
     sizes = []
 
-    def recording(A, B, pairs):
-        sizes.append(len(pairs))
-        return poset.pair_order(A, B, pairs)
+    def recording(A, B, mask):
+        sizes.append(int(np.count_nonzero(mask)))
+        return poset.pair_order(A, B, mask)
 
     monkeypatch.setattr(exreg, "pair_order", recording)
     monkeypatch.setattr(poset, "pair_order", recording)

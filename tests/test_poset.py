@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from posrel import poset
+from posrel.harness import gen_map
 from posrel.poset import (
     BLAS_MADDS,
     MAX_MAPS,
@@ -83,6 +84,22 @@ def test_make_poset_closes_transitively():
 def test_make_poset_rejects_cycle():
     with pytest.raises(AntisymmetryViolation):
         make_poset("ab", [("a", "b"), ("b", "a")])
+
+
+@pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (3, 0)])
+def test_pair_constructors_refuse_an_index_outside_the_carrier(pair):
+    with pytest.raises(ValueError, match=r"outside a 3 x 3 matrix"):
+        FinPoset.from_covers(3, [(0, 1), pair])
+    with pytest.raises(ValueError, match=r"outside a 3 x 3 matrix"):
+        make_poset("abc", [("a", "b"), pair])
+
+
+def test_pair_mask_takes_any_iterable_of_pairs():
+    assert not poset.pair_mask((2, 3), []).any()
+    assert cells(poset.pair_mask((2, 3), iter([(1, 2), (0, 0), (1, 2)]))) == [(0, 0), (1, 2)]
+    assert cells(poset.pair_mask((2, 3), [(np.int64(1), 0)])) == [(1, 0)]
+    with pytest.raises(ValueError, match=r"pair \(1, 3\) is outside a 2 x 3 matrix"):
+        poset.pair_mask((2, 3), iter([(1, 2), (1, 3)]))
 
 
 def test_order_matrix_is_frozen():
@@ -448,6 +465,20 @@ def test_coinserter_universal_property_random():
         assert is_coinserter(f0, f1, q, pool)
 
 
+def test_coinserter_matches_the_pair_loop():
+    rng = random.Random(24)
+    for _ in range(60):
+        W = random_poset(rng, rng.randrange(0, 4))
+        X = random_poset(rng, rng.randrange(1, 6))
+        f0, f1 = random_monotone(rng, W, X), random_monotone(rng, W, X)
+        pre = X.leq.copy()
+        for c in range(W.n):
+            pre[f0.assign[c], f1.assign[c]] = True
+        Q, class_of = poset_reflection(transitive_closure(pre))
+        q = coinserter(f0, f1)
+        assert (q.cod, q.assign) == (Q, tuple(class_of))
+
+
 def test_subposet_inclusion_is_ff():
     S, incl = subposet(DIAMOND, [0, 3])
     assert classify_map(incl).is_ff
@@ -542,16 +573,24 @@ def loop_pair_order(A, B, pairs):
     return out
 
 
+def cells(mask):
+    """The True cells of a boolean matrix as index pairs, row-major."""
+    rows, cols = np.nonzero(mask)
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 def test_pair_order_and_span_match_double_loop():
     rng = random.Random(31)
     for trial in range(60):
         X = random_poset(rng, rng.randrange(0, 5))
         Y = random_poset(rng, rng.randrange(0, 5))
-        density = 0.0 if trial % 5 == 0 else 0.5  # every fifth pair list is empty
-        pairs = [(x, y) for x in range(X.n) for y in range(Y.n) if rng.random() < density]
+        density = 0.0 if trial % 5 == 0 else 0.5  # every fifth mask is empty
+        mask = np.array([[rng.random() < density for _ in range(Y.n)] for _ in range(X.n)], bool)
+        mask = mask.reshape(X.n, Y.n)
+        pairs = cells(mask)
         want = loop_pair_order(X.leq, Y.leq, pairs)
-        assert np.array_equal(pair_order(X.leq, Y.leq, pairs), want)
-        P, p0, p1 = pair_span(X, Y, pairs)
+        assert np.array_equal(pair_order(X.leq, Y.leq, mask), want)
+        P, p0, p1 = pair_span(X, Y, mask)
         assert np.array_equal(P.leq, want)
         assert p0.cod == X and p1.cod == Y
         assert list(zip(p0.assign, p1.assign)) == pairs
@@ -559,13 +598,111 @@ def test_pair_order_and_span_match_double_loop():
         A = np.array([[rng.random() < 0.5 for _ in range(X.n)] for _ in range(X.n)], bool)
         B = np.array([[rng.random() < 0.5 for _ in range(Y.n)] for _ in range(Y.n)], bool)
         A, B = A.reshape(X.n, X.n), B.reshape(Y.n, Y.n)
-        assert np.array_equal(pair_order(A, B, pairs), loop_pair_order(A, B, pairs))
+        assert np.array_equal(pair_order(A, B, mask), loop_pair_order(A, B, pairs))
 
 
 def test_pair_span_of_no_pairs_is_empty():
-    assert pair_order(C2.leq, D2.leq, []).shape == (0, 0)
-    P, p0, p1 = pair_span(C2, D2, [])
+    assert pair_order(C2.leq, D2.leq, np.zeros((2, 2), bool)).shape == (0, 0)
+    P, p0, p1 = pair_span(C2, D2, np.zeros((2, 2), bool))
     assert P.n == 0 and p0.assign == () and p1.assign == ()
+
+
+# -- pair carriers from masks against the pair-list code they replaced ---------
+
+
+def list_pair_order(A, B, pairs):
+    """Reference: ``pair_order`` on a list of index pairs."""
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    return A[np.ix_(xs, xs)] & B[np.ix_(ys, ys)]
+
+
+def list_pair_span(X, Y, pairs):
+    """Reference: ``pair_span`` on a list of distinct pairs."""
+    P = FinPoset._trusted(list_pair_order(X.leq, Y.leq, pairs))
+    p0 = MonotoneMap._trusted(P, X, [x for x, _ in pairs])
+    p1 = MonotoneMap._trusted(P, Y, [y for _, y in pairs])
+    return P, p0, p1
+
+
+def list_comma(f, g):
+    """Reference: the comma's pair list, by comprehension."""
+    pairs = [
+        (x, y)
+        for x in range(f.dom.n)
+        for y in range(g.dom.n)
+        if f.cod.leq[f.assign[x], g.assign[y]]
+    ]
+    return list_pair_span(f.dom, g.dom, pairs)
+
+
+def list_pullback(f, g):
+    """Reference: the pullback's pair list, by comprehension."""
+    pairs = [
+        (x, y)
+        for x in range(f.dom.n)
+        for y in range(g.dom.n)
+        if f.assign[x] == g.assign[y]
+    ]
+    return list_pair_span(f.dom, g.dom, pairs)
+
+
+def assert_same_span(got, want):
+    """Equal carriers, bit for bit, and equal projections of Python ints."""
+    (P, p0, p1), (Q, q0, q1) = got, want
+    assert np.array_equal(P.leq, Q.leq) and P == Q
+    assert (p0.cod, p0.assign) == (q0.cod, q0.assign)
+    assert (p1.cod, p1.assign) == (q1.cod, q1.assign)
+    assert all(type(a) is int for a in p0.assign + p1.assign)
+
+
+def check_limits_against_lists(f, g):
+    assert_same_span(comma(f, g), list_comma(f, g))
+    assert_same_span(pullback(f, g), list_pullback(f, g))
+
+
+# Every poset of at most 2 elements, and each 3-element poset up to iso
+PAIR_POSETS = [P for n in range(3) for P in labelled_posets(n)] + list(
+    {canonical_certificate(P): P for P in labelled_posets(3)}.values()
+)
+
+
+def test_pair_span_matches_the_pair_list_reference_exhaustive():
+    # every mask with at most 6 cells: a 3 x 3 mask is left to the seeded cases
+    for X in PAIR_POSETS:
+        for Y in PAIR_POSETS:
+            if X.n * Y.n == 9:
+                continue
+            for bits in range(1 << (X.n * Y.n)):
+                flat = [bits >> k & 1 for k in range(X.n * Y.n)]
+                mask = np.array(flat, bool).reshape(X.n, Y.n)
+                pairs = cells(mask)
+                assert np.array_equal(
+                    pair_order(X.leq, Y.leq, mask), list_pair_order(X.leq, Y.leq, pairs)
+                )
+                assert_same_span(pair_span(X, Y, mask), list_pair_span(X, Y, pairs))
+
+
+def test_comma_and_pullback_match_the_pair_list_references_exhaustive():
+    # empty domains and codomains included; domains of at most 4 elements together
+    for Z in PAIR_POSETS:
+        for X in PAIR_POSETS:
+            for Y in PAIR_POSETS:
+                if X.n + Y.n > 4:
+                    continue
+                for f in all_monotone_maps(X, Z):
+                    for g in all_monotone_maps(Y, Z):
+                        check_limits_against_lists(f, g)
+
+
+def test_pair_carriers_match_the_pair_list_references_random():
+    rng = random.Random(41)
+    for _ in range(300):
+        Z = random_poset(rng, rng.randrange(1, 9))
+        X, Y = (random_poset(rng, rng.randrange(0, 9)) for _ in range(2))
+        check_limits_against_lists(gen_map(rng, X, Z), gen_map(rng, Y, Z))
+        mask = np.array([rng.random() < 0.4 for _ in range(X.n * Y.n)], bool).reshape(X.n, Y.n)
+        assert_same_span(pair_span(X, Y, mask), list_pair_span(X, Y, cells(mask)))
 
 
 def test_pointwise_order_matches_monotone_map_leq():

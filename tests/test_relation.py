@@ -58,6 +58,24 @@ def naive_compose(S, R):
     return Relation(R.dom, S.cod, mat)
 
 
+@pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (2, 0)])
+def test_from_pairs_refuses_an_index_outside_the_carriers(pair):
+    with pytest.raises(ValueError, match=r"outside a 2 x 3 matrix"):
+        Relation.from_pairs(C2, C3, [(0, 0), pair])
+
+
+def test_graph_matches_the_pair_loop():
+    rng = random.Random(29)
+    for _ in range(60):
+        X = random_poset(rng, rng.randrange(0, 6))
+        Y = random_poset(rng, rng.randrange(1, 6))
+        f = random_monotone(rng, X, Y)
+        mat = np.zeros((X.n, Y.n), dtype=bool)
+        for x, y in enumerate(f.assign):
+            mat[x, y] = True
+        assert np.array_equal(graph(f).pairs, mat)
+
+
 def test_identity_I_composes_idempotently():
     I = identity_I(C3)
     assert compose(I, I) == I
