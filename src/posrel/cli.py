@@ -130,22 +130,12 @@ def cmd_poset(args, out, err):
 
 def cmd_rel(args, out, err):
     R = formats.load_rel(args.file)
-    out.write(formats.serialize_rel(R, *_rel_refs(args.file)))
+    out.write(formats.serialize_rel(R, *formats.rel_refs(args.file)))
     out.write(f"# weakening-closed: {'yes' if R.is_weakening else 'no'}\n")
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(formats.dot_relation(R))
     return 0
-
-
-def _rel_refs(path):
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                parts = line.split()
-                return parts[1], parts[2]
-    raise ParseError(path, 1, "empty relation file")
 
 
 def cmd_exreg_check(args, out, err):

@@ -193,16 +193,26 @@ def _parse_pairs(lines, shapes, path):
     return mats
 
 
-def parse_rel(text, path="<string>"):
-    lines = _lines(text)
+def _rel_header(lines, path):
+    """The domain and codomain files that the header of a .rel file's ``_lines`` names."""
     if not lines:
         raise ParseError(path, 1, "empty relation file")
     no, header = lines[0]
     parts = header.split()
     if len(parts) != 3 or parts[0] != "rel":
         raise ParseError(path, no, "expected header 'rel <domfile> <codfile>'")
-    dom = load_poset(_resolve(parts[1], path))
-    cod = load_poset(_resolve(parts[2], path))
+    return parts[1], parts[2]
+
+
+def rel_refs(path):
+    """The domain and codomain files, as written, that the .rel file at ``path`` names."""
+    with open(path) as fh:
+        return _rel_header(_lines(fh.read()), path)
+
+
+def parse_rel(text, path="<string>"):
+    lines = _lines(text)
+    dom, cod = (load_poset(_resolve(ref, path)) for ref in _rel_header(lines, path))
     rows, cols = [], []
     for no, line in lines[1:]:
         toks = line.split()

@@ -211,10 +211,6 @@ class MonotoneMap:
     def identity(cls, poset):
         return cls(poset, poset, range(poset.n))
 
-    @classmethod
-    def constant(cls, dom, cod, value):
-        return cls(dom, cod, [value] * dom.n)
-
     def __call__(self, i):
         return self.assign[i]
 
@@ -456,7 +452,11 @@ def subposet(X, elements):
 def pair_order(A, B, mask):
     """Componentwise order on the True cells of ``mask``, a len(A) x len(B) boolean
     matrix, in row-major order: for square boolean ``A`` and ``B``, out[a, b]
-    iff A[x_a, x_b] and B[y_a, y_b] for the a-th cell (x_a, y_a)."""
+    iff A[x_a, x_b] and B[y_a, y_b] for the a-th cell (x_a, y_a).  Any other
+    ``mask``, a list of pairs included, raises ``ValueError``."""
+    shape = (len(A), len(B))
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == shape):
+        raise ValueError(f"pair mask must be a boolean array of shape {shape}")
     xs, ys = np.nonzero(mask)
     return A[np.ix_(xs, xs)] & B[np.ix_(ys, ys)]
 
@@ -492,12 +492,6 @@ def product(X, Y):
     p0 = MonotoneMap(P, X, [k // m for k in range(n * m)])
     p1 = MonotoneMap(P, Y, [k % m for k in range(n * m)])
     return P, p0, p1
-
-
-def pair_into_product(P, p0, p1, u0, u1):
-    """The unique map <u0, u1> into a componentwise product carrier."""
-    m = p1.cod.n
-    return MonotoneMap(u0.dom, P, [u0.assign[z] * m + u1.assign[z] for z in range(u0.dom.n)])
 
 
 def terminal():

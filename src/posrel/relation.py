@@ -186,28 +186,14 @@ def smallest_violation(big, small):
     return (int(hits[0][0]), int(hits[0][1]))
 
 
-class LawReport:
-    """Outcome of a relation-algebra law check, with a witness on failure."""
-
-    __slots__ = ("holds", "witnesses")
-
-    def __init__(self, holds, witnesses):
-        self.holds = holds
-        self.witnesses = witnesses
-
-    def __bool__(self):
-        return self.holds
-
-    def __repr__(self):
-        return f"LawReport(holds={self.holds}, witnesses={self.witnesses})"
-
-
 def check_modular_law(P, Q, S):
     """Check ML and its dual on a composable triple.
 
     ML:  QP ∩ S  ⊆  Q (P ∩ Q°S)
     ML*: QP ∩ S  ⊆  (Q ∩ S P°) P
-    with P: X ⇸ Y, Q: Y ⇸ Z, S: X ⇸ Z."""
+    with P: X ⇸ Y, Q: Y ⇸ Z, S: X ⇸ Z.  Returns the witnesses of failure: the
+    lexicographically least missing pair under "ML" and "ML*" for each law that
+    fails, so an empty dict when both hold."""
     if P.cod != Q.dom or P.dom != S.dom or Q.cod != S.cod:
         raise ShapeMismatch("need P: X->Y, Q: Y->Z, S: X->Z")
     lhs = meet(compose(Q, P), S)
@@ -220,7 +206,7 @@ def check_modular_law(P, Q, S):
     w = smallest_violation(ml_star_rhs, lhs)
     if w is not None:
         witnesses["ML*"] = w
-    return LawReport(not witnesses, witnesses)
+    return witnesses
 
 
 def check_map_distributivity(f, g, R, S):

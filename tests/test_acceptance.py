@@ -96,7 +96,7 @@ def test_acceptance_2_relation_laws():
         P = harness.gen_relation(rng, X, Y)
         Q = harness.gen_relation(rng, Y, Z)
         S = harness.gen_relation(rng, X, Z)
-        assert relation.check_modular_law(P, Q, S).holds
+        assert relation.check_modular_law(P, Q, S) == {}
 
     for _ in range(200):
         W, X, Y, Z = (gen_poset(rng, 1, 4) for _ in range(4))

@@ -338,8 +338,8 @@ def test_tabulate_rejects_unsaturated_relation():
 def test_tabulation_factor_cone_violation():
     A = gamma_object(C2)
     tab = tabulate(A.core(), A, A)
-    f = MonotoneMap.constant(C2, C2, 1)
-    g = MonotoneMap.constant(C2, C2, 0)
+    f = MonotoneMap(C2, C2, [1, 1])
+    g = MonotoneMap(C2, C2, [0, 0])
     with pytest.raises(ConeNotIncluded):
         tabulation_factor(tab, gamma_morphism(f), gamma_morphism(g))
 

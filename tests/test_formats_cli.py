@@ -24,6 +24,7 @@ from posrel.formats import (
     load_poset,
     load_rel,
     parse_poset,
+    rel_refs,
     serialize_exreg_morphism,
     serialize_exreg_object,
     serialize_poset,
@@ -546,6 +547,32 @@ def test_cli_rel_check(tmp_path):
     code, out, err = run_cli("rel", "check", path)
     assert code == 0
     assert "weakening-closed: yes" in out
+
+
+def test_cli_rel_check_reads_the_header_after_comments(tmp_path):
+    write(tmp_path, "a.poset", "poset 2\n0 < 1\n")
+    (tmp_path / "sub").mkdir()
+    write(tmp_path / "sub", "b.poset", "poset 1\n")
+    text = "# a comment\n\n  rel a.poset sub/b.poset  # header\n0 ~ 0\n"
+    path = write(tmp_path, "r.rel", text)
+    assert rel_refs(path) == ("a.poset", "sub/b.poset")
+    code, out, err = run_cli("rel", "check", path)
+    assert code == 0
+    assert out.splitlines()[:2] == ["rel a.poset sub/b.poset", "0 ~ 0"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# only a comment\n\n", "1: empty relation file"),
+        ("\n# x\nrel a.poset\n", "3: expected header 'rel <domfile> <codfile>'"),
+    ],
+)
+def test_rel_refs_reports_a_bad_header(tmp_path, text, message):
+    path = write(tmp_path, "r.rel", text)
+    with pytest.raises(ParseError) as exc:
+        rel_refs(path)
+    assert str(exc.value) == f"{path}:{message}"
 
 
 def test_cli_unknown_verb_rejected():
@@ -1087,7 +1114,7 @@ def oversized_inputs(tmp_path):
     write(tmp_path, "t.exreg", "object one.poset\n")
     cycle = "".join(f"cong {i} ~ {(i + 1) % n}\n" for i in range(n))
     write(tmp_path, "full.exreg", "object d.poset\n" + cycle)
-    R = gamma_morphism(MonotoneMap.constant(D, FinPoset.discrete(1), 0))
+    R = gamma_morphism(MonotoneMap(D, FinPoset.discrete(1), [0] * n))
     write(tmp_path, "c.exreg", serialize_exreg_morphism(R, "g.exreg", "t.exreg"))
     full = ExRegObject(D, np.ones((n, n), dtype=bool))
     write(tmp_path, "id.exreg",

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from posrel.harness import (
     gen_poset,
     gen_relation,
     gen_weakening_relation,
-    run_all,
     run_suite,
 )
 
@@ -139,7 +139,7 @@ def test_tabulation_trial_lists_each_hom_set_once(monkeypatch):
 
 
 def test_run_all_covers_registry():
-    reports = run_all(2, 3)
+    reports = [run_suite(name, 2, 3) for name in sorted(SUITES)]
     assert [r.name for r in reports] == sorted(SUITES)
     assert all(r.passed for r in reports)
 
@@ -331,9 +331,9 @@ def test_failing_report_is_identical_across_runs_and_jobs(fixture_suite, monkeyp
     assert run_cli(*argv, "--jobs", "2")[:2] == first[:2]
 
 
-def _dropping_last_pair(compose):
-    def planted(S, R):
-        out = compose(S, R)
+def _dropping_last_pair(make):
+    def planted(*args):
+        out = make(*args)
         pairs = out.pairs.copy()
         hits = np.argwhere(pairs)
         if len(hits):
@@ -350,7 +350,7 @@ def test_planted_compose_bug_shrinks_to_small_carriers(fixture_suite, monkeypatc
         P = gen_relation(rng, X, Y)
         Q = gen_relation(rng, Y, Z)
         S = gen_relation(rng, X, Z)
-        if not relation.check_modular_law(P, Q, S).holds:
+        if relation.check_modular_law(P, Q, S):
             return f"carriers {X.n} {Y.n} {Z.n}"
         return None
 
@@ -361,6 +361,42 @@ def test_planted_compose_bug_shrinks_to_small_carriers(fixture_suite, monkeypatc
     assert all(line is not None and " draws: carriers " in line for line in shrunk)
     largest = [max(map(int, line.split("carriers ")[1].split())) for line in shrunk]
     assert sum(n <= 3 for n in largest) * 2 >= len(largest)
+
+
+def test_planted_compose_bug_fails_modular_law_with_its_witnesses(monkeypatch):
+    monkeypatch.setattr(relation, "compose", _dropping_last_pair(relation.compose))
+    failures = _messages(run_suite("modular-law", 20, 3))
+    assert failures
+    for message, _ in failures:
+        assert re.fullmatch(r"modular law violated at \{'ML\*?': \(\d+, \d+\)(, 'ML\*': .*)?\}", message)
+
+
+def test_planted_opposite_bug_fails_effective_splitting(monkeypatch):
+    assert run_suite("effective-splitting", 20, 3).passed
+    monkeypatch.setattr(relation, "opposite", _dropping_last_pair(relation.opposite))
+    failures = _messages(run_suite("effective-splitting", 20, 3))
+    assert len(failures) == 20
+    identities = {"pE = p_*", "Ep° = p^*", "p_* E p^* = I_P", "p_* p^* = I_P", "p°p = E ∩ E°"}
+    for message, shrunk in failures:
+        assert set(message.split(", ")) <= identities
+        assert shrunk.endswith(" draws: Ep° = p^*")
+
+
+def test_exactness_trial_splits_the_closure_of_the_drawn_pairs(monkeypatch):
+    # the congruence split is the one ExRegObject.from_pairs built from obj.E's
+    # pair list and the two drawn pairs, from the same draws
+    split = []
+    real = harness.exreg.split_congruence
+    monkeypatch.setattr(harness.exreg, "split_congruence", lambda obj, R: split.append(R) or real(obj, R))
+    for seed in range(40):
+        trial = ChoiceStream(seed)
+        assert harness._trial_exactness(trial, 5) is None
+        rng = ChoiceStream(seed)
+        obj = gen_exreg_object(rng, 4)
+        drawn = [(rng.randrange(obj.X.n), rng.randrange(obj.X.n)) for _ in range(2)]
+        want = harness.exreg.ExRegObject.from_pairs(obj.X, obj.E.pair_list() + drawn).E.pairs
+        assert np.array_equal(split[-1], want)
+        assert trial.draws == rng.draws
 
 
 def test_failure_reporting_includes_subseed():

@@ -34,7 +34,6 @@ from posrel.poset import (
     jointly_order_mono,
     kernel_congruence,
     make_poset,
-    pair_into_product,
     pair_order,
     pair_span,
     pointwise_order,
@@ -313,7 +312,7 @@ def test_product_universal_property():
     P, p0, p1 = product(C2, C3)
     for u0 in all_monotone_maps(DIAMOND, C2):
         for u1 in all_monotone_maps(DIAMOND, C3):
-            h = pair_into_product(P, p0, p1, u0, u1)
+            h = MonotoneMap(DIAMOND, P, [a * C3.n + b for a, b in zip(u0.assign, u1.assign)])
             assert h.then(p0) == u0 and h.then(p1) == u1
 
 
@@ -605,6 +604,24 @@ def test_pair_span_of_no_pairs_is_empty():
     assert pair_order(C2.leq, D2.leq, np.zeros((2, 2), bool)).shape == (0, 0)
     P, p0, p1 = pair_span(C2, D2, np.zeros((2, 2), bool))
     assert P.n == 0 and p0.assign == () and p1.assign == ()
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        [(1, 0)],  # a pair list once read as a 1-element carrier
+        [(0, 0), (0, 0)],  # and this one as an empty carrier
+        np.zeros((2, 3), bool),
+        np.zeros((3, 2), bool),
+        np.eye(2, dtype=int),
+    ],
+    ids=["pair-list", "repeated-pairs", "wide", "tall", "int-mask"],
+)
+def test_pair_order_refuses_anything_but_a_boolean_mask_of_the_carrier_shape(mask):
+    with pytest.raises(ValueError, match=r"boolean array of shape \(2, 2\)"):
+        pair_order(C2.leq, C2.leq, mask)
+    with pytest.raises(ValueError, match=r"boolean array of shape \(2, 2\)"):
+        pair_span(C2, C2, mask)
 
 
 # -- pair carriers from masks against the pair-list code they replaced ---------

@@ -226,7 +226,7 @@ def test_associativity():
 
 def test_modular_law_trivial_instance():
     d = delta(C2)
-    assert check_modular_law(d, d, d).holds
+    assert check_modular_law(d, d, d) == {}
 
 
 def test_modular_law_random():
@@ -238,8 +238,7 @@ def test_modular_law_random():
         P = random_relation(rng, X, Y)
         Q = random_relation(rng, Y, Z)
         S = random_relation(rng, X, Z)
-        report = check_modular_law(P, Q, S)
-        assert report.holds, report.witnesses
+        assert check_modular_law(P, Q, S) == {}
 
 
 def test_modular_law_shape_check():
@@ -425,7 +424,7 @@ def test_residual_rejects_mismatch():
 def test_kernel_identity():
     rng = random.Random(28)
     assert kernel_identity_check(MonotoneMap.identity(C3))
-    assert kernel_identity_check(MonotoneMap.constant(C3, C2, 1))
+    assert kernel_identity_check(MonotoneMap(C3, C2, [1, 1, 1]))
     for _ in range(100):
         X = random_poset(rng, rng.randrange(1, 5))
         Y = random_poset(rng, rng.randrange(1, 5))
