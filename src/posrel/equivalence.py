@@ -35,7 +35,7 @@ from .exreg import (
     crosscheck,
     gamma_object,
     graph_of,
-    hom_leq,
+    hom_order,
     validate_morphism,
 )
 
@@ -290,8 +290,7 @@ def characterize(F, bound):
     for A in samples:
         for B in samples:
             morphisms = all_morphisms(A, B)
-            # the source order is the one under test: hom_leq on every pair
-            source_leq = np.array([[hom_leq(R, S) for S in morphisms] for R in morphisms], dtype=bool)
+            source_leq = hom_order(morphisms)
             realized = [realize_morphism(R) for R in morphisms]
             ok = compare_homs(source_leq, realized, quotient_realize(A)[0], quotient_realize(B)[0])
             realizes.record(f"hom ({A.X.n},{B.X.n})-carriers", all(ok))

@@ -225,6 +225,27 @@ def hom_leq(R, S):
     return lower_side
 
 
+def hom_order(morphisms):
+    """The k × k order on parallel morphisms: ``out[a, b]`` iff R_a <= R_b.
+
+    With the lower legs stacked as rows of L, R_a <= R_b iff no cell is in
+    L_b and not in L_a, so the order is ``~bool_mat(~L, L.T)``; the upper
+    legs U, ordered by inclusion, give ``~bool_mat(U, ~U.T)``, and the two
+    are cross-checked as in ``hom_leq``."""
+    if not morphisms:
+        return np.zeros((0, 0), dtype=bool)
+    first = morphisms[0]
+    for R in morphisms:
+        if R.src != first.src or R.tgt != first.tgt:
+            raise DomainMismatch("morphisms are not parallel")
+    L = np.array([R.lower.pairs.ravel() for R in morphisms])
+    U = np.array([R.upper.pairs.ravel() for R in morphisms])
+    lower_side = ~bool_mat(~L, L.T)
+    upper_side = ~bool_mat(U, ~U.T)
+    crosscheck(np.array_equal(lower_side, upper_side), "hom-order: lower and upper legs disagree")
+    return lower_side
+
+
 def derive_right_adjoint(src, tgt, lower):
     """The unique R^* making (R_*, R^*) a morphism, if one exists.
 

@@ -140,9 +140,13 @@ def _moves(draws, i):
 
 def _outcome(trial_fn, rng, cap):
     """``(kind, message)`` for a failing trial, or None when it passes; ``kind``
-    is the exception class the trial raised, or None for a returned message."""
+    is the exception class the trial raised, or None for a returned message.
+    ``TooLarge`` is not caught: a trial past an enumeration budget is refused,
+    as every budget overflow is, not reported and shrunk as a law failure."""
     try:
         message = trial_fn(rng, cap)
+    except poset.TooLarge:
+        raise
     except Exception as exc:  # a law check crashing is a failure too
         return type(exc), f"{type(exc).__name__}: {exc}"
     return None if message is None else (None, message)

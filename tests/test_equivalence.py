@@ -18,8 +18,8 @@ from posrel.poset import (
     product,
     transitive_closure,
 )
-from posrel.relation import compose, hypergraph, hypograph
-from posrel.exreg import ExRegObject, gamma_morphism, gamma_object
+from posrel.relation import DomainMismatch, compose, hypergraph, hypograph
+from posrel.exreg import ExRegObject, gamma_morphism, gamma_object, hom_leq, hom_order
 from posrel.equivalence import (
     ConcreteFunctor,
     OrdObject,
@@ -408,6 +408,62 @@ def test_commutation_check_compares_hom_posets_under_the_bijection(monkeypatch):
     monkeypatch.setattr(equivalence, "ord_hom_poset", dual)
     report = commutation_check(2)
     assert {label for label, ok, _ in report.lines if not ok} == {"ord-hom (1,2)", "ord-hom (2,2)"}
+
+
+def _sample_objects():
+    """The completion objects whose hom-posets `characterize` compares at bound 3."""
+    F = discrete_inclusion_functor()
+    return [kernel_object(F.cover(Y)[1]) for Y in all_posets_up_to(3)]
+
+
+def _hom_leq_matrix(morphisms):
+    k = len(morphisms)
+    return np.array([[hom_leq(R, S) for S in morphisms] for R in morphisms], dtype=bool).reshape(k, k)
+
+
+def test_hom_order_matches_hom_leq_on_the_sample_objects():
+    samples = _sample_objects()
+    assert len(samples) == 9
+    empty = 0
+    for A in samples:
+        for B in samples:
+            morphisms = all_morphisms(A, B)
+            empty += not morphisms
+            got = hom_order(morphisms)
+            assert got.shape == (len(morphisms), len(morphisms))
+            assert np.array_equal(got, _hom_leq_matrix(morphisms))
+    assert empty == 8  # hom(A, 0) for each nonempty A
+
+
+def test_hom_order_matches_hom_leq_on_random_objects():
+    from posrel.harness import gen_exreg_object
+
+    rng = random.Random(1717)
+    for _ in range(40):
+        A, B = gen_exreg_object(rng, 4), gen_exreg_object(rng, 4)
+        morphisms = all_morphisms(A, B)
+        assert np.array_equal(hom_order(morphisms), _hom_leq_matrix(morphisms))
+
+
+def test_hom_order_refuses_non_parallel_morphisms_and_takes_an_empty_list():
+    A, B = gamma_object(C2), gamma_object(D2)
+    with pytest.raises(DomainMismatch):
+        hom_order(all_morphisms(A, A) + all_morphisms(A, B))
+    with pytest.raises(DomainMismatch):
+        hom_order(all_morphisms(A, A) + all_morphisms(B, A))
+    assert hom_order([]).shape == (0, 0)
+
+
+def test_characterize_compares_the_completion_order_under_the_bijection(monkeypatch):
+    assert characterize(discrete_inclusion_functor(), 3)[2].passed
+    assert commutation_check(3).passed
+    real = equivalence.hom_order
+    monkeypatch.setattr(equivalence, "hom_order", lambda morphisms: real(morphisms).T)
+    realizes = characterize(discrete_inclusion_functor(), 3)[2]
+    failed = {label for label, ok, _ in realizes.lines if not ok}
+    assert failed and all(label.startswith("hom (") and label.endswith(")-carriers") for label in failed)
+    failed = {label for label, ok, _ in commutation_check(3).lines if not ok}
+    assert failed == {"set-completion vs posets"}
 
 
 def test_discrete_check():

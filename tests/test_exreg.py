@@ -635,7 +635,7 @@ PLANTED_CROSSCHECKS = """
 import sys
 from posrel.poset import FinPoset
 from posrel.relation import Relation
-from posrel.exreg import CrossCheckFailed, ExRegMorphism, gamma_object, hom_leq
+from posrel.exreg import CrossCheckFailed, ExRegMorphism, gamma_object, hom_leq, hom_order
 from posrel.equivalence import realize_morphism
 
 print("optimize", sys.flags.optimize)
@@ -643,6 +643,7 @@ A = gamma_object(FinPoset.discrete(1))
 full, empty = Relation.full(A.X, A.X), Relation.empty(A.X, A.X)
 planted = [
     lambda: hom_leq(ExRegMorphism(A, A, full, full), ExRegMorphism(A, A, full, empty)),
+    lambda: hom_order([ExRegMorphism(A, A, full, full), ExRegMorphism(A, A, full, empty)]),
     lambda: realize_morphism(ExRegMorphism(A, A, empty, empty)),
 ]
 for plant in planted:
@@ -669,6 +670,7 @@ def test_crosschecks_survive_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "optimize 1",
+        "raised: hom-order: lower and upper legs disagree",
         "raised: hom-order: lower and upper legs disagree",
         "raised: realize_morphism: the graph of a morphism must be total",
     ]

@@ -905,6 +905,27 @@ def test_cli_harness_jobs_capped_at_suites_and_cpus(recording_pool):
     assert out == run_cli("harness", "run", "all", "--trials", "1")[1]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_harness_refuses_a_trial_past_a_budget(recording_pool, monkeypatch, jobs):
+    from posrel import harness
+    from posrel.poset import TooLarge
+
+    calls = []
+
+    def too_large(rng, cap):
+        calls.append(cap)
+        raise TooLarge("monotone maps from 7 to 10 elements exceed the limit of 8192")
+
+    suites = {"a-passes": ("fixture", lambda rng, cap: None), "b-too-large": ("fixture", too_large)}
+    monkeypatch.setattr(harness, "SUITES", suites)
+    code, out, err = run_cli("harness", "run", "all", "--trials", "5", "--jobs", jobs)
+    # refused like any budget overflow: no report, no FAILURE line, nothing shrunk
+    assert (code, out) == (2, "")
+    assert err == "error: TooLarge: monotone maps from 7 to 10 elements exceed the limit of 8192\n"
+    assert len(calls) == 1
+    assert recording_pool == ([] if jobs == "1" else [2])
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_cli_harness_rejects_nonpositive_jobs(recording_pool, jobs):
     with pytest.raises(SystemExit) as exc:
