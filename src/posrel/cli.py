@@ -4,6 +4,11 @@ Exit codes: 0 on success, 1 when a law or property check fails, 2 for
 input errors (parse failures, invalid structures, bad shapes), 141 when
 the reader of standard output closes it early.  All
 output is deterministic and sorted; timing goes to stderr only.
+
+An exception exits 1 if it is a ``poset.LawFailure`` and 2 if it is a
+``poset.InputError`` or an ``OSError``; a new exception class for a failed
+law or for bad input subclasses one of the two.  Anything else is a bug
+in this package and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -13,52 +18,14 @@ import os
 import sys
 
 from . import equivalence, exreg, formats, harness
-from .poset import AntisymmetryViolation, NotMonotone, TooLarge
-from .relation import (
-    DomainMismatch,
-    NotAMap,
-    NotExactFork,
-    NotWeakening,
-    ShapeMismatch,
-)
-from .exreg import (
-    AdjunctionFailed,
-    BimoduleLawFailed,
-    ConeNotIncluded,
-    ExRegMorphism,
-    ExRegObject,
-    NotCongruence,
-    NotCongruenceOver,
-    NotQMorphism,
-)
+from .poset import InputError, LawFailure
+from .relation import DomainMismatch
+from .exreg import ExRegMorphism, ExRegObject
 from .formats import ParseError
 
 
-class BadBound(ValueError):
+class BadBound(InputError):
     pass
-
-
-INPUT_ERRORS = (
-    ParseError,
-    AntisymmetryViolation,
-    NotMonotone,
-    NotCongruence,
-    NotCongruenceOver,
-    DomainMismatch,
-    ShapeMismatch,
-    NotWeakening,
-    OSError,  # an input path that is missing, a directory or unreadable
-    BadBound,
-    TooLarge,
-)
-LAW_ERRORS = (
-    BimoduleLawFailed,
-    AdjunctionFailed,
-    NotQMorphism,
-    ConeNotIncluded,
-    NotAMap,
-    NotExactFork,
-)
 
 
 def _default_bound():
@@ -418,13 +385,14 @@ def main(argv=None, stdout=None, stderr=None):
             os.dup2(devnull, out.fileno())
             os.close(devnull)
         return 141
-    except LAW_ERRORS as exc:
+    except LawFailure as exc:
         err.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
     except harness.UnknownSuite as exc:
         err.write(f"error: unknown suite {exc}\n")
         return 2
-    except INPUT_ERRORS as exc:
+    # OSError: an input path that is missing, a directory or unreadable
+    except (InputError, OSError) as exc:
         err.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
 

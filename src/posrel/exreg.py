@@ -17,6 +17,8 @@ import numpy as np
 from .poset import (
     MAX_ELEMENTS,
     FinPoset,
+    InputError,
+    LawFailure,
     MapClass,
     TooLarge,
     bool_mat,
@@ -38,27 +40,27 @@ from .relation import (
 )
 
 
-class NotCongruence(ValueError):
+class NotCongruence(InputError):
     pass
 
 
-class BimoduleLawFailed(ValueError):
+class BimoduleLawFailed(LawFailure):
     pass
 
 
-class AdjunctionFailed(ValueError):
+class AdjunctionFailed(LawFailure):
     pass
 
 
-class NotQMorphism(ValueError):
+class NotQMorphism(LawFailure):
     pass
 
 
-class ConeNotIncluded(ValueError):
+class ConeNotIncluded(LawFailure):
     pass
 
 
-class NotCongruenceOver(ValueError):
+class NotCongruenceOver(InputError):
     pass
 
 

@@ -1,6 +1,7 @@
 """Line-oriented text formats and DOT export.
 
-Formats (blank lines and ``#`` comments are ignored everywhere):
+Formats (files are read as UTF-8; blank lines and ``#`` comments are
+ignored everywhere):
 
   .poset   ``poset <n>`` then ``i < j`` generating lines and optional
            ``label i name`` lines.
@@ -20,16 +21,28 @@ import os
 
 import numpy as np
 
-from .poset import MAX_ELEMENTS, FinPoset, transitive_closure
+from .poset import MAX_ELEMENTS, FinPoset, InputError, transitive_closure
 from .relation import Relation
 from .exreg import ExRegObject, validate_morphism
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, path, line_no, message):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = path
         self.line_no = line_no
+
+
+def _read(path):
+    """The text of the file at ``path``, decoded as UTF-8 whatever the locale."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line, numbered as ``_lines`` numbers lines
+        no = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(path, no, f"not UTF-8 text: byte 0x{data[exc.start]:02x}") from None
 
 
 def _lines(text):
@@ -141,8 +154,7 @@ def serialize_poset(P):
 
 
 def load_poset(path):
-    with open(path) as fh:
-        return parse_poset(fh.read(), path)
+    return parse_poset(_read(path), path)
 
 
 def _resolve(ref, base_path):
@@ -206,8 +218,7 @@ def _rel_header(lines, path):
 
 def rel_refs(path):
     """The domain and codomain files, as written, that the .rel file at ``path`` names."""
-    with open(path) as fh:
-        return _rel_header(_lines(fh.read()), path)
+    return _rel_header(_lines(_read(path)), path)
 
 
 def parse_rel(text, path="<string>"):
@@ -236,8 +247,7 @@ def serialize_rel(R, dom_ref, cod_ref):
 
 
 def load_rel(path):
-    with open(path) as fh:
-        return parse_rel(fh.read(), path)
+    return parse_rel(_read(path), path)
 
 
 def _load_endpoint(ref, path, no):
@@ -245,8 +255,7 @@ def _load_endpoint(ref, path, no):
     is refused from its header, before its own endpoints are loaded, so a
     file that reaches itself through its endpoints cannot recurse."""
     ref_path = _resolve(ref, path)
-    with open(ref_path) as fh:
-        text = fh.read()
+    text = _read(ref_path)
     lines = _lines(text)
     if lines and lines[0][1].split()[0] == "morphism":
         raise ParseError(path, no, "morphism endpoints must be object files")
@@ -289,8 +298,7 @@ def serialize_exreg_morphism(R, src_ref, tgt_ref):
 
 
 def load_exreg(path):
-    with open(path) as fh:
-        return parse_exreg(fh.read(), path)
+    return parse_exreg(_read(path), path)
 
 
 # -- DOT export ---------------------------------------------------------------

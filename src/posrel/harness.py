@@ -65,9 +65,9 @@ def gen_weakening_relation(rng, X, Y, p=0.3):
     return gen_relation(rng, X, Y, p).weakening_closure()
 
 
-def gen_congruence(rng, X, extra=2):
-    """The object X with the congruence generated by its order and ``extra`` random pairs."""
-    pairs = [(rng.randrange(X.n), rng.randrange(X.n)) for _ in range(extra)] if X.n else []
+def gen_congruence(rng, X):
+    """The object X with the congruence generated by its order and two random pairs."""
+    pairs = [(rng.randrange(X.n), rng.randrange(X.n)) for _ in range(2)] if X.n else []
     return exreg.ExRegObject.from_pairs(X, pairs)
 
 
@@ -75,13 +75,9 @@ def gen_exreg_object(rng, cap):
     return gen_congruence(rng, gen_poset(rng, rng.randrange(1, cap + 1)))
 
 
-def gen_exreg_morphism(rng, src=None, tgt=None, cap=4):
+def gen_exreg_morphism(rng, src, tgt):
     """A random morphism src -> tgt: the one of a ``gen_map`` draw between their
-    realizations.  An object not given is drawn with at most ``cap`` elements."""
-    if src is None:
-        src = gen_exreg_object(rng, cap)
-    if tgt is None:
-        tgt = gen_exreg_object(rng, cap)
+    realizations."""
     P, _ = equivalence.quotient_realize(src)
     Q, _ = equivalence.quotient_realize(tgt)
     r = gen_map(rng, P, Q)

@@ -17,15 +17,27 @@ import itertools
 import numpy as np
 
 
-class AntisymmetryViolation(ValueError):
+class InputError(ValueError):
+    """The input is not a valid poset, relation or object-with-congruence.
+
+    The command line exits 2 on one; every exception for bad input subclasses it."""
+
+
+class LawFailure(ValueError):
+    """A law of the calculus of relations fails on valid input.
+
+    The command line exits 1 on one; every exception for a failed law subclasses it."""
+
+
+class AntisymmetryViolation(InputError):
     """Raised when a generating relation closes up into a 2-cycle."""
 
 
-class NotMonotone(ValueError):
+class NotMonotone(InputError):
     pass
 
 
-class TooLarge(ValueError):
+class TooLarge(InputError):
     """Raised before building a carrier of more than ``MAX_ELEMENTS`` elements,
     or enumerating more than ``MAX_MAPS`` maps."""
 

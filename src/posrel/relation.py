@@ -10,26 +10,34 @@ from __future__ import annotations
 
 import numpy as np
 
-from .poset import MonotoneMap, NotMonotone, bool_mat, image_factorize, pair_mask, pullback
+from .poset import (
+    InputError,
+    LawFailure,
+    MonotoneMap,
+    bool_mat,
+    image_factorize,
+    pair_mask,
+    pullback,
+)
 
 
-class DomainMismatch(ValueError):
+class DomainMismatch(InputError):
     pass
 
 
-class ShapeMismatch(ValueError):
+class ShapeMismatch(InputError):
     pass
 
 
-class NotWeakening(ValueError):
+class NotWeakening(InputError):
     pass
 
 
-class NotAMap(ValueError):
+class NotAMap(LawFailure):
     pass
 
 
-class NotExactFork(ValueError):
+class NotExactFork(LawFailure):
     pass
 
 
@@ -247,10 +255,7 @@ def extract_map(phi, psi):
         if len(ys) != 1:
             raise NotAMap(f"element {x} relates to {len(ys)} elements, not 1")
         assign.append(int(ys[0]))
-    try:
-        return MonotoneMap(phi.dom, phi.cod, assign)
-    except NotMonotone as exc:  # pragma: no cover - excluded by adjointness
-        raise NotAMap(str(exc)) from exc
+    return MonotoneMap(phi.dom, phi.cod, assign)
 
 
 def kernel_identity_check(f):

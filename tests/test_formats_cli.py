@@ -375,6 +375,50 @@ def test_a_morphism_endpoint_is_refused_before_it_is_loaded(tmp_path, files, che
     assert err == f"error: ParseError: {path}:{line}: morphism endpoints must be object files\n"
 
 
+@pytest.mark.parametrize(
+    "files, checked, error",
+    [
+        ({"x.poset": b"poset 2\n\xff\n"}, "x.poset", ("x.poset", 2, "ff")),
+        ({"x.rel": b"rel a.poset a.poset\r\n0 ~ 0\r\n\r\n# \xc3\xa9\n1 ~ \xe2\x82\n"}, "x.rel",
+         ("x.rel", 5, "e2")),
+        ({"x.exreg": b"\xfeobject a.poset\n"}, "x.exreg", ("x.exreg", 1, "fe")),
+        # a file that the checked file refers to
+        ({"x.rel": b"rel a.poset bin.poset\n", "bin.poset": b"\x00\xff"}, "x.rel",
+         ("bin.poset", 1, "ff")),
+        ({"x.exreg": b"object bin.poset\n", "bin.poset": b"poset 1\n\x80"}, "x.exreg",
+         ("bin.poset", 2, "80")),
+        ({"x.exreg": b"morphism c.exreg bin.exreg\n", "bin.exreg": b"\xc0\n"}, "x.exreg",
+         ("bin.exreg", 1, "c0")),
+    ],
+    ids=["poset", "rel-crlf", "exreg", "rel-carrier", "object-carrier", "morphism-endpoint"],
+)
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, files, checked, error):
+    for ref, body in REFERENCED_FILES.items():
+        write(tmp_path, ref, body)
+    for ref, body in files.items():
+        (tmp_path / ref).write_bytes(body)
+    verb = os.path.splitext(checked)[1][1:]
+    code, out, err = run_cli(verb, "check", str(tmp_path / checked))
+    file, line, byte = error
+    assert (code, out) == (2, "")
+    assert err == f"error: ParseError: {tmp_path / file}:{line}: not UTF-8 text: byte 0x{byte}\n"
+
+
+def test_input_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    import posrel
+
+    (tmp_path / "c.poset").write_bytes("# ordre partiel é\nposet 2\n0 < 1\n".encode())
+    src = os.path.dirname(os.path.dirname(os.path.abspath(posrel.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # an ASCII locale, with neither UTF-8 mode nor locale coercion to step in
+    env = dict(os.environ, PYTHONPATH=path, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "posrel.cli", "poset", "check", str(tmp_path / "c.poset")],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"poset 2\n0 < 1\n", b"")
+
+
 def test_dot_outputs_mention_all_elements():
     text = dot_poset(FinPoset.from_covers(3, [(0, 1), (1, 2)]))
     assert text.count("->") == 2  # transitive edge reduced away
@@ -1076,6 +1120,72 @@ def test_cli_does_not_report_an_internal_value_error_as_input(construction_input
     monkeypatch.setitem(cli.CONSTRUCTION_VERBS, "present", (broken, {"object": {}}))
     with pytest.raises(ValueError, match="internal bug"):
         run_cli("present", str(construction_inputs / "q.exreg"))
+
+
+def test_cli_exreg_check_of_a_morphism_that_breaks_a_law_exits_1(construction_inputs):
+    # the lower leg 0 ~ 0 from the discrete pair to the chain 0 < 1 is not up-closed
+    path = write(construction_inputs, "bad.exreg", "morphism sx.exreg sy.exreg\nlower 0 ~ 0\n")
+    assert run_cli("exreg", "check", path) == (1, "", "error: BimoduleLawFailed: F R_* E = R_* fails\n")
+
+
+# Exit codes of main for the exception classes, as the lists of input errors
+# and law failures in the command-line module gave them before the two bases.
+EXIT_CODES = {
+    **dict.fromkeys(
+        ["AntisymmetryViolation", "NotMonotone", "TooLarge", "DomainMismatch", "ShapeMismatch",
+         "NotWeakening", "NotCongruence", "NotCongruenceOver", "ParseError", "BadBound"], 2),
+    **dict.fromkeys(
+        ["NotAMap", "NotExactFork", "BimoduleLawFailed", "AdjunctionFailed", "NotQMorphism",
+         "ConeNotIncluded"], 1),
+}
+# internal bugs, and the harness's own message for a suite name
+NEITHER_BASE = {"CrossCheckFailed", "UnknownSuite"}
+
+
+def posrel_exception_classes():
+    """Name -> class of every exception class that a posrel module defines."""
+    import importlib
+    import pkgutil
+
+    import posrel
+
+    found = {}
+    for info in pkgutil.iter_modules(posrel.__path__):
+        module = importlib.import_module(f"posrel.{info.name}")
+        for name, value in vars(module).items():
+            if (isinstance(value, type) and issubclass(value, BaseException)
+                    and value.__module__ == module.__name__):
+                found[name] = value
+    return found
+
+
+def test_every_exception_class_is_an_input_error_or_a_law_failure():
+    from posrel.poset import InputError, LawFailure
+
+    found = posrel_exception_classes()
+    assert found.pop("InputError") is InputError and found.pop("LawFailure") is LawFailure
+    assert issubclass(InputError, ValueError) and issubclass(LawFailure, ValueError)
+    assert set(EXIT_CODES) | NEITHER_BASE <= set(found)
+    for name, cls in found.items():
+        if name in NEITHER_BASE:
+            assert not issubclass(cls, (InputError, LawFailure)), name
+        else:
+            assert issubclass(cls, InputError) != issubclass(cls, LawFailure), name
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_cli_exit_code_of_each_exception_class(construction_inputs, monkeypatch, name):
+    from posrel import cli
+
+    cls = posrel_exception_classes()[name]
+    exc = cls("x", 1, "boom") if cls is ParseError else cls("boom")
+
+    def raising(args, out, err):
+        raise exc
+
+    monkeypatch.setitem(cli.CONSTRUCTION_VERBS, "present", (raising, {"object": {}}))
+    code, out, err = run_cli("present", str(construction_inputs / "q.exreg"))
+    assert (code, out, err) == (EXIT_CODES[name], "", f"error: {name}: {exc}\n")
 
 
 @pytest.mark.parametrize(

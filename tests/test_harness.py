@@ -90,7 +90,9 @@ def test_gen_exreg_morphism_roundtrips():
 
     rng = random.Random(33)
     for _ in range(20):
-        R = gen_exreg_morphism(rng)
+        A = gen_exreg_object(rng, 4)
+        B = gen_exreg_object(rng, 4)
+        R = gen_exreg_morphism(rng, A, B)
         assert morphism_from_map(R.src, R.tgt, realize_morphism(R)) == R
 
 
