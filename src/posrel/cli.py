@@ -1,5 +1,8 @@
 """Command-line front end.
 
+Files are read, and files and standard output written, as UTF-8 whatever
+the locale.
+
 Exit codes: 0 on success, 1 when a law or property check fails, 2 for
 input errors (parse failures, invalid structures, bad shapes), 141 when
 the reader of standard output closes it early.  All
@@ -50,7 +53,7 @@ class Emitter:
 
     def emit(self, name, text):
         if self.out_dir:
-            with open(os.path.join(self.out_dir, name), "w") as fh:
+            with open(os.path.join(self.out_dir, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             self.stdout.write(f"# file: {name}\n")
@@ -90,7 +93,7 @@ def cmd_poset(args, out, err):
     P = formats.load_poset(args.file)
     out.write(formats.serialize_poset(P))
     if args.dot:
-        with open(args.dot, "w") as fh:
+        with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(formats.dot_poset(P))
     return 0
 
@@ -100,7 +103,7 @@ def cmd_rel(args, out, err):
     out.write(formats.serialize_rel(R, *formats.rel_refs(args.file)))
     out.write(f"# weakening-closed: {'yes' if R.is_weakening else 'no'}\n")
     if args.dot:
-        with open(args.dot, "w") as fh:
+        with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(formats.dot_relation(R))
     return 0
 
@@ -226,7 +229,7 @@ def cmd_dot(args, out, err):
     else:
         text = formats.dot_poset(formats.load_poset(args.file))
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         out.write(text)
@@ -368,6 +371,9 @@ def parse(argv=None):
 
 
 def main(argv=None, stdout=None, stderr=None):
+    if stdout is None and sys.stdout is sys.__stdout__:
+        # output is UTF-8 whatever the locale, on standard output as in files
+        sys.stdout.reconfigure(encoding="utf-8")
     out = stdout or sys.stdout
     err = stderr or sys.stderr
     args = parse(argv)

@@ -75,9 +75,10 @@ def morphism_from_map(src, tgt, r):
     Q, q = quotient_realize(tgt)
     if r.dom != P or r.cod != Q:
         raise ValueError("map does not connect the realizations")
-    rx = [r.assign[c] for c in p.assign]
-    lower = Q.leq[np.ix_(rx, q.assign)]
-    upper = Q.leq[np.ix_(q.assign, rx)]
+    rx = np.array([r.assign[c] for c in p.assign], dtype=np.intp)
+    qx = np.array(q.assign, dtype=np.intp)
+    lower = Q.leq[rx[:, None], qx]
+    upper = Q.leq[qx[:, None], rx]
     return validate_morphism(
         src, tgt, Relation(src.X, tgt.X, lower), Relation(tgt.X, src.X, upper)
     )
@@ -232,7 +233,8 @@ def kernel_object(e):
 
     Its realization is the image of e, so it is isomorphic to cod e
     exactly when e is surjective."""
-    return ExRegObject(e.dom, e.cod.leq[np.ix_(e.assign, e.assign)])
+    idx = np.array(e.assign, dtype=np.intp)
+    return ExRegObject(e.dom, e.cod.leq[idx[:, None], idx])
 
 
 def compare_homs(source_leq, images, P, Q):
@@ -323,7 +325,8 @@ class OrdObject:
         return (
             isinstance(other, OrdObject)
             and self.size == other.size
-            and (self.leq == other.leq).all()
+            # square bool matrices with the same number of bytes have the same shape
+            and self.leq.tobytes() == other.leq.tobytes()
         )
 
     def __hash__(self):

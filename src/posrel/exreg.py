@@ -151,15 +151,20 @@ class QwMorphism:
 
 
 class ExRegMorphism:
-    """A map (X, E) -> (Y, F): an adjoint pair of bimodules (R_*, R^*)."""
+    """A map (X, E) -> (Y, F): an adjoint pair of bimodules (R_*, R^*).
 
-    __slots__ = ("src", "tgt", "lower", "upper")
+    The legs never change once built.  ``_graph`` holds the relation of
+    ``graph_of``, stored there once its cross-checks have passed; every later
+    call returns it."""
+
+    __slots__ = ("src", "tgt", "lower", "upper", "_graph")
 
     def __init__(self, src, tgt, lower, upper):
         self.src = src
         self.tgt = tgt
         self.lower = lower
         self.upper = upper
+        self._graph = None
 
     def __eq__(self, other):
         return (
@@ -266,11 +271,16 @@ def derive_right_adjoint(src, tgt, lower):
 
 
 def graph_of(R):
-    """gr(R_*) = R_* ∩ (R^*)°, the honest graph underneath the adjoint pair."""
-    gr = meet(R.lower, opposite(R.upper))
-    crosscheck(compose(R.tgt.E, gr) == R.lower, "graph_of: F gr = R_* fails")
-    crosscheck(compose(opposite(gr), R.tgt.E) == R.upper, "graph_of: gr° F = R^* fails")
-    return gr
+    """gr(R_*) = R_* ∩ (R^*)°, the honest graph underneath the adjoint pair.
+
+    Computed and cross-checked on the first call, then kept on R; a morphism
+    that fails a cross-check keeps nothing, so it raises on every call."""
+    if R._graph is None:
+        gr = meet(R.lower, opposite(R.upper))
+        crosscheck(compose(R.tgt.E, gr) == R.lower, "graph_of: F gr = R_* fails")
+        crosscheck(compose(opposite(gr), R.tgt.E) == R.upper, "graph_of: gr° F = R^* fails")
+        R._graph = gr
+    return R._graph
 
 
 def classify(R):

@@ -72,7 +72,8 @@ def transitive_closure(mat):
     out = np.asarray(mat, bool) | np.eye(mat.shape[0], dtype=bool)
     while True:
         step = bool_mat(out, out)
-        if np.array_equal(step, out):
+        # equal-shape bool arrays are equal iff their bytes are (tobytes is in C order)
+        if step.tobytes() == out.tobytes():
             return out
         out = step
 
@@ -149,7 +150,8 @@ class FinPoset:
             isinstance(other, FinPoset)
             and self._hash == other._hash
             and self.n == other.n
-            and (self.leq == other.leq).all()
+            # leq is bool and equal n gives equal shapes, so equal bytes are equal orders
+            and self.leq.tobytes() == other.leq.tobytes()
         )
 
     def __hash__(self):
@@ -457,7 +459,8 @@ def canonical_certificate(P):
 def subposet(X, elements):
     """The induced subposet on a sorted element list, with its ff inclusion."""
     elements = sorted(elements)
-    sub = FinPoset(X.leq[np.ix_(elements, elements)])
+    idx = np.array(elements, dtype=np.intp)
+    sub = FinPoset(X.leq[idx[:, None], idx])
     return sub, MonotoneMap(sub, X, elements)
 
 
@@ -470,7 +473,7 @@ def pair_order(A, B, mask):
     if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == shape):
         raise ValueError(f"pair mask must be a boolean array of shape {shape}")
     xs, ys = np.nonzero(mask)
-    return A[np.ix_(xs, xs)] & B[np.ix_(ys, ys)]
+    return A[xs[:, None], xs] & B[ys[:, None], ys]
 
 
 def pair_span(X, Y, mask):
@@ -492,7 +495,7 @@ def pointwise_order(maps, leq):
     k = len(maps)
     out = np.ones((k, k), dtype=bool)
     for col in np.array([m.assign for m in maps], dtype=np.intp).T:
-        out &= leq[np.ix_(col, col)]
+        out &= leq[col[:, None], col]
     return out
 
 
@@ -568,7 +571,9 @@ def comma(f, g):
     """Comma object f/g = {(x, y) : f(x) <= g(y)} with its two projections."""
     if f.cod != g.cod:
         raise ValueError("comma needs a common codomain")
-    return pair_span(f.dom, g.dom, f.cod.leq[np.ix_(f.assign, g.assign)])
+    rows = np.array(f.assign, dtype=np.intp)
+    cols = np.array(g.assign, dtype=np.intp)
+    return pair_span(f.dom, g.dom, f.cod.leq[rows[:, None], cols])
 
 
 def kernel_congruence(f):
@@ -614,7 +619,8 @@ def poset_reflection(pre):
             class_of[i] = len(reps)
             reps.append(i)
     # a preorder on one representative per class of its symmetric part is an order
-    return FinPoset._trusted(pre[np.ix_(reps, reps)]), class_of
+    idx = np.array(reps, dtype=np.intp)
+    return FinPoset._trusted(pre[idx[:, None], idx]), class_of
 
 
 def coinserter(f0, f1):

@@ -95,7 +95,8 @@ class Relation:
             isinstance(other, Relation)
             and self.dom == other.dom
             and self.cod == other.cod
-            and (self.pairs == other.pairs).all()
+            # both are bool of shape (dom.n, cod.n), so equal bytes are equal matrices
+            and self.pairs.tobytes() == other.pairs.tobytes()
         )
 
     def __hash__(self):

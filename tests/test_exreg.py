@@ -277,6 +277,15 @@ def test_graph_of_gamma_is_graph():
         assert graph_of(gamma_morphism(f)) == graph(f)
 
 
+def test_graph_of_is_computed_once_per_morphism():
+    rng = random.Random(53)
+    for _ in range(10):
+        A, B = random_object(rng, 4), random_object(rng, 4)
+        R = random_morphism(rng, A, B)
+        assert graph_of(R) is graph_of(R)
+        assert graph_of(R) == meet(R.lower, opposite(R.upper))
+
+
 def test_graph_is_functorial():
     rng = random.Random(54)
     for _ in range(25):
@@ -635,16 +644,22 @@ PLANTED_CROSSCHECKS = """
 import sys
 from posrel.poset import FinPoset
 from posrel.relation import Relation
-from posrel.exreg import CrossCheckFailed, ExRegMorphism, gamma_object, hom_leq, hom_order
+from posrel.exreg import (
+    CrossCheckFailed, ExRegMorphism, gamma_object, graph_of, hom_leq, hom_order,
+)
 from posrel.equivalence import realize_morphism
 
 print("optimize", sys.flags.optimize)
 A = gamma_object(FinPoset.discrete(1))
 full, empty = Relation.full(A.X, A.X), Relation.empty(A.X, A.X)
+# graph_of keeps a graph only once its cross-checks pass, so a bad morphism raises every time
+not_a_map = ExRegMorphism(A, A, full, empty)
 planted = [
     lambda: hom_leq(ExRegMorphism(A, A, full, full), ExRegMorphism(A, A, full, empty)),
     lambda: hom_order([ExRegMorphism(A, A, full, full), ExRegMorphism(A, A, full, empty)]),
     lambda: realize_morphism(ExRegMorphism(A, A, empty, empty)),
+    lambda: graph_of(not_a_map),
+    lambda: graph_of(not_a_map),
 ]
 for plant in planted:
     try:
@@ -673,4 +688,6 @@ def test_crosschecks_survive_python_O():
         "raised: hom-order: lower and upper legs disagree",
         "raised: hom-order: lower and upper legs disagree",
         "raised: realize_morphism: the graph of a morphism must be total",
+        "raised: graph_of: F gr = R_* fails",
+        "raised: graph_of: F gr = R_* fails",
     ]

@@ -404,19 +404,49 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, files, checked, erro
     assert err == f"error: ParseError: {tmp_path / file}:{line}: not UTF-8 text: byte 0x{byte}\n"
 
 
-def test_input_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+def run_cli_in_ascii_locale(*argv):
+    """``python -m posrel.cli *argv`` in a subprocess under an ASCII locale."""
     import posrel
 
-    (tmp_path / "c.poset").write_bytes("# ordre partiel é\nposet 2\n0 < 1\n".encode())
     src = os.path.dirname(os.path.dirname(os.path.abspath(posrel.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    # an ASCII locale, with neither UTF-8 mode nor locale coercion to step in
+    # neither UTF-8 mode nor locale coercion steps in
     env = dict(os.environ, PYTHONPATH=path, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
-    proc = subprocess.run(
-        [sys.executable, "-m", "posrel.cli", "poset", "check", str(tmp_path / "c.poset")],
-        capture_output=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", "posrel.cli", *argv], capture_output=True, env=env, timeout=120
     )
+
+
+def test_input_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    (tmp_path / "c.poset").write_bytes("# ordre partiel é\nposet 2\n0 < 1\n".encode())
+    proc = run_cli_in_ascii_locale("poset", "check", str(tmp_path / "c.poset"))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"poset 2\n0 < 1\n", b"")
+
+
+def test_output_is_written_as_utf8_whatever_the_locale(tmp_path):
+    text = "poset 2\n0 < 1\nlabel 0 é\n"
+    (tmp_path / "e.poset").write_bytes(text.encode())
+    (tmp_path / "e.exreg").write_bytes(b"object e.poset\n")
+    dot = dot_poset(load_poset(str(tmp_path / "e.poset"))).encode()
+    assert "é".encode() in dot
+
+    proc = run_cli_in_ascii_locale(
+        "poset", "check", str(tmp_path / "e.poset"), "--dot", str(tmp_path / "check.dot"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, text.encode(), b"")
+    assert (tmp_path / "check.dot").read_bytes() == dot
+
+    proc = run_cli_in_ascii_locale("dot", str(tmp_path / "e.poset"), "-o", str(tmp_path / "o.dot"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert (tmp_path / "o.dot").read_bytes() == dot
+
+    proc = run_cli_in_ascii_locale("dot", str(tmp_path / "e.poset"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, dot, b"")
+
+    out_dir = tmp_path / "limit"
+    e = str(tmp_path / "e.exreg")
+    proc = run_cli_in_ascii_locale("limit", "product", e, e, "--out-dir", str(out_dir))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert (out_dir / "src0.poset").read_bytes() == text.encode()
 
 
 def test_dot_outputs_mention_all_elements():

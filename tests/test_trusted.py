@@ -320,3 +320,19 @@ def test_parsed_congruence_matches_the_validating_constructor(tmp_path):
         obj = parse_exreg(text, str(tmp_path / "o.exreg"))
         assert obj == ExRegObject.from_pairs(X, pairs)
         assert obj == ExRegObject(X, obj.E.pairs)
+
+
+def test_gen_poset_matches_the_validating_constructor():
+    from posrel.harness import ChoiceStream, gen_poset
+
+    for seed in range(80):
+        n = seed % 8
+        drawn, redrawn = ChoiceStream(seed), ChoiceStream(seed)
+        P = gen_poset(drawn, n)
+        mat = np.zeros((n, n), dtype=bool)
+        for i in range(n):
+            for j in range(i + 1, n):
+                mat[i, j] = redrawn.random() < 0.35
+        assert P == FinPoset(transitive_closure(mat))
+        assert_valid_poset(P)
+        assert drawn.draws == redrawn.draws
