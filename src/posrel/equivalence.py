@@ -31,12 +31,13 @@ from .poset import (
 )
 from .relation import Relation
 from .exreg import (
+    ExRegMorphism,
     ExRegObject,
+    _check_morphism_laws,
     crosscheck,
     gamma_object,
-    graph_of,
+    graph_stack,
     hom_order,
-    validate_morphism,
 )
 
 
@@ -53,42 +54,76 @@ def quotient_realize(obj):
     return obj._realization
 
 
+def realize_morphisms(morphisms):
+    """The monotone maps between realizations of parallel morphisms, in order.
+
+    r([x]) = [y] for the first y with (x, y) in gr, read off the graphs of the
+    whole list at once after checking that each graph is total.
+    ``realize_morphism`` is its k = 1 case."""
+    if not morphisms:
+        return []
+    P, p = quotient_realize(morphisms[0].src)
+    Q, q = quotient_realize(morphisms[0].tgt)
+    gr = graph_stack(morphisms)
+    crosscheck(gr.any(axis=2).all(), "realize_morphism: the graph of a morphism must be total")
+    # total graphs into an empty carrier come out of an empty one, and have no rows
+    first = gr.argmax(axis=2) if gr.shape[2] else np.zeros(gr.shape[:2], dtype=np.intp)
+    # any element of a class will do: E-equivalent elements have equal rows in both
+    # legs, so equal rows in the graph
+    rep = [0] * P.n
+    for x, c in enumerate(p.assign):
+        rep[c] = x
+    values = np.array(q.assign, dtype=np.intp).take(first.take(rep, axis=1))
+    return [MonotoneMap(P, Q, assign) for assign in values.tolist()]
+
+
 def realize_morphism(R):
     """The monotone map between realizations: r([x]) = [y] for (x,y) in gr."""
-    P, p = quotient_realize(R.src)
-    Q, q = quotient_realize(R.tgt)
-    gr = graph_of(R)
-    assign = [None] * P.n
-    for x in range(R.src.X.n):
-        ys = np.flatnonzero(gr.pairs[x])
-        crosscheck(len(ys), "realize_morphism: the graph of a morphism must be total")
-        assign[p.assign[x]] = q.assign[int(ys[0])]
-    return MonotoneMap(P, Q, assign)
+    return realize_morphisms([R])[0]
+
+
+def _morphisms_from_maps(src, tgt, maps):
+    """The adjoint pairs of maps between the realizations, built and validated
+    as one stack of legs."""
+    if not maps:
+        return []
+    _, p = quotient_realize(src)
+    Q, q = quotient_realize(tgt)
+    # rx[i, x] = r_i([x]), the value of the i-th map at the class of x
+    rx = np.array([r.assign for r in maps], dtype=np.intp)[:, np.array(p.assign, dtype=np.intp)]
+    qx = np.array(q.assign, dtype=np.intp)
+    lower = Q.leq[rx[:, :, None], qx]
+    upper = Q.leq[qx[:, None], rx[:, None, :]]
+    _check_morphism_laws(src.E.pairs, tgt.E.pairs, lower, upper)
+    X, Y = src.X, tgt.X
+    # the legs passed the four laws above
+    return [
+        ExRegMorphism(src, tgt, Relation(X, Y, low), Relation(Y, X, up))
+        for low, up in zip(lower, upper)
+    ]
 
 
 def morphism_from_map(src, tgt, r):
     """The adjoint pair determined by a map between realizations.
 
     R_*(x, y) iff r([x]) <= [y] and R^*(y, x) iff [y] <= r([x]) in the
-    target realization; inverse to realize_morphism."""
-    P, p = quotient_realize(src)
-    Q, q = quotient_realize(tgt)
+    target realization; inverse to realize_morphism.  The k = 1 case of
+    ``all_morphisms``."""
+    P, _ = quotient_realize(src)
+    Q, _ = quotient_realize(tgt)
     if r.dom != P or r.cod != Q:
         raise ValueError("map does not connect the realizations")
-    rx = np.array([r.assign[c] for c in p.assign], dtype=np.intp)
-    qx = np.array(q.assign, dtype=np.intp)
-    lower = Q.leq[rx[:, None], qx]
-    upper = Q.leq[qx[:, None], rx]
-    return validate_morphism(
-        src, tgt, Relation(src.X, tgt.X, lower), Relation(tgt.X, src.X, upper)
-    )
+    return _morphisms_from_maps(src, tgt, [r])[0]
 
 
 def all_morphisms(src, tgt):
-    """Every morphism src -> tgt, via the bijection with realization maps."""
+    """Every morphism src -> tgt, via the bijection with realization maps.
+
+    The legs of the whole hom-set are built with one index each and
+    validated in one call."""
     P, _ = quotient_realize(src)
     Q, _ = quotient_realize(tgt)
-    return [morphism_from_map(src, tgt, r) for r in all_monotone_maps(P, Q)]
+    return _morphisms_from_maps(src, tgt, all_monotone_maps(P, Q))
 
 
 # -- poset catalogue ----------------------------------------------------------
@@ -293,7 +328,7 @@ def characterize(F, bound):
         for B in samples:
             morphisms = all_morphisms(A, B)
             source_leq = hom_order(morphisms)
-            realized = [realize_morphism(R) for R in morphisms]
+            realized = realize_morphisms(morphisms)
             ok = compare_homs(source_leq, realized, quotient_realize(A)[0], quotient_realize(B)[0])
             realizes.record(f"hom ({A.X.n},{B.X.n})-carriers", all(ok))
     return [faithful, covering, realizes]
@@ -310,6 +345,8 @@ class OrdObject:
     def __init__(self, size, leq):
         self.size = size
         self.leq = np.ascontiguousarray(leq, dtype=bool)
+        if self.leq.shape != (size, size):
+            raise ValueError(f"order matrix must be {size} x {size}, got {self.leq.shape}")
         # internal order axioms are exactly the poset axioms
         FinPoset(self.leq)
         self.leq.flags.writeable = False

@@ -118,7 +118,7 @@ class ExRegObject:
 
     def __eq__(self, other):
         # E is a relation X ⇸ X, so equal congruences have equal carriers
-        return isinstance(other, ExRegObject) and self.E == other.E
+        return self is other or (isinstance(other, ExRegObject) and self.E == other.E)
 
     def __hash__(self):
         return hash(self.E)
@@ -182,22 +182,34 @@ class ExRegMorphism:
         return f"ExRegMorphism({self.src!r} -> {self.tgt!r})"
 
 
+def _check_morphism_laws(E, F, L, U):
+    """The four morphism laws on k stacked pairs of legs (X, E) -> (Y, F).
+
+    L holds the lower legs, shape (k, |X|, |Y|), and U the upper legs, shape
+    (k, |Y|, |X|); E and F are the congruence matrices.  The laws are
+    E L F = L, F U E = U, E <= L U and U L <= F.  Raises for the first
+    morphism of the stack that breaks one, with the first law it breaks, as
+    ``validate_morphism`` would on that morphism alone."""
+    laws = (
+        (BimoduleLawFailed, "F R_* E = R_* fails", bool_mat(bool_mat(E, L), F) != L),
+        (BimoduleLawFailed, "E R^* F = R^* fails", bool_mat(bool_mat(F, U), E) != U),
+        (AdjunctionFailed, "R^* R_* ⊇ E fails", E > bool_mat(L, U)),
+        (AdjunctionFailed, "R_* R^* ⊆ F fails", bool_mat(U, L) > F),
+    )
+    if any(cells.any() for _, _, cells in laws):
+        broken = np.array([cells.reshape(len(L), -1).any(axis=1) for _, _, cells in laws])
+        # the first morphism that breaks a law, and the first law it breaks
+        cls, message, _ = laws[broken[:, broken.any(axis=0).argmax()].argmax()]
+        raise cls(message)
+
+
 def validate_morphism(src, tgt, lower, upper):
     """Check all four morphism laws and return the validated morphism."""
-    E = src.E
-    F = tgt.E
     if lower.dom != src.X or lower.cod != tgt.X:
         raise DomainMismatch("lower leg does not match src -> tgt carriers")
     if upper.dom != tgt.X or upper.cod != src.X:
         raise DomainMismatch("upper leg does not match tgt -> src carriers")
-    if compose(F, compose(lower, E)) != lower:
-        raise BimoduleLawFailed("F R_* E = R_* fails")
-    if compose(E, compose(upper, F)) != upper:
-        raise BimoduleLawFailed("E R^* F = R^* fails")
-    if not E.leq(compose(upper, lower)):
-        raise AdjunctionFailed("R^* R_* ⊇ E fails")
-    if not compose(lower, upper).leq(F):
-        raise AdjunctionFailed("R_* R^* ⊆ F fails")
+    _check_morphism_laws(src.E.pairs, tgt.E.pairs, lower.pairs[None], upper.pairs[None])
     return ExRegMorphism(src, tgt, lower, upper)
 
 
@@ -232,6 +244,23 @@ def hom_leq(R, S):
     return lower_side
 
 
+def _check_parallel(morphisms):
+    """Raise unless there is at least one morphism and all share one source and target."""
+    if not morphisms:
+        raise ValueError("no morphisms to stack")
+    first = morphisms[0]
+    for R in morphisms[1:]:
+        if R.src != first.src or R.tgt != first.tgt:
+            raise DomainMismatch("morphisms are not parallel")
+
+
+def _stacked_legs(morphisms):
+    """The legs of k >= 1 parallel morphisms (X, E) -> (Y, F), stacked: the lower
+    ones with shape (k, |X|, |Y|) and the upper ones with (k, |Y|, |X|)."""
+    _check_parallel(morphisms)
+    return np.array([R.lower.pairs for R in morphisms]), np.array([R.upper.pairs for R in morphisms])
+
+
 def hom_order(morphisms):
     """The k × k order on parallel morphisms: ``out[a, b]`` iff R_a <= R_b.
 
@@ -241,12 +270,7 @@ def hom_order(morphisms):
     are cross-checked as in ``hom_leq``."""
     if not morphisms:
         return np.zeros((0, 0), dtype=bool)
-    first = morphisms[0]
-    for R in morphisms:
-        if R.src != first.src or R.tgt != first.tgt:
-            raise DomainMismatch("morphisms are not parallel")
-    L = np.array([R.lower.pairs.ravel() for R in morphisms])
-    U = np.array([R.upper.pairs.ravel() for R in morphisms])
+    L, U = (legs.reshape(len(morphisms), -1) for legs in _stacked_legs(morphisms))
     lower_side = ~bool_mat(~L, L.T)
     upper_side = ~bool_mat(U, ~U.T)
     crosscheck(np.array_equal(lower_side, upper_side), "hom-order: lower and upper legs disagree")
@@ -270,16 +294,38 @@ def derive_right_adjoint(src, tgt, lower):
     return upper
 
 
+def graph_stack(morphisms):
+    """gr(R_*) = R_* ∩ (R^*)° of each of k parallel morphisms, stacked (k, |X|, |Y|).
+
+    Both cross-checks run on the whole stack.  Each graph is kept on its morphism
+    only once they pass, so a stack in which one morphism fails keeps no graph
+    and raises on every call; a stack whose graphs are all kept is read back from
+    them.  ``graph_of`` is its k = 1 case."""
+    if all(R._graph is not None for R in morphisms):
+        _check_parallel(morphisms)
+        return np.array([R._graph.pairs for R in morphisms])
+    L, U = _stacked_legs(morphisms)
+    gr = L & U.transpose(0, 2, 1)
+    gr.flags.writeable = False  # the kept graphs are views of it
+    F = morphisms[0].tgt.E.pairs
+    # the products and the legs are bool arrays of one shape: equal bytes are equal stacks
+    crosscheck(bool_mat(gr, F).tobytes() == L.tobytes(), "graph_of: F gr = R_* fails")
+    crosscheck(bool_mat(F, gr.transpose(0, 2, 1)).tobytes() == U.tobytes(),
+               "graph_of: gr° F = R^* fails")
+    for R, g in zip(morphisms, gr):
+        if R._graph is None:
+            R._graph = Relation(R.src.X, R.tgt.X, g)
+    return gr
+
+
 def graph_of(R):
     """gr(R_*) = R_* ∩ (R^*)°, the honest graph underneath the adjoint pair.
 
-    Computed and cross-checked on the first call, then kept on R; a morphism
-    that fails a cross-check keeps nothing, so it raises on every call."""
+    The k = 1 case of ``graph_stack``: computed and cross-checked on the first
+    call, then kept on R; a morphism that fails a cross-check keeps nothing, so
+    it raises on every call."""
     if R._graph is None:
-        gr = meet(R.lower, opposite(R.upper))
-        crosscheck(compose(R.tgt.E, gr) == R.lower, "graph_of: F gr = R_* fails")
-        crosscheck(compose(opposite(gr), R.tgt.E) == R.upper, "graph_of: gr° F = R^* fails")
-        R._graph = gr
+        graph_stack([R])
     return R._graph
 
 

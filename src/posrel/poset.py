@@ -50,15 +50,21 @@ BLAS_MADDS = 8192  # multiply-adds from which float32 BLAS beats numpy's bool lo
 def bool_mat(a, b):
     """Exact boolean matrix product: out[i, k] iff some j has a[i, j] and b[j, k].
 
-    Below ``BLAS_MADDS`` multiply-adds this is numpy's boolean matmul (an OR of
-    ANDs).  From there on the operands are cast to float32 and multiplied by
-    BLAS sgemm, which only adds non-negative 0/1 products: rounding never takes
-    a positive sum to 0 and overflow gives inf, so ``> 0`` is exact at every
-    size.  A square ``bool_mat(a, a)`` is cast once."""
+    Stacked operands follow matmul: the last two axes are the matrices and the
+    leading axes broadcast, so ``bool_mat(E, L)`` with L of shape (k, m, n)
+    multiplies E into each of the k matrices.  Below ``BLAS_MADDS`` multiply-adds,
+    counted over the whole stack (one matrix against a stack, or two stacks of
+    one length), this is numpy's boolean matmul (an OR of ANDs).  From there on
+    the operands are cast to float32 and multiplied by BLAS sgemm, which only
+    adds non-negative 0/1 products: rounding never takes a positive sum to 0 and
+    overflow gives inf, so ``> 0`` is exact at every size.  A square
+    ``bool_mat(a, a)`` is cast once."""
     square = b is a
     a = np.asarray(a, bool)
     b = a if square else np.asarray(b, bool)
-    if a.shape[0] * a.shape[1] * b.shape[1] < BLAS_MADDS:
+    # the one matrix a meets each matrix of b, or each matrix of a meets one matrix of b
+    madds = a.shape[-2] * b.size if a.ndim < b.ndim else a.size * b.shape[-1]
+    if madds < BLAS_MADDS:
         return a @ b
     fa = a.astype(np.float32)
     fb = fa if square else b.astype(np.float32)

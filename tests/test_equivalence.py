@@ -40,10 +40,11 @@ from posrel.equivalence import (
     ord_product,
     quotient_realize,
     realize_morphism,
+    realize_morphisms,
 )
 
 from test_poset import random_monotone, random_poset, relabel
-from test_exreg import random_object, random_morphism
+from test_exreg import objects_up_to, random_object, random_morphism
 
 C2 = FinPoset.chain(2)
 C3 = FinPoset.chain(3)
@@ -129,6 +130,49 @@ def test_realization_bijection_roundtrips():
         PB, _ = quotient_realize(B)
         s = random_monotone(rng, PA, PB)
         assert realize_morphism(morphism_from_map(A, B, s)) == s
+
+
+def _realize_row_by_row(R):
+    """r([x]) = [y] for the first y in row x of gr, one row at a time."""
+    P, p = quotient_realize(R.src)
+    Q, q = quotient_realize(R.tgt)
+    gr = R.lower.pairs & R.upper.pairs.T
+    assign = [None] * P.n
+    for x in range(R.src.X.n):
+        ys = np.flatnonzero(gr[x])
+        assert len(ys)
+        assign[p.assign[x]] = q.assign[int(ys[0])]
+    return MonotoneMap(P, Q, assign)
+
+
+def check_batched_realization(A, B):
+    morphisms = all_morphisms(A, B)
+    batched = realize_morphisms(morphisms)
+    assert batched == [realize_morphism(R) for R in morphisms]
+    assert batched == [_realize_row_by_row(R) for R in morphisms]
+    QA, _ = quotient_realize(A)
+    QB, _ = quotient_realize(B)
+    # the realization is a bijection onto hom(QA, QB), in the same order
+    assert batched == all_monotone_maps(QA, QB)
+    return len(morphisms)
+
+
+def test_batched_realization_equals_the_per_morphism_one_exhaustive():
+    objects = objects_up_to(2)
+    assert objects[0].X.n == 0
+    sizes = [check_batched_realization(A, B) for A in objects for B in objects]
+    # hom(A, 0) is empty for every nonempty A; hom(0, 0) holds one map of a 0 x 0 graph
+    assert sizes.count(0) == len(objects) - 1
+    assert sizes[0] == 1
+    assert realize_morphisms([]) == []
+
+
+def test_batched_realization_equals_the_per_morphism_one_random():
+    from posrel.harness import gen_exreg_object
+
+    rng = random.Random(2002)
+    for _ in range(40):
+        check_batched_realization(gen_exreg_object(rng, 4), gen_exreg_object(rng, 4))
 
 
 def test_realized_lower_is_conjugated_relation():
@@ -334,6 +378,14 @@ def test_hom_of_collapsed_object_is_three_chain():
     assert len(morphisms) == 3
     H, _ = hom_poset(C2, C2)
     assert are_isomorphic(H, C3)
+
+
+def test_ord_object_refuses_a_size_that_is_not_its_matrix():
+    with pytest.raises(ValueError, match=r"order matrix must be 3 x 3, got \(2, 2\)"):
+        OrdObject(3, np.eye(2, dtype=bool))
+    with pytest.raises(ValueError, match=r"order matrix must be 2 x 2, got \(2, 3\)"):
+        OrdObject(2, np.ones((2, 3), dtype=bool))
+    assert OrdObject(2, np.eye(2, dtype=bool)).to_poset() == D2
 
 
 def test_ord_product_matches_poset_product():

@@ -22,6 +22,7 @@ from posrel.exreg import (
     gamma_morphism,
     gamma_object,
     graph_of,
+    graph_stack,
     hom_leq,
     identity_morphism,
     jointly_order_mono_pair,
@@ -31,7 +32,7 @@ from posrel.exreg import (
     tabulation_factor,
     validate_morphism,
 )
-from posrel.equivalence import all_morphisms, quotient_realize, realize_morphism
+from posrel.equivalence import all_morphisms, morphism_from_map, quotient_realize, realize_morphism
 
 from test_poset import labelled_posets, random_monotone, random_poset
 
@@ -192,6 +193,105 @@ def test_adjunction_failure_detected():
         validate_morphism(obj, obj, full, full)
 
 
+# -- one law check for a stack of legs ---------------------------------------
+#
+# Each case breaks exactly the law it names first: (object, lower, upper).
+
+
+def _law_breakers():
+    diagonal_obj, chain_obj = ExRegObject(D2, E_AB), gamma_object(C2)
+    full, empty = Relation.full(C2, C2), Relation.empty(C2, C2)
+    return [
+        (diagonal_obj, Relation.from_pairs(D2, D2, [(0, 0), (1, 1)]), diagonal_obj.E),
+        (chain_obj, chain_obj.E, delta(C2)),
+        (chain_obj, empty, empty),
+        (chain_obj, full, full),
+    ]
+
+
+def _raised(call):
+    with pytest.raises((BimoduleLawFailed, AdjunctionFailed)) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_each_law_breaker_fails_the_law_it_is_named_for():
+    messages = [_raised(lambda: validate_morphism(obj, obj, low, up))
+                for obj, low, up in _law_breakers()]
+    assert messages == [
+        (BimoduleLawFailed, "F R_* E = R_* fails"),
+        (BimoduleLawFailed, "E R^* F = R^* fails"),
+        (AdjunctionFailed, "R^* R_* ⊇ E fails"),
+        (AdjunctionFailed, "R_* R^* ⊆ F fails"),
+    ]
+
+
+def test_a_stack_raises_as_its_first_broken_morphism_alone():
+    from posrel.exreg import _check_morphism_laws
+
+    for obj, low, up in _law_breakers():
+        good = identity_morphism(obj)
+        L = np.array([good.lower.pairs, good.lower.pairs, low.pairs])
+        U = np.array([good.upper.pairs, good.upper.pairs, up.pairs])
+        E = obj.E.pairs
+        assert _raised(lambda: _check_morphism_laws(E, E, L, U)) == _raised(
+            lambda: validate_morphism(obj, obj, low, up)
+        )
+        _check_morphism_laws(E, E, L[:2], U[:2])
+    # the first broken morphism decides, not the first law that some morphism breaks
+    obj = gamma_object(C2)
+    E = obj.E.pairs
+    full = Relation.full(C2, C2).pairs
+    breaks_counit, breaks_bimodule = (full, full), (np.eye(2, dtype=bool), E)
+    L, U = (np.array(legs) for legs in zip(breaks_counit, breaks_bimodule))
+    assert _raised(lambda: _check_morphism_laws(E, E, L, U)) == (
+        AdjunctionFailed, "R_* R^* ⊆ F fails"
+    )
+    assert _raised(lambda: _check_morphism_laws(E, E, L[::-1], U[::-1])) == (
+        BimoduleLawFailed, "F R_* E = R_* fails"
+    )
+
+
+def _legs_by_formula(src, tgt, r):
+    """R_*(x, y) iff r([x]) <= [y] and R^*(y, x) iff [y] <= r([x]), cell by cell."""
+    _, p = quotient_realize(src)
+    Q, q = quotient_realize(tgt)
+    lower = [[Q.leq[r.assign[p.assign[x]], q.assign[y]] for y in range(tgt.X.n)]
+             for x in range(src.X.n)]
+    upper = [[Q.leq[q.assign[y], r.assign[p.assign[x]]] for x in range(src.X.n)]
+             for y in range(tgt.X.n)]
+    return (np.array(lower, dtype=bool).reshape(src.X.n, tgt.X.n),
+            np.array(upper, dtype=bool).reshape(tgt.X.n, src.X.n))
+
+
+def check_hom_set_as_per_map(A, B):
+    QA, _ = quotient_realize(A)
+    QB, _ = quotient_realize(B)
+    maps = all_monotone_maps(QA, QB)
+    stacked = all_morphisms(A, B)
+    one_by_one = [morphism_from_map(A, B, r) for r in maps]
+    assert len(stacked) == len(one_by_one) == len(maps)
+    for R, S, r in zip(stacked, one_by_one, maps):
+        assert (R.src, R.tgt, R.lower, R.upper) == (S.src, S.tgt, S.lower, S.upper)
+        lower, upper = _legs_by_formula(A, B, r)
+        assert np.array_equal(R.lower.pairs, lower) and np.array_equal(R.upper.pairs, upper)
+    return len(stacked)
+
+
+def test_all_morphisms_equals_the_per_map_list_exhaustive():
+    objects = objects_up_to(2)
+    sizes = [check_hom_set_as_per_map(A, B) for A in objects for B in objects]
+    assert 0 in sizes and 1 in sizes and max(sizes) > 1
+
+
+def test_all_morphisms_equals_the_per_map_list_random():
+    from posrel.harness import gen_exreg_object
+
+    rng = random.Random(2001)
+    for _ in range(40):
+        check_hom_set_as_per_map(gen_exreg_object(rng, 4), gen_exreg_object(rng, 4))
+
+
 def test_compose_with_identity():
     rng = random.Random(44)
     for _ in range(25):
@@ -284,6 +384,36 @@ def test_graph_of_is_computed_once_per_morphism():
         R = random_morphism(rng, A, B)
         assert graph_of(R) is graph_of(R)
         assert graph_of(R) == meet(R.lower, opposite(R.upper))
+
+
+def test_graph_stack_keeps_and_returns_the_graphs_of_graph_of():
+    rng = random.Random(55)
+    for _ in range(20):
+        A, B = random_object(rng, 4), random_object(rng, 4)
+        morphisms = all_morphisms(A, B)
+        if not morphisms:
+            continue
+        stack = graph_stack(morphisms)
+        assert stack.shape == (len(morphisms), A.X.n, B.X.n)
+        assert not stack.flags.writeable
+        kept = [R._graph for R in morphisms]
+        for R, g, graph in zip(morphisms, stack, kept):
+            assert np.array_equal(graph.pairs, g)
+            assert graph == meet(R.lower, opposite(R.upper))
+            assert graph_of(R) is graph
+        # a second call returns the same stack and leaves the kept graphs as they are
+        assert np.array_equal(graph_stack(morphisms), stack)
+        assert all(R._graph is graph for R, graph in zip(morphisms, kept))
+
+
+def test_graph_stack_refuses_non_parallel_morphisms_and_an_empty_list():
+    from posrel.relation import DomainMismatch
+
+    A, B = gamma_object(C2), gamma_object(D2)
+    with pytest.raises(DomainMismatch):
+        graph_stack(all_morphisms(A, A) + all_morphisms(A, B))
+    with pytest.raises(ValueError):
+        graph_stack([])
 
 
 def test_graph_is_functorial():
@@ -645,7 +775,7 @@ import sys
 from posrel.poset import FinPoset
 from posrel.relation import Relation
 from posrel.exreg import (
-    CrossCheckFailed, ExRegMorphism, gamma_object, graph_of, hom_leq, hom_order,
+    CrossCheckFailed, ExRegMorphism, gamma_object, graph_of, graph_stack, hom_leq, hom_order,
 )
 from posrel.equivalence import realize_morphism
 
@@ -654,12 +784,16 @@ A = gamma_object(FinPoset.discrete(1))
 full, empty = Relation.full(A.X, A.X), Relation.empty(A.X, A.X)
 # graph_of keeps a graph only once its cross-checks pass, so a bad morphism raises every time
 not_a_map = ExRegMorphism(A, A, full, empty)
+# a stack keeps its graphs only once both cross-checks pass on every morphism
+a_map = ExRegMorphism(A, A, full, full)
 planted = [
     lambda: hom_leq(ExRegMorphism(A, A, full, full), ExRegMorphism(A, A, full, empty)),
     lambda: hom_order([ExRegMorphism(A, A, full, full), ExRegMorphism(A, A, full, empty)]),
     lambda: realize_morphism(ExRegMorphism(A, A, empty, empty)),
     lambda: graph_of(not_a_map),
     lambda: graph_of(not_a_map),
+    lambda: graph_stack([a_map, not_a_map]),
+    lambda: graph_stack([a_map, not_a_map]),
 ]
 for plant in planted:
     try:
@@ -667,6 +801,7 @@ for plant in planted:
         print("not raised")
     except CrossCheckFailed as exc:
         print("raised:", exc)
+print("kept:", a_map._graph is not None, not_a_map._graph is not None)
 """
 
 
@@ -690,4 +825,7 @@ def test_crosschecks_survive_python_O():
         "raised: realize_morphism: the graph of a morphism must be total",
         "raised: graph_of: F gr = R_* fails",
         "raised: graph_of: F gr = R_* fails",
+        "raised: graph_of: F gr = R_* fails",
+        "raised: graph_of: F gr = R_* fails",
+        "kept: False False",
     ]

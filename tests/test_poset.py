@@ -164,6 +164,30 @@ def test_bool_mat_matches_witness_counts_on_both_routes(m, k, n):
         assert (out == _witnessed(a, b)).all()
 
 
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [
+        ((3, 4, 5), (5, 2)),  # a stack times one matrix
+        ((4, 5), (3, 5, 2)),  # one matrix times a stack
+        ((3, 4, 5), (3, 5, 2)),  # stacks of one length
+        ((2, 1, 4, 5), (1, 3, 5, 2)),  # batches that broadcast to (2, 3)
+        ((40, 8, 8), (8, 8)),  # 512 per matrix, 20480 over the stack: sgemm
+        ((8, 8), (40, 8, 8)),
+        ((40, 8, 8), (40, 8, 8)),
+        ((0, 3, 3), (3, 3)),
+        ((2, 0, 0), (0, 0)),
+    ],
+)
+def test_bool_mat_of_stacks_matches_witness_counts(a_shape, b_shape):
+    rng = np.random.default_rng(len(a_shape) * 100 + a_shape[0])
+    for density in (0.0, 0.2, 1.0):
+        a, b = rng.random(a_shape) < density, rng.random(b_shape) < density
+        out = bool_mat(a, b)
+        want = _witnessed(a, b)
+        assert out.dtype == bool and out.shape == want.shape
+        assert (out == want).all()
+
+
 @pytest.mark.parametrize("n", [5, 20, 21, 64, 200])
 def test_bool_mat_of_a_square_matches_witness_counts(n):
     # bool_mat(a, a) casts a once; 21³ is the first square at BLAS_MADDS or above
