@@ -69,7 +69,9 @@ def gen_weakening_relation(rng, X, Y, p=0.3):
 def gen_congruence(rng, X):
     """The object X with the congruence generated by its order and two random pairs."""
     pairs = [(rng.randrange(X.n), rng.randrange(X.n)) for _ in range(2)] if X.n else []
-    return exreg.ExRegObject.from_pairs(X, pairs)
+    # a transitive closure of the order and some pairs is transitive and contains the order
+    E = poset.transitive_closure(X.leq | poset.pair_mask((X.n, X.n), pairs))
+    return exreg.ExRegObject._trusted(X, E)
 
 
 def gen_exreg_object(rng, cap):

@@ -229,7 +229,8 @@ class MonotoneMap:
 
     @classmethod
     def identity(cls, poset):
-        return cls(poset, poset, range(poset.n))
+        # the identity preserves every order
+        return cls._trusted(poset, poset, range(poset.n))
 
     def __call__(self, i):
         return self.assign[i]
@@ -238,7 +239,8 @@ class MonotoneMap:
         """g o self."""
         if g.dom != self.cod:
             raise ValueError("composition mismatch")
-        return MonotoneMap(self.dom, g.cod, [g.assign[a] for a in self.assign])
+        # a composite of monotone maps is monotone
+        return MonotoneMap._trusted(self.dom, g.cod, [g.assign[a] for a in self.assign])
 
     def is_surjective(self):
         return set(self.assign) == set(range(self.cod.n))
@@ -507,12 +509,7 @@ def pointwise_order(maps, leq):
 
 def product(X, Y):
     """Cartesian product with componentwise order; carrier is lexicographic pairs."""
-    n, m = X.n, Y.n
-    leq = np.kron(X.leq, Y.leq)
-    P = FinPoset(leq)
-    p0 = MonotoneMap(P, X, [k // m for k in range(n * m)])
-    p1 = MonotoneMap(P, Y, [k % m for k in range(n * m)])
-    return P, p0, p1
+    return pair_span(X, Y, np.ones((X.n, Y.n), dtype=bool))
 
 
 def terminal():
@@ -602,7 +599,8 @@ def image_factorize(f):
     image = sorted(set(f.assign))
     M, m = subposet(f.cod, image)
     pos = {c: k for k, c in enumerate(image)}
-    e = MonotoneMap(f.dom, M, [pos[a] for a in f.assign])
+    # M carries the order induced from f's codomain, and f is monotone
+    e = MonotoneMap._trusted(f.dom, M, [pos[a] for a in f.assign])
     return e, m
 
 
@@ -612,18 +610,10 @@ def poset_reflection(pre):
     Returns (poset, class_of) where class_of[i] is the index of i's class;
     classes are numbered by their smallest member."""
     pre = np.asarray(pre, dtype=bool)
-    n = pre.shape[0]
-    both = pre & pre.T
-    reps = []
-    class_of = [None] * n
-    for i in range(n):
-        for r_idx, r in enumerate(reps):
-            if both[i, r]:
-                class_of[i] = r_idx
-                break
-        else:
-            class_of[i] = len(reps)
-            reps.append(i)
+    # each row of the reflexive symmetric part starts at its class's smallest member
+    index = {}
+    class_of = [index.setdefault(row.index(True), len(index)) for row in (pre & pre.T).tolist()]
+    reps = list(index)
     # a preorder on one representative per class of its symmetric part is an order
     idx = np.array(reps, dtype=np.intp)
     return FinPoset._trusted(pre[idx[:, None], idx]), class_of

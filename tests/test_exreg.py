@@ -777,6 +777,7 @@ from posrel.relation import Relation
 from posrel.exreg import (
     CrossCheckFailed, ExRegMorphism, gamma_object, graph_of, graph_stack, hom_leq, hom_order,
 )
+from posrel import equivalence
 from posrel.equivalence import realize_morphism
 
 print("optimize", sys.flags.optimize)
@@ -786,6 +787,19 @@ full, empty = Relation.full(A.X, A.X), Relation.empty(A.X, A.X)
 not_a_map = ExRegMorphism(A, A, full, empty)
 # a stack keeps its graphs only once both cross-checks pass on every morphism
 a_map = ExRegMorphism(A, A, full, full)
+
+
+def reversed_graphs():
+    # each map is read off its graph with the columns reversed: 0 < 1 goes to 1 > 0
+    real = equivalence.graph_stack
+    equivalence.graph_stack = lambda morphisms: real(morphisms)[:, :, ::-1]
+    try:
+        C = gamma_object(FinPoset.chain(2))
+        equivalence.realize_morphisms(equivalence.all_morphisms(C, C))
+    finally:
+        equivalence.graph_stack = real
+
+
 planted = [
     lambda: hom_leq(ExRegMorphism(A, A, full, full), ExRegMorphism(A, A, full, empty)),
     lambda: hom_order([ExRegMorphism(A, A, full, full), ExRegMorphism(A, A, full, empty)]),
@@ -794,6 +808,7 @@ planted = [
     lambda: graph_of(not_a_map),
     lambda: graph_stack([a_map, not_a_map]),
     lambda: graph_stack([a_map, not_a_map]),
+    reversed_graphs,
 ]
 for plant in planted:
     try:
@@ -827,5 +842,6 @@ def test_crosschecks_survive_python_O():
         "raised: graph_of: F gr = R_* fails",
         "raised: graph_of: F gr = R_* fails",
         "raised: graph_of: F gr = R_* fails",
+        "raised: realize_morphism: the realized map must be monotone",
         "kept: False False",
     ]

@@ -1337,6 +1337,30 @@ def test_cli_does_not_report_a_failed_crosscheck_as_input(construction_inputs, m
         run_cli("factorize", str(construction_inputs / "m.exreg"))
 
 
+def test_cli_does_not_report_a_wrong_realized_map_as_input(monkeypatch):
+    from posrel import equivalence, exreg
+
+    real = equivalence.graph_stack
+    monkeypatch.setattr(equivalence, "graph_stack", lambda morphisms: real(morphisms)[:, :, ::-1])
+    with pytest.raises(exreg.CrossCheckFailed, match="realize_morphism: the realized map must be monotone"):
+        run_cli("equiv", "set-pos", "--bound", "3")
+
+
+def test_cli_does_not_report_a_wrong_kernel_object_as_input(monkeypatch):
+    from posrel import equivalence
+
+    real = equivalence.kernel_object
+
+    def symmetrised(e):
+        # the kernel of e taken in the symmetric closure of its codomain's order
+        cod = FinPoset._trusted(e.cod.leq | e.cod.leq.T)
+        return real(MonotoneMap._trusted(e.dom, cod, e.assign))
+
+    monkeypatch.setattr(equivalence, "kernel_object", symmetrised)
+    code, _, err = run_cli("equiv", "set-pos", "--bound", "4")
+    assert (code, err) == (1, "error: BimoduleLawFailed: F R_* E = R_* fails\n")
+
+
 # -- a reader that goes away ----------------------------------------------------
 
 

@@ -14,21 +14,36 @@ from posrel.poset import (
     MonotoneMap,
     NotMonotone,
     all_monotone_maps,
+    classify_map,
     coinserter,
+    image_factorize,
     pair_order,
     pair_span,
     pointwise_order,
     poset_reflection,
     power,
+    product,
     transitive_closure,
 )
 from posrel.relation import Relation, compose, hypergraph, hypograph
-from posrel.exreg import ExRegObject, tabulate, validate_morphism
+from posrel.exreg import (
+    ExRegObject,
+    canonical_presentation,
+    gamma_morphism,
+    gamma_object,
+    split_congruence,
+    tabulate,
+    validate_morphism,
+)
 from posrel.equivalence import (
     all_morphisms,
+    discrete_check,
+    discrete_inclusion_functor,
+    kernel_object,
     morphism_from_map,
     quotient_realize,
     realize_morphism,
+    realize_morphisms,
 )
 
 from test_poset import labelled_posets, random_monotone, random_poset
@@ -164,13 +179,53 @@ def test_poset_reflection_of_every_small_preorder_is_an_order(n):
         check_reflection(pre)
 
 
-def test_poset_reflection_of_random_preorders_is_an_order():
-    rng = random.Random(63)
-    for _ in range(100):
+def random_preorders(seed, count=100):
+    rng = random.Random(seed)
+    for _ in range(count):
         n = rng.randrange(0, 9)
         p = rng.random() * 0.4
         mat = np.array([rng.random() < p for _ in range(n * n)], dtype=bool)
-        check_reflection(transitive_closure(mat.reshape(n, n)))
+        yield transitive_closure(mat.reshape(n, n))
+
+
+def test_poset_reflection_of_random_preorders_is_an_order():
+    for pre in random_preorders(63):
+        check_reflection(pre)
+
+
+def reflection_by_search(pre):
+    """The classes and representatives of a preorder, found by searching the
+    representatives seen so far for each element."""
+    both = pre & pre.T
+    reps = []
+    class_of = [None] * pre.shape[0]
+    for i in range(pre.shape[0]):
+        for r_idx, r in enumerate(reps):
+            if both[i, r]:
+                class_of[i] = r_idx
+                break
+        else:
+            class_of[i] = len(reps)
+            reps.append(i)
+    return class_of, reps
+
+
+def check_reflection_numbering(pre):
+    Q, class_of = poset_reflection(pre)
+    want, reps = reflection_by_search(pre)
+    assert class_of == want
+    assert (Q.leq == pre[np.ix_(reps, reps)]).all()
+
+
+def test_poset_reflection_numbers_classes_as_the_search_does_exhaustive():
+    for n in range(5):
+        for pre in preorders(n):
+            check_reflection_numbering(pre)
+
+
+def test_poset_reflection_numbers_classes_as_the_search_does_random():
+    for pre in random_preorders(72):
+        check_reflection_numbering(pre)
 
 
 def test_coinserter_map_matches_validating_constructor():
@@ -335,4 +390,165 @@ def test_gen_poset_matches_the_validating_constructor():
                 mat[i, j] = redrawn.random() < 0.35
         assert P == FinPoset(transitive_closure(mat))
         assert_valid_poset(P)
+        assert drawn.draws == redrawn.draws
+
+
+# -- the engine's own results: Γ, kernels, quotients, realizations ------------
+
+
+def small_posets(n_max=2):
+    return [P for n in range(n_max + 1) for P in labelled_posets(n)]
+
+
+def random_posets(seed, count=40, n_max=5):
+    rng = random.Random(seed)
+    return rng, [random_poset(rng, rng.randrange(0, n_max + 1)) for _ in range(count)]
+
+
+def kron_product(X, Y):
+    """The product as an order matrix ``kron(X.leq, Y.leq)`` with its projections, validated."""
+    m = Y.n
+    P = FinPoset(np.kron(X.leq, Y.leq))
+    return P, MonotoneMap(P, X, [k // m for k in range(P.n)]), MonotoneMap(P, Y, [k % m for k in range(P.n)])
+
+
+def check_product(X, Y):
+    got = product(X, Y)
+    assert got == kron_product(X, Y)
+    assert_valid_poset(got[0])
+    assert_valid_map(got[1])
+    assert_valid_map(got[2])
+
+
+def test_product_matches_the_kron_build_exhaustive():
+    posets = small_posets(3)
+    for X in posets:
+        for Y in posets:
+            check_product(X, Y)
+
+
+def test_product_matches_the_kron_build_random():
+    _, posets = random_posets(73)
+    for X, Y in zip(posets, posets[1:]):
+        check_product(X, Y)
+
+
+def check_maps_between(X, Y, Z):
+    """identity, composites and image surjections of the maps X -> Y -> Z."""
+    assert_valid_map(MonotoneMap.identity(X))
+    second = all_monotone_maps(Y, Z)
+    for f in all_monotone_maps(X, Y):
+        assert_valid_map(image_factorize(f)[0])
+        for g in second:
+            assert_valid_map(f.then(g))
+
+
+def test_identity_composite_and_image_maps_match_validating_constructor_exhaustive():
+    posets = small_posets()
+    for X, Y, Z in itertools.product(posets, repeat=3):
+        check_maps_between(X, Y, Z)
+
+
+def test_identity_composite_and_image_maps_match_validating_constructor_random():
+    rng, posets = random_posets(74, n_max=4)
+    for X, Y, Z in zip(posets, posets[1:], posets[2:]):
+        check_maps_between(X, Y, Z)
+
+
+def check_gamma(X, Y):
+    A = gamma_object(X)
+    checked = ExRegObject(X, X.leq)
+    assert A == checked and hash(A) == hash(checked)
+    for f in all_monotone_maps(X, Y):
+        lower, upper = hypergraph(f), hypograph(f)
+        assert gamma_morphism(f) == validate_morphism(A, gamma_object(Y), lower, upper)
+        e = kernel_object(f)
+        idx = np.array(f.assign, dtype=np.intp)
+        checked = ExRegObject(X, Y.leq[np.ix_(idx, idx)])
+        assert e == checked and hash(e) == hash(checked)
+
+
+def test_gamma_and_kernel_objects_match_validating_constructors_exhaustive():
+    posets = small_posets(3)
+    for X in posets:
+        for Y in posets:
+            check_gamma(X, Y)
+
+
+def test_gamma_and_kernel_objects_match_validating_constructors_random():
+    _, posets = random_posets(75, n_max=4)
+    for X, Y in zip(posets, posets[1:]):
+        check_gamma(X, Y)
+
+
+def check_quotients(obj, over):
+    """The quotient of the canonical presentation, and q of splitting each congruence ``over``."""
+    X, E = obj.X, obj.E
+    assert canonical_presentation(obj).quotient == validate_morphism(gamma_object(X), obj, E, E)
+    for R in over:
+        q, _ = split_congruence(obj, R.E.pairs)
+        assert q == validate_morphism(obj, ExRegObject(X, R.E.pairs), R.E, R.E)
+
+
+def test_presentation_and_split_quotients_match_validate_morphism_exhaustive():
+    objects = objects_up_to(2)
+    for obj in objects:
+        check_quotients(obj, [R for R in objects if R.X == obj.X and obj.E.leq(R.E)])
+
+
+def test_presentation_and_split_quotients_match_validate_morphism_random():
+    rng = random.Random(76)
+    for _ in range(40):
+        obj = random_object(rng, 5, n_min=0)
+        n = obj.X.n
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2)] if n else []
+        check_quotients(obj, [ExRegObject.from_pairs(obj.X, obj.E.pair_list() + pairs)])
+
+
+def check_realized(A, B):
+    for r in realize_morphisms(all_morphisms(A, B)):
+        assert_valid_map(r)
+
+
+def test_realized_maps_match_validating_constructor_exhaustive():
+    objects = objects_up_to(2)
+    for A in objects:
+        for B in objects:
+            check_realized(A, B)
+
+
+def test_realized_maps_match_validating_constructor_random():
+    rng = random.Random(77)
+    for _ in range(40):
+        check_realized(random_object(rng, 4, n_min=0), random_object(rng, 4, n_min=0))
+
+
+def test_maps_out_of_discrete_posets_match_validating_constructor(monkeypatch):
+    covered = []
+
+    def recording(e):
+        covered.append(e)
+        return classify_map(e)
+
+    monkeypatch.setattr(equivalence, "classify_map", recording)
+    discrete_check(4)
+    _, posets = random_posets(78, n_max=7)
+    cover = discrete_inclusion_functor().cover
+    covered += [cover(Y)[1] for Y in small_posets(3) + posets]
+    assert any(e.dom.n == 0 for e in covered)
+    for e in covered:
+        assert_valid_map(e)
+        assert e.dom.is_discrete()
+
+
+def test_gen_congruence_matches_the_validating_constructor():
+    from posrel.harness import ChoiceStream, gen_congruence
+
+    _, posets = random_posets(79, count=80, n_max=7)
+    for seed, X in enumerate(small_posets() + posets):
+        drawn, redrawn = ChoiceStream(seed), ChoiceStream(seed)
+        obj = gen_congruence(drawn, X)
+        pairs = [(redrawn.randrange(X.n), redrawn.randrange(X.n)) for _ in range(2)] if X.n else []
+        checked = ExRegObject.from_pairs(X, pairs)
+        assert obj == checked and hash(obj) == hash(checked)
         assert drawn.draws == redrawn.draws
