@@ -377,22 +377,17 @@ class OrdObject:
 
 
 def ord_hom_poset(A, B):
-    """Order-preserving internal maps A -> B under pointwise order."""
-    maps = []
-    for assign in itertools.product(range(B.size), repeat=A.size):
-        if all(
-            B.leq[assign[i], assign[j]]
-            for i in range(A.size)
-            for j in range(A.size)
-            if A.leq[i, j]
-        ):
-            maps.append(assign)
-    k = len(maps)
-    leq = np.zeros((k, k), dtype=bool)
-    for a in range(k):
-        for b in range(k):
-            leq[a, b] = all(B.leq[maps[a][i], maps[b][i]] for i in range(A.size))
-    return FinPoset(leq), maps
+    """Order-preserving internal maps A -> B under pointwise order.
+
+    Brute force: all |B|^|A| tuples in lexicographic order, kept where each
+    related pair of A lands on a related pair of B, then ordered by comparing
+    every pair of kept tuples at every element."""
+    count = B.size**A.size
+    tuples = np.indices((B.size,) * A.size).reshape(A.size, count).T
+    lo, hi = np.nonzero(A.leq)
+    maps = tuples[B.leq[tuples[:, lo], tuples[:, hi]].all(axis=1)]
+    leq = B.leq[maps[:, None, :], maps[None, :, :]].all(axis=2)
+    return FinPoset(leq), [tuple(m) for m in maps.tolist()]
 
 
 def ord_product(A, B):

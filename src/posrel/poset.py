@@ -13,6 +13,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -415,20 +416,16 @@ def _refined_colours(leq):
     An element's next colour ranks its current colour together with the
     sorted colours strictly below it and strictly above it.  Ranks are taken
     in sorted order of those signatures, so an isomorphism maps each colour
-    class onto the class of the same colour."""
-    n = leq.shape[0]
-    lt = leq & ~np.eye(n, dtype=bool)
-    below = [np.flatnonzero(lt[:, i]) for i in range(n)]
-    above = [np.flatnonzero(lt[i]) for i in range(n)]
-    colour = [0] * n
+    class onto the class of the same colour.  Works on Python lists: the
+    matrix is read once with ``tolist``."""
+    rows = leq.tolist()
+    above = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(rows)]
+    below = [[j for j, x in enumerate(col) if x and j != i] for i, col in enumerate(zip(*rows))]
+    colour = [0] * len(rows)
     while True:
         sig = [
-            (
-                colour[i],
-                tuple(sorted(colour[j] for j in below[i])),
-                tuple(sorted(colour[j] for j in above[i])),
-            )
-            for i in range(n)
+            (c, tuple(sorted([colour[j] for j in down])), tuple(sorted([colour[j] for j in up])))
+            for c, down, up in zip(colour, below, above)
         ]
         rank = {s: k for k, s in enumerate(sorted(set(sig)))}
         # the own colour leads the signature, so a round only splits classes
@@ -447,16 +444,16 @@ def canonical_certificate(P):
     most the product of the class sizes' factorials, all compared at once:
     meant for the catalogue's small posets, not for large antichains."""
     colour = _refined_colours(P.leq)
-    labellings = np.zeros((1, 0), dtype=np.intp)
-    for c in range(max(colour, default=-1) + 1):
-        cell = [i for i in range(P.n) if colour[i] == c]
-        perms = np.array(list(itertools.permutations(cell)), dtype=np.intp)
-        labellings = np.concatenate(
-            [np.repeat(labellings, len(perms), axis=0), np.tile(perms, (len(labellings), 1))],
-            axis=1,
-        )
+    cells = [[] for _ in range(max(colour, default=-1) + 1)]
+    for i, c in enumerate(colour):
+        cells[c].append(i)
+    count = math.prod(math.factorial(len(cell)) for cell in cells)
+    # one labelling per choice of a permutation of each class, later classes varying fastest
+    choices = itertools.product(*(itertools.permutations(cell) for cell in cells))
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(c) for c in choices)
+    labellings = np.fromiter(flat, dtype=np.intp, count=count * P.n).reshape(count, P.n)
     mats = P.leq[labellings[:, :, None], labellings[:, None, :]]
-    packed = np.packbits(mats.reshape(len(labellings), -1), axis=1)
+    packed = np.packbits(mats.reshape(count, P.n * P.n), axis=1)
     least = np.lexsort(packed.T[::-1])[0] if P.n else 0
     return P.n, packed[least].tobytes()
 
@@ -503,7 +500,7 @@ def pointwise_order(maps, leq):
     k = len(maps)
     out = np.ones((k, k), dtype=bool)
     for col in np.array([m.assign for m in maps], dtype=np.intp).T:
-        out &= leq[col[:, None], col]
+        out &= leq.take(col, 0).take(col, 1)
     return out
 
 

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from posrel import equivalence
+from posrel import equivalence, poset
 from posrel.poset import (
     FinPoset,
     MonotoneMap,
@@ -231,6 +231,69 @@ def test_catalogue_is_in_certificate_order():
         assert certificates == sorted(set(certificates))
 
 
+def refined_colours_with_numpy(leq):
+    """The colour refinement as it was written on numpy rows, kept to check the
+    list version against."""
+    n = leq.shape[0]
+    lt = leq & ~np.eye(n, dtype=bool)
+    below = [np.flatnonzero(lt[:, i]) for i in range(n)]
+    above = [np.flatnonzero(lt[i]) for i in range(n)]
+    colour = [0] * n
+    while True:
+        sig = [
+            (
+                colour[i],
+                tuple(sorted(colour[j] for j in below[i])),
+                tuple(sorted(colour[j] for j in above[i])),
+            )
+            for i in range(n)
+        ]
+        rank = {s: k for k, s in enumerate(sorted(set(sig)))}
+        if len(rank) == len(set(colour)):
+            return colour
+        colour = [rank[s] for s in sig]
+
+
+def certificate_with_numpy(P):
+    """The certificate as it was written with np.repeat, np.tile and
+    np.concatenate, kept to check the itertools version against."""
+    colour = refined_colours_with_numpy(P.leq)
+    labellings = np.zeros((1, 0), dtype=np.intp)
+    for c in range(max(colour, default=-1) + 1):
+        cell = [i for i in range(P.n) if colour[i] == c]
+        perms = np.array(list(itertools.permutations(cell)), dtype=np.intp)
+        labellings = np.concatenate(
+            [np.repeat(labellings, len(perms), axis=0), np.tile(perms, (len(labellings), 1))],
+            axis=1,
+        )
+    mats = P.leq[labellings[:, :, None], labellings[:, None, :]]
+    packed = np.packbits(mats.reshape(len(labellings), -1), axis=1)
+    least = np.lexsort(packed.T[::-1])[0] if P.n else 0
+    return P.n, packed[least].tobytes()
+
+
+def check_certificate_as_with_numpy(P):
+    assert poset._refined_colours(P.leq) == refined_colours_with_numpy(P.leq)
+    assert canonical_certificate(P) == certificate_with_numpy(P)
+
+
+def test_certificate_matches_the_numpy_version_on_every_class_up_to_6():
+    classes = all_posets_up_to(6)
+    assert classes[0].n == 0
+    for P in classes:
+        check_certificate_as_with_numpy(P)
+
+
+def test_certificate_matches_the_numpy_version_on_relabelled_classes_at_7():
+    rng = random.Random(2207)
+    for P in rng.sample(all_posets_up_to_iso(7), 150):
+        perm = list(range(7))
+        rng.shuffle(perm)
+        Q = relabel(P, perm)
+        check_certificate_as_with_numpy(Q)
+        assert canonical_certificate(Q) == canonical_certificate(P)
+
+
 def test_identity_functor_checks_pass():
     faithful, covering, _ = characterize(identity_functor(), 3)
     assert faithful.passed
@@ -428,15 +491,62 @@ def test_ord_image_matches_poset_image():
         assert image == list(m.assign)
 
 
+def ord_hom_poset_by_loops(A, B):
+    """The Ord hom-poset as it was written with tuple-by-tuple loops, kept to
+    check the array version against."""
+    maps = []
+    for assign in itertools.product(range(B.size), repeat=A.size):
+        if all(
+            B.leq[assign[i], assign[j]]
+            for i in range(A.size)
+            for j in range(A.size)
+            if A.leq[i, j]
+        ):
+            maps.append(assign)
+    k = len(maps)
+    leq = np.zeros((k, k), dtype=bool)
+    for a in range(k):
+        for b in range(k):
+            leq[a, b] = all(B.leq[maps[a][i], maps[b][i]] for i in range(A.size))
+    return FinPoset(leq), maps
+
+
 def test_ord_hom_poset_matches_poset_hom():
+    # commutation_check compares the two under the bijection: the same
+    # functions in the same order, and equal order matrices
     rng = random.Random(17)
     for _ in range(15):
         A = random_poset(rng, rng.randrange(0, 4))
         B = random_poset(rng, rng.randrange(0, 4))
         H_ord, maps = ord_hom_poset(OrdObject.from_poset(A), OrdObject.from_poset(B))
         H_pos, pos_maps = hom_poset(A, B)
-        assert sorted(maps) == sorted(m.assign for m in pos_maps)
-        assert are_isomorphic(H_ord, H_pos)
+        assert maps == [m.assign for m in pos_maps]
+        assert H_ord == H_pos
+
+
+def test_ord_hom_poset_out_of_the_empty_object_is_one_empty_map():
+    for B in all_posets_up_to(2):
+        H, maps = ord_hom_poset(OrdObject(0, np.zeros((0, 0), bool)), OrdObject.from_poset(B))
+        assert maps == [()]
+        assert H == FinPoset.discrete(1)
+
+
+def test_ord_hom_poset_into_the_empty_object_is_empty():
+    for A in all_posets_up_to(2)[1:]:
+        H, maps = ord_hom_poset(OrdObject.from_poset(A), OrdObject(0, np.zeros((0, 0), bool)))
+        assert maps == []
+        assert H == FinPoset.discrete(0)
+
+
+def test_ord_hom_poset_matches_the_loops_on_every_pair_up_to_3_by_4():
+    for A in all_posets_up_to(3):
+        for B in all_posets_up_to(4):
+            OA, OB = OrdObject.from_poset(A), OrdObject.from_poset(B)
+            H, maps = ord_hom_poset(OA, OB)
+            H_loops, maps_loops = ord_hom_poset_by_loops(OA, OB)
+            assert maps == maps_loops
+            assert all(type(a) is int for m in maps for a in m)
+            assert H == H_loops
 
 
 def test_commutation_check_small_bound():
