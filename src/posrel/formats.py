@@ -21,7 +21,16 @@ import os
 
 import numpy as np
 
-from .poset import MAX_ELEMENTS, FinPoset, InputError, transitive_closure
+from .poset import (
+    MAX_ELEMENTS,
+    AntisymmetryViolation,
+    FinPoset,
+    InputError,
+    acyclic_closure,
+    pair_mask,
+    post_order,
+    transitive_closure,
+)
 from .relation import Relation
 from .exreg import ExRegObject, validate_morphism
 
@@ -116,30 +125,27 @@ def parse_poset(text, path="<string>"):
             labels[i] = toks[2]
         else:
             raise ParseError(path, no, f"unrecognized line {line!r}")
-    try:
-        return FinPoset.from_covers(n, pairs, labels=labels)
-    except ValueError:
-        pass
+    leq = acyclic_closure(pair_mask((n, n), pairs))
+    if leq is not None:
+        return FinPoset(leq, labels=labels)
     # The pairs close a cycle, and a cycle stays closed as pairs are added:
-    # the shortest failing prefix of the pair lines ends at the line closing it.
-    lo, hi = 0, len(pairs)  # pairs[:lo] generate an order, pairs[:hi] do not
+    # the shortest cyclic prefix of the pair lines ends at the line closing it.
+    lo, hi = 0, len(pairs)  # pairs[:lo] have no cycle, pairs[:hi] have one
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _order_error(n, pairs[:mid]) is None:
-            lo = mid
-        else:
+        if post_order(pair_mask((n, n), pairs[:mid])) is None:
             hi = mid
-    exc = _order_error(n, pairs[:hi])
+        else:
+            lo = mid
+    # Every cycle of pairs[:hi] runs through its last pair (a, b), so its one
+    # class of more than one element is {x : b <= x <= a} in the order that
+    # pairs[:hi - 1] generate, and the class's two least elements are the
+    # 2-cycle the squaring closure and the validating constructor would name.
+    a, b = pairs[hi - 1]
+    leq = acyclic_closure(pair_mask((n, n), pairs[:hi - 1]))
+    i, j = np.flatnonzero(leq[b] & leq[:, a])[:2].tolist()
+    exc = AntisymmetryViolation.between(i, j)
     raise ParseError(path, pair_nos[hi - 1], str(exc)) from exc
-
-
-def _order_error(n, pairs):
-    """The error ``FinPoset.from_covers(n, pairs)`` raises, or None."""
-    try:
-        FinPoset.from_covers(n, pairs)
-    except ValueError as exc:
-        return exc
-    return None
 
 
 def serialize_poset(P):

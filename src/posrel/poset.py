@@ -33,6 +33,10 @@ class LawFailure(ValueError):
 class AntisymmetryViolation(InputError):
     """Raised when a generating relation closes up into a 2-cycle."""
 
+    @classmethod
+    def between(cls, i, j):
+        return cls(f"elements {i} and {j} form a 2-cycle")
+
 
 class NotMonotone(InputError):
     pass
@@ -85,6 +89,91 @@ def transitive_closure(mat):
         out = step
 
 
+def _bit_rows(mat):
+    """The rows of a boolean matrix as ints: bit j of row i is ``mat[i, j]``."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width or 1)]
+
+
+def post_order(rel):
+    """The elements of a square boolean relation in depth-first post-order, each
+    after every element it reaches, or None when the relation has a cycle
+    (self-loops aside).
+
+    Each row is held as the bits of an int.  An element is entered once, and
+    only its successors not entered yet are read off its row, so the walk takes
+    at most 2n steps, each a few operations on n-bit ints, however many pairs
+    there are."""
+    succ = _bit_rows(rel)
+    order = []
+    seen = done = 0
+    for root in range(len(succ)):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            fresh = succ[v] & ~seen
+            if fresh:
+                j = (fresh & -fresh).bit_length() - 1
+                seen |= 1 << j
+                stack.append(j)
+            else:
+                # every successor has been entered; one not yet left is on the stack
+                if succ[v] & ~(done | 1 << v):
+                    return None
+                done |= 1 << v
+                order.append(stack.pop())
+    return order
+
+
+def _close_up(rel):
+    """The reflexive-transitive closure of a square boolean relation whose every
+    pair (i, j) has i <= j, or None when a pair has j < i.
+
+    The rows are held as the bits of ints and closed from the last down: each
+    row is the element's own bit ORed with the rows of its successors, least
+    first, skipping the successors that the rows already ORed reach.  The
+    least successor left is reached from no other successor, so an element
+    takes one OR per successor that no other successor reaches."""
+    succ = _bit_rows(rel)
+    reach = [0] * len(succ)
+    for i in reversed(range(len(succ))):
+        row = 1 << i
+        if succ[i] & (row - 1):
+            return None
+        fresh = succ[i] & ~row
+        while fresh:
+            row |= reach[(fresh & -fresh).bit_length() - 1]
+            fresh &= ~row
+        reach[i] = row
+    n, width = len(reach), (len(reach) + 7) // 8
+    packed = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in reach]), np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
+
+
+def acyclic_closure(rel):
+    """The reflexive-transitive closure of a square boolean relation, or None
+    when the relation has a cycle (self-loops aside).
+
+    One pass along a topological order (Purdom, "A transitive closure
+    algorithm", 1970): O(n + covers) ORs of n-bit ints.  When every pair goes
+    up the numbering, as in the files this package writes, that order is the
+    numbering; otherwise it is ``post_order`` read backwards."""
+    closed = _close_up(rel)
+    if closed is not None:
+        return closed
+    order = post_order(rel)
+    if order is None:
+        return None
+    idx = np.array(order[::-1], dtype=np.intp)
+    pos = np.empty_like(idx)
+    pos[idx] = np.arange(len(idx))
+    return _close_up(rel.take(idx, 0).take(idx, 1)).take(pos, 0).take(pos, 1)
+
+
 class FinPoset:
     """An immutable finite poset given by its full order matrix."""
 
@@ -101,7 +190,7 @@ class FinPoset:
         sym[np.diag_indices(n)] = False
         if sym.any():
             i, j = map(int, np.argwhere(sym)[0])
-            raise AntisymmetryViolation(f"elements {i} and {j} form a 2-cycle")
+            raise AntisymmetryViolation.between(i, j)
         if (bool_mat(leq, leq) & ~leq).any():
             raise ValueError("order matrix is not transitive")
         self._fill(leq, labels)
@@ -127,8 +216,15 @@ class FinPoset:
 
     @classmethod
     def from_covers(cls, n, pairs, labels=None):
-        """Poset generated by ``pairs`` (i <= j), closed reflexively/transitively."""
-        return cls(transitive_closure(pair_mask((n, n), pairs)), labels=labels)
+        """Poset generated by ``pairs`` (i <= j), closed reflexively/transitively
+        by ``acyclic_closure``.  Pairs that close a cycle are closed by
+        squaring instead, so that the validating constructor names the first
+        2-cycle of the full closure."""
+        mask = pair_mask((n, n), pairs)
+        leq = acyclic_closure(mask)
+        if leq is None:
+            leq = transitive_closure(mask)
+        return cls(leq, labels=labels)
 
     @classmethod
     def discrete(cls, n, labels=None):
@@ -318,8 +414,7 @@ def walk_monotone_maps(X, Y, pick):
     order = linear_extension(X)
     leq = X.leq.tolist()
     below = [[j for j in order[:k] if leq[j][x]] for k, x in enumerate(order)]
-    rows = np.packbits(Y.leq, axis=1, bitorder="little")
-    up = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    up = _bit_rows(Y.leq)
     assign = [None] * X.n
     untried = []  # for each element of ``order`` given a value, the values not tried yet
     while True:
@@ -478,7 +573,7 @@ def pair_order(A, B, mask):
     if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == shape):
         raise ValueError(f"pair mask must be a boolean array of shape {shape}")
     xs, ys = np.nonzero(mask)
-    return A[xs[:, None], xs] & B[ys[:, None], ys]
+    return A.take(xs, 0).take(xs, 1) & B.take(ys, 0).take(ys, 1)
 
 
 def pair_span(X, Y, mask):
@@ -573,7 +668,7 @@ def comma(f, g):
         raise ValueError("comma needs a common codomain")
     rows = np.array(f.assign, dtype=np.intp)
     cols = np.array(g.assign, dtype=np.intp)
-    return pair_span(f.dom, g.dom, f.cod.leq[rows[:, None], cols])
+    return pair_span(f.dom, g.dom, f.cod.leq.take(rows, 0).take(cols, 1))
 
 
 def kernel_congruence(f):

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from posrel import poset
 from posrel.poset import FinPoset, MonotoneMap, are_isomorphic, transitive_closure
 from posrel.relation import Relation
 from posrel.exreg import ExRegObject, gamma_morphism, gamma_object
@@ -339,6 +340,44 @@ def test_poset_cycle_is_reported_at_the_pair_line_that_closes_it(seed):
             with pytest.raises(ParseError) as err:
                 parse_poset(text, "x.poset")
             assert (err.value.line_no, str(err.value)) == (closing[0], f"x.poset:{closing[0]}: {closing[1]}")
+
+
+def test_poset_cycle_line_and_message_match_the_squaring_closure_on_larger_files():
+    # oracle: the first prefix of the pair lines whose squaring closure the
+    # validating constructor refuses, and the 2-cycle it names
+    rng = np.random.default_rng(2304)
+    for _ in range(40):
+        n = int(rng.integers(2, 41))
+        rank = rng.permutation(n)
+        pairs = [tuple(map(int, rng.choice(n, 2, replace=False))) for _ in range(2 * n)]
+        # mostly pairs going up a random order, so cycles close late and are long
+        pairs = [(i, j) if rank[i] < rank[j] or rng.random() < 0.1 else (j, i) for i, j in pairs]
+        closing = None
+        for k in range(1, len(pairs) + 1):
+            try:
+                FinPoset(transitive_closure(poset.pair_mask((n, n), pairs[:k])))
+            except ValueError as exc:
+                closing = (k + 1, str(exc))
+                break
+        text = f"poset {n}\n" + "".join(f"{i} < {j}\n" for i, j in pairs)
+        if closing is None:
+            assert parse_poset(text).n == n
+            continue
+        with pytest.raises(ParseError) as err:
+            parse_poset(text, "x.poset")
+        assert (err.value.line_no, str(err.value)) == (closing[0], f"x.poset:{closing[0]}: {closing[1]}")
+        assert type(err.value.__cause__) is poset.AntisymmetryViolation
+
+
+def test_a_cyclic_2048_chain_is_refused_without_squaring(monkeypatch):
+    calls = []
+    monkeypatch.setattr(poset, "bool_mat", lambda a, b: calls.append(1))
+    n = MAX_ELEMENTS
+    text = f"poset {n}\n" + "".join(f"{i} < {i + 1}\n" for i in range(n - 1)) + f"{n - 1} < 0\n"
+    with pytest.raises(ParseError) as err:
+        parse_poset(text, "cyc.poset")
+    assert str(err.value) == f"cyc.poset:{n + 1}: elements 0 and 1 form a 2-cycle"
+    assert calls == []
 
 
 def test_referenced_files_parse(tmp_path):

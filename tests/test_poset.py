@@ -85,6 +85,85 @@ def test_make_poset_rejects_cycle():
         make_poset("ab", [("a", "b"), ("b", "a")])
 
 
+def outcome(build):
+    """The order matrix ``build()`` returns, or the class and message of what it raises."""
+    try:
+        return build().leq.tolist()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_from_covers_matches_squaring(mask):
+    """``from_covers`` closes the True cells of ``mask`` as the squaring closure and
+    the validating constructor do: the same matrix, or the same error."""
+    n = len(mask)
+    pairs = cells(mask)
+    want = outcome(lambda: FinPoset(transitive_closure(mask)))
+    assert outcome(lambda: FinPoset.from_covers(n, pairs)) == want
+    closed = poset.acyclic_closure(mask)
+    if isinstance(want, list):
+        assert closed.dtype == bool and closed.tolist() == want
+    else:
+        # the only error of a closed mask is a 2-cycle, which the pass sees as a cycle
+        assert want[0] is AntisymmetryViolation and closed is None
+
+
+def test_from_covers_matches_squaring_on_every_mask_of_at_most_3_elements():
+    # 1 + 2 + 16 + 512 masks: self-loops, cycles and the empty poset included
+    count = 0
+    for n in range(4):
+        for bits in itertools.product([False, True], repeat=n * n):
+            assert_from_covers_matches_squaring(np.array(bits, bool).reshape(n, n))
+            count += 1
+    assert count == 531
+
+
+def test_from_covers_matches_squaring_on_seeded_masks_with_planted_cycles():
+    rng = np.random.default_rng(2301)
+    for trial in range(120):
+        n = int(rng.integers(0, 41))
+        # a random order of the elements, with pairs going up it, plus self-loops
+        rank = rng.permutation(n)
+        density = rng.choice([0.0, 1 / (n + 1), 3 / (n + 1), 0.3])
+        mask = (rng.random((n, n)) < density) & (rank[:, None] < rank[None, :])
+        mask |= np.diag(rng.random(n) < 0.2)
+        if n >= 2 and trial % 3:
+            # close a cycle of two or more elements by one pair down the order
+            x, y = rng.choice(n, 2, replace=False)
+            path = sorted([x, y], key=lambda e: rank[e])
+            mask[path[0], path[1]] = mask[path[1], path[0]] = True
+        assert_from_covers_matches_squaring(mask)
+
+
+def test_post_order_puts_each_element_after_all_it_reaches():
+    rng = np.random.default_rng(2302)
+    for n in [0, 1, 2, 7, 30]:
+        rank = rng.permutation(n)
+        mask = (rng.random((n, n)) < 0.2) & (rank[:, None] < rank[None, :])
+        order = poset.post_order(mask)
+        assert sorted(order) == list(range(n))
+        position = {x: k for k, x in enumerate(order)}
+        closed = transitive_closure(mask)
+        assert all(position[j] <= position[i] for i, j in cells(closed))
+    assert poset.post_order(np.eye(3, dtype=bool)) == [0, 1, 2]
+    assert poset.post_order(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], bool)) is None
+
+
+def test_closing_a_2048_chain_from_covers_makes_one_bool_mat_call(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((np.shape(a), np.shape(b)))
+        return bool_mat(a, b)
+
+    monkeypatch.setattr(poset, "bool_mat", counting)
+    n = poset.MAX_ELEMENTS
+    P = FinPoset.from_covers(n, [(i, i + 1) for i in range(n - 1)])
+    assert np.array_equal(P.leq, np.triu(np.ones((n, n), dtype=bool)))
+    # the validating constructor's transitivity check, and no squaring
+    assert calls == [((n, n), (n, n))]
+
+
 @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (3, 0)])
 def test_pair_constructors_refuse_an_index_outside_the_carrier(pair):
     with pytest.raises(ValueError, match=r"outside a 3 x 3 matrix"):
@@ -622,6 +701,25 @@ def test_pair_order_and_span_match_double_loop():
         B = np.array([[rng.random() < 0.5 for _ in range(Y.n)] for _ in range(Y.n)], bool)
         A, B = A.reshape(X.n, X.n), B.reshape(Y.n, Y.n)
         assert np.array_equal(pair_order(A, B, mask), loop_pair_order(A, B, pairs))
+
+
+def fancy_pair_order(A, B, mask):
+    """Reference: ``pair_order`` by 2-D fancy indexing."""
+    xs, ys = np.nonzero(mask)
+    return A[xs[:, None], xs] & B[ys[:, None], ys]
+
+
+def test_pair_order_matches_fancy_indexing():
+    rng = np.random.default_rng(2303)
+    for trial in range(60):
+        m, k = rng.integers(0, 12, size=2)
+        A = rng.random((m, m)) < 0.5
+        B = rng.random((k, k)) < 0.5
+        # the empty mask, the all-True one, and random ones between
+        mask = rng.random((m, k)) < [0.0, 1.0, 0.3, 0.7][trial % 4]
+        got = pair_order(A, B, mask)
+        want = fancy_pair_order(A, B, mask)
+        assert got.dtype == bool and got.shape == want.shape and (got == want).all()
 
 
 def test_pair_span_of_no_pairs_is_empty():
