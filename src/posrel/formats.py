@@ -28,7 +28,6 @@ from .poset import (
     InputError,
     acyclic_closure,
     pair_mask,
-    post_order,
     transitive_closure,
 )
 from .relation import Relation
@@ -131,18 +130,19 @@ def parse_poset(text, path="<string>"):
     # The pairs close a cycle, and a cycle stays closed as pairs are added:
     # the shortest cyclic prefix of the pair lines ends at the line closing it.
     lo, hi = 0, len(pairs)  # pairs[:lo] have no cycle, pairs[:hi] have one
+    leq = np.eye(n, dtype=bool)  # the order that pairs[:lo] generate
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if post_order(pair_mask((n, n), pairs[:mid])) is None:
+        closed = acyclic_closure(pair_mask((n, n), pairs[:mid]))
+        if closed is None:
             hi = mid
         else:
-            lo = mid
+            lo, leq = mid, closed
     # Every cycle of pairs[:hi] runs through its last pair (a, b), so its one
     # class of more than one element is {x : b <= x <= a} in the order that
-    # pairs[:hi - 1] generate, and the class's two least elements are the
-    # 2-cycle the squaring closure and the validating constructor would name.
+    # pairs[:lo] generate, and the class's two least elements are the 2-cycle
+    # the squaring closure and the validating constructor would name.
     a, b = pairs[hi - 1]
-    leq = acyclic_closure(pair_mask((n, n), pairs[:hi - 1]))
     i, j = np.flatnonzero(leq[b] & leq[:, a])[:2].tolist()
     exc = AntisymmetryViolation.between(i, j)
     raise ParseError(path, pair_nos[hi - 1], str(exc)) from exc

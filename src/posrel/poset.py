@@ -96,82 +96,57 @@ def _bit_rows(mat):
     return [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width or 1)]
 
 
-def post_order(rel):
-    """The elements of a square boolean relation in depth-first post-order, each
-    after every element it reaches, or None when the relation has a cycle
-    (self-loops aside).
-
-    Each row is held as the bits of an int.  An element is entered once, and
-    only its successors not entered yet are read off its row, so the walk takes
-    at most 2n steps, each a few operations on n-bit ints, however many pairs
-    there are."""
-    succ = _bit_rows(rel)
-    order = []
-    seen = done = 0
-    for root in range(len(succ)):
-        if seen >> root & 1:
-            continue
-        seen |= 1 << root
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            fresh = succ[v] & ~seen
-            if fresh:
-                j = (fresh & -fresh).bit_length() - 1
-                seen |= 1 << j
-                stack.append(j)
-            else:
-                # every successor has been entered; one not yet left is on the stack
-                if succ[v] & ~(done | 1 << v):
-                    return None
-                done |= 1 << v
-                order.append(stack.pop())
-    return order
-
-
-def _close_up(rel):
-    """The reflexive-transitive closure of a square boolean relation whose every
-    pair (i, j) has i <= j, or None when a pair has j < i.
-
-    The rows are held as the bits of ints and closed from the last down: each
-    row is the element's own bit ORed with the rows of its successors, least
-    first, skipping the successors that the rows already ORed reach.  The
-    least successor left is reached from no other successor, so an element
-    takes one OR per successor that no other successor reaches."""
-    succ = _bit_rows(rel)
-    reach = [0] * len(succ)
-    for i in reversed(range(len(succ))):
-        row = 1 << i
-        if succ[i] & (row - 1):
-            return None
-        fresh = succ[i] & ~row
-        while fresh:
-            row |= reach[(fresh & -fresh).bit_length() - 1]
-            fresh &= ~row
-        reach[i] = row
-    n, width = len(reach), (len(reach) + 7) // 8
-    packed = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in reach]), np.uint8)
-    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
-
-
 def acyclic_closure(rel):
     """The reflexive-transitive closure of a square boolean relation, or None
     when the relation has a cycle (self-loops aside).
 
-    One pass along a topological order (Purdom, "A transitive closure
-    algorithm", 1970): O(n + covers) ORs of n-bit ints.  When every pair goes
-    up the numbering, as in the files this package writes, that order is the
-    numbering; otherwise it is ``post_order`` read backwards."""
-    closed = _close_up(rel)
-    if closed is not None:
-        return closed
-    order = post_order(rel)
-    if order is None:
-        return None
-    idx = np.array(order[::-1], dtype=np.intp)
-    pos = np.empty_like(idx)
-    pos[idx] = np.arange(len(idx))
-    return _close_up(rel.take(idx, 0).take(idx, 1)).take(pos, 0).take(pos, 1)
+    One depth-first pass (Purdom, "A transitive closure algorithm", 1970), each
+    row held as the bits of an int, taking roots from the last element down.
+    An element's row starts as its own bit; its successors are read off its
+    relation row nearest first (those below it from the highest, then those
+    above it from the lowest), skipping those the row already reaches.  A
+    successor already left has its row ORed in, one not yet entered is entered
+    first, and one entered but not left closes a cycle.  A row holds only
+    elements already left, so no successor on the stack is skipped.  When every
+    pair goes one way along the numbering, the nearest successor still to read
+    is reached from no other, so an element takes one OR per successor that no
+    other successor reaches: O(n + covers) ORs of n-bit ints."""
+    succ = _bit_rows(rel)
+    reach = [0] * len(succ)  # 0 until entered, -1 until left, then the row
+    stack = []
+    for root in reversed(range(len(succ))):
+        if reach[root]:
+            continue
+        reach[root] = -1
+        v, row = root, 1 << root
+        below = row - 1
+        # x ^ (x & m) clears the bits of m, cheaper on long ints than x & ~m
+        todo = succ[v] ^ (succ[v] & row)
+        while True:
+            if todo:
+                near = todo & below
+                # x ^ (x - 1) keeps the bits up to x's lowest, cheaper than x & -x
+                j = near.bit_length() - 1 if near else (todo ^ (todo - 1)).bit_length() - 1
+                r = reach[j]
+                if r > 0:
+                    row |= r
+                    todo ^= todo & r
+                    continue
+                if r:
+                    return None
+                reach[j] = -1
+                stack.append((v, row, below, todo))
+                v, row = j, 1 << j
+                below = row - 1
+                todo = succ[v] ^ (succ[v] & row)
+                continue
+            reach[v] = row
+            if not stack:
+                break
+            v, row, below, todo = stack.pop()
+    n, width = len(reach), (len(reach) + 7) // 8
+    packed = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in reach]), np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
 
 
 class FinPoset:
@@ -753,43 +728,30 @@ def jointly_order_mono(c0, c1):
     return True
 
 
-def is_comma_square(f, g, c0, c1):
-    """Whether (c0, c1) out of a common domain is the comma of (f, g)."""
+def _is_square_on(f, g, c0, c1, related):
+    """Whether (c0, c1) out of a common domain meets exactly the pairs (x, y)
+    with ``related(x, y)`` and is jointly order-monic."""
     C = c0.dom
     if C != c1.dom:
         return False
     seen = set()
     for c in range(C.n):
         x, y = c0.assign[c], c1.assign[c]
-        if not f.cod.leq[f.assign[x], g.assign[y]]:
+        if not related(x, y):
             return False
         seen.add((x, y))
-    want = {
-        (x, y)
-        for x in range(f.dom.n)
-        for y in range(g.dom.n)
-        if f.cod.leq[f.assign[x], g.assign[y]]
-    }
+    want = {(x, y) for x in range(f.dom.n) for y in range(g.dom.n) if related(x, y)}
     return seen == want and jointly_order_mono(c0, c1)
 
 
+def is_comma_square(f, g, c0, c1):
+    """Whether (c0, c1) out of a common domain is the comma of (f, g)."""
+    return _is_square_on(f, g, c0, c1, lambda x, y: f.cod.leq[f.assign[x], g.assign[y]])
+
+
 def is_pullback_square(f, g, p0, p1):
-    P = p0.dom
-    if P != p1.dom:
-        return False
-    seen = set()
-    for c in range(P.n):
-        x, y = p0.assign[c], p1.assign[c]
-        if f.assign[x] != g.assign[y]:
-            return False
-        seen.add((x, y))
-    want = {
-        (x, y)
-        for x in range(f.dom.n)
-        for y in range(g.dom.n)
-        if f.assign[x] == g.assign[y]
-    }
-    return seen == want and jointly_order_mono(p0, p1)
+    """Whether (p0, p1) out of a common domain is the pullback of (f, g)."""
+    return _is_square_on(f, g, p0, p1, lambda x, y: f.assign[x] == g.assign[y])
 
 
 def is_comma_square_by_cones(f, g, c0, c1, stage_posets):

@@ -135,18 +135,28 @@ def test_from_covers_matches_squaring_on_seeded_masks_with_planted_cycles():
         assert_from_covers_matches_squaring(mask)
 
 
-def test_post_order_puts_each_element_after_all_it_reaches():
-    rng = np.random.default_rng(2302)
-    for n in [0, 1, 2, 7, 30]:
-        rank = rng.permutation(n)
-        mask = (rng.random((n, n)) < 0.2) & (rank[:, None] < rank[None, :])
-        order = poset.post_order(mask)
-        assert sorted(order) == list(range(n))
-        position = {x: k for k, x in enumerate(order)}
-        closed = transitive_closure(mask)
-        assert all(position[j] <= position[i] for i, j in cells(closed))
-    assert poset.post_order(np.eye(3, dtype=bool)) == [0, 1, 2]
-    assert poset.post_order(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], bool)) is None
+def test_acyclic_closure_keeps_the_identity_and_refuses_a_3_cycle():
+    assert np.array_equal(poset.acyclic_closure(np.eye(3, dtype=bool)), np.eye(3, dtype=bool))
+    assert poset.acyclic_closure(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], bool)) is None
+
+
+def test_acyclic_closure_matches_squaring_on_a_permuted_2048_chain_and_its_cycle():
+    n = poset.MAX_ELEMENTS
+    perm = np.random.default_rng(2401).permutation(n)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[perm[:-1], perm[1:]] = True
+    assert np.array_equal(poset.acyclic_closure(mask), transitive_closure(mask))
+    mask[perm[-1], perm[0]] = True
+    assert poset.acyclic_closure(mask) is None
+
+
+@pytest.mark.parametrize("up", [True, False])
+def test_acyclic_closure_matches_squaring_on_every_pair_of_a_400_chain(up):
+    mask = np.triu(np.ones((400, 400), dtype=bool), 1)
+    if not up:
+        mask = mask.T
+    assert int(mask.sum()) == 79800
+    assert np.array_equal(poset.acyclic_closure(mask), transitive_closure(mask))
 
 
 def test_closing_a_2048_chain_from_covers_makes_one_bool_mat_call(monkeypatch):
@@ -498,6 +508,30 @@ def test_comma_square_checker_agrees_with_cone_enumeration():
         C, c0, c1 = comma(f, g)
         assert is_comma_square(f, g, c0, c1)
         assert is_comma_square_by_cones(f, g, c0, c1, stages)
+
+
+def test_square_checkers_tell_commas_from_pullbacks_and_from_unordered_apexes():
+    rng = random.Random(2402)
+    i = MonotoneMap.identity(C2)
+    cases = [(i, i)]  # the comma has the pair (0, 1), the pullback does not
+    for _ in range(30):
+        X, Y, Z = (random_poset(rng, rng.randrange(1, 4)) for _ in range(3))
+        cases.append((random_monotone(rng, X, Z), random_monotone(rng, Y, Z)))
+    differ = unordered = 0
+    for f, g in cases:
+        squares = [comma(f, g), pullback(f, g)]
+        cells_of = [{(s0.assign[c], s1.assign[c]) for c in range(S.n)} for S, s0, s1 in squares]
+        differ += cells_of[0] != cells_of[1]
+        for (S, s0, s1), cells_here in zip(squares, cells_of):
+            assert is_comma_square(f, g, s0, s1) == (cells_here == cells_of[0])
+            assert is_pullback_square(f, g, s0, s1) == (cells_here == cells_of[1])
+            # the same legs out of the discrete order on the apex
+            D = FinPoset.discrete(S.n)
+            d0, d1 = MonotoneMap(D, s0.cod, s0.assign), MonotoneMap(D, s1.cod, s1.assign)
+            unordered += not S.is_discrete()
+            assert is_comma_square(f, g, d0, d1) == (cells_here == cells_of[0] and S.is_discrete())
+            assert is_pullback_square(f, g, d0, d1) == (cells_here == cells_of[1] and S.is_discrete())
+    assert differ and unordered
 
 
 def test_pullback_of_chain_over_point():
