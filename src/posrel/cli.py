@@ -27,21 +27,6 @@ from .exreg import ExRegMorphism, ExRegObject
 from .formats import ParseError
 
 
-class BadBound(InputError):
-    pass
-
-
-def _default_bound():
-    text = os.environ.get("EXREG_BOUND", "4")
-    try:
-        bound = int(text)
-    except ValueError:
-        raise BadBound(f"EXREG_BOUND must be an integer, got {text!r}") from None
-    if bound < 0:
-        raise BadBound(f"EXREG_BOUND must be at least 0, got {bound}")
-    return bound
-
-
 class Emitter:
     """Writes named artifacts to a directory, or to stdout as sections."""
 
@@ -75,17 +60,11 @@ def _emit_tabulation(em, tab, src_ref, tgt_ref):
     _emit_morphism(em, tab.leg1, "leg1", "apex.exreg", tgt_ref)
 
 
-def _load_object(path):
+def _load(path, cls):
     value = formats.load_exreg(path)
-    if not isinstance(value, ExRegObject):
-        raise ParseError(path, 1, "expected an object file")
-    return value
-
-
-def _load_morphism(path):
-    value = formats.load_exreg(path)
-    if not isinstance(value, ExRegMorphism):
-        raise ParseError(path, 1, "expected a morphism file")
+    if not isinstance(value, cls):
+        kind = "an object" if cls is ExRegObject else "a morphism"
+        raise ParseError(path, 1, f"expected {kind} file")
     return value
 
 
@@ -117,8 +96,8 @@ def cmd_exreg_check(args, out, err):
 
 def cmd_tabulate(args, out, err):
     phi = formats.load_rel(args.phi)
-    src = _load_object(args.src)
-    tgt = _load_object(args.tgt)
+    src = _load(args.src, ExRegObject)
+    tgt = _load(args.tgt, ExRegObject)
     tab = exreg.tabulate(phi, src, tgt)
     em = Emitter(args.out_dir, out)
     _emit_object(em, src, "src")
@@ -128,7 +107,7 @@ def cmd_tabulate(args, out, err):
 
 
 def cmd_factorize(args, out, err):
-    R = _load_morphism(args.morphism)
+    R = _load(args.morphism, ExRegMorphism)
     Q, M = exreg.factorize(R)
     em = Emitter(args.out_dir, out)
     _emit_object(em, Q.tgt, "image")
@@ -141,8 +120,8 @@ def cmd_factorize(args, out, err):
 
 def cmd_limit(args, out, err):
     em = Emitter(args.out_dir, out)
-    load = _load_object if args.kind in ("terminal", "product") else _load_morphism
-    values = [load(path) for path in args.args]
+    cls = ExRegObject if args.kind in ("terminal", "product") else ExRegMorphism
+    values = [_load(path, cls) for path in args.args]
     result = exreg.limit(args.kind, *values)
     if args.kind == "terminal":
         _emit_object(em, result, "terminal")
@@ -155,7 +134,7 @@ def cmd_limit(args, out, err):
 
 
 def cmd_split(args, out, err):
-    obj = _load_object(args.object)
+    obj = _load(args.object, ExRegObject)
     R = formats.load_rel(args.congruence)
     if R.dom != obj.X or R.cod != obj.X:
         raise DomainMismatch("congruence is not a relation on the object's carrier")
@@ -169,7 +148,7 @@ def cmd_split(args, out, err):
 
 
 def cmd_present(args, out, err):
-    obj = _load_object(args.object)
+    obj = _load(args.object, ExRegObject)
     pres = exreg.canonical_presentation(obj)
     em = Emitter(args.out_dir, out)
     _emit_object(em, obj, "base")
@@ -182,26 +161,19 @@ def cmd_present(args, out, err):
 
 
 def cmd_equiv(args, out, err):
-    bound = args.bound if args.bound is not None else _default_bound()
     if args.what == "set-pos":
-        reports = equivalence.characterize(equivalence.discrete_inclusion_functor(), bound)
+        reports = equivalence.characterize(equivalence.discrete_inclusion_functor(), args.bound)
     elif args.what == "ord":
-        reports = [equivalence.commutation_check(bound)]
+        reports = [equivalence.commutation_check(args.bound)]
     else:
-        reports = [equivalence.discrete_check(bound)]
+        reports = [equivalence.discrete_check(args.bound)]
     for report in reports:
         out.write(report.render() + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_harness(args, out, err):
-    if args.suite == "all":
-        names = sorted(harness.SUITES)
-    else:
-        if args.suite not in harness.SUITES:
-            raise harness.UnknownSuite(args.suite)
-        names = [args.suite]
-    cap = args.bound if args.bound is not None else _default_bound() + 1
+    names = sorted(harness.SUITES) if args.suite == "all" else [args.suite]
     # a process pool forks all its workers up front, so never ask for idle ones
     jobs = min(args.jobs, len(names), os.cpu_count() or 1)
     if jobs > 1:
@@ -210,10 +182,10 @@ def cmd_harness(args, out, err):
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(
                 pool.map(harness.run_suite, names, [args.trials] * len(names),
-                         [args.seed] * len(names), [cap] * len(names))
+                         [args.seed] * len(names), [args.bound] * len(names))
             )
     else:
-        reports = [harness.run_suite(n, args.trials, args.seed, cap) for n in names]
+        reports = [harness.run_suite(n, args.trials, args.seed, args.bound) for n in names]
     failures = 0
     for report in reports:
         out.write(report.render() + "\n")
@@ -247,7 +219,7 @@ def _int_at_least(low):
 
 
 # Verbs spelled both `posrel <verb>` and `posrel exreg <verb>`: handler and
-# positional arguments; each also takes --out-dir.
+# arguments, in the form `_verb` takes; each also takes --out-dir.
 CONSTRUCTION_VERBS = {
     "tabulate": (cmd_tabulate, {"phi": {}, "src": {}, "tgt": {}}),
     "factorize": (cmd_factorize, {"morphism": {}}),
@@ -263,32 +235,16 @@ CONSTRUCTION_VERBS = {
 }
 
 
-def _verb(handler, positionals, *flags):
-    """A verb with the given positional arguments and, given `flags`, one option."""
+def _verb(handler, arguments):
+    """A verb run by `handler`.  `arguments` maps each argument's names,
+    space-separated (``"-o --out"``), to its ``add_argument`` keywords."""
 
     def add(p):
-        for arg, kwargs in positionals.items():
-            p.add_argument(arg, **kwargs)
-        if flags:
-            p.add_argument(*flags)
+        for names, kwargs in arguments.items():
+            p.add_argument(*names.split(), **kwargs)
         p.set_defaults(run=handler)
 
     return add
-
-
-def _equiv_args(p):
-    p.add_argument("what", choices=["set-pos", "ord", "discrete"])
-    p.add_argument("--bound", type=_int_at_least(0), default=None)
-    p.set_defaults(run=cmd_equiv)
-
-
-def _harness_run_args(p):
-    p.add_argument("suite")
-    p.add_argument("--trials", type=_int_at_least(0), default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=_int_at_least(1), default=None)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
-    p.set_defaults(run=cmd_harness)
 
 
 def _verbs():
@@ -296,27 +252,38 @@ def _verbs():
 
     Each name maps to (help, command), where command is a function that adds
     the verb's arguments to a parser, or a dict of sub-verbs of the same form.
+    Every verb's arguments and defaults are given here.
     """
     construction = {
-        name: (None, _verb(*spec, "--out-dir")) for name, spec in CONSTRUCTION_VERBS.items()
+        name: (None, _verb(handler, {**arguments, "--out-dir": {}}))
+        for name, (handler, arguments) in CONSTRUCTION_VERBS.items()
     }
     return {
         "poset": (
             "validate and print a poset file",
-            {"check": (None, _verb(cmd_poset, {"file": {}}, "--dot"))},
+            {"check": (None, _verb(cmd_poset, {"file": {}, "--dot": {}}))},
         ),
         "rel": (
             "validate and print a relation file",
-            {"check": (None, _verb(cmd_rel, {"file": {}}, "--dot"))},
+            {"check": (None, _verb(cmd_rel, {"file": {}, "--dot": {}}))},
         ),
         "exreg": (
             "work with objects-with-congruence",
             {"check": (None, _verb(cmd_exreg_check, {"file": {}})), **construction},
         ),
         **construction,
-        "equiv": (None, _equiv_args),
-        "harness": (None, {"run": (None, _harness_run_args)}),
-        "dot": (None, _verb(cmd_dot, {"file": {}}, "-o", "--out")),
+        "equiv": (None, _verb(cmd_equiv, {
+            "what": {"choices": ["set-pos", "ord", "discrete"]},
+            "--bound": {"type": _int_at_least(0), "default": 4},
+        })),
+        "harness": (None, {"run": (None, _verb(cmd_harness, {
+            "suite": {},
+            "--trials": {"type": _int_at_least(0), "default": 100},
+            "--seed": {"type": int, "default": 0},
+            "--bound": {"type": _int_at_least(1), "default": harness.DEFAULT_RELATION_CAP},
+            "--jobs": {"type": _int_at_least(1), "default": 1},
+        }))}),
+        "dot": (None, _verb(cmd_dot, {"file": {}, "-o --out": {}})),
     }
 
 

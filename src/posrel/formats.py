@@ -261,15 +261,17 @@ def _load_endpoint(ref, path, no):
     is refused from its header, before its own endpoints are loaded, so a
     file that reaches itself through its endpoints cannot recurse."""
     ref_path = _resolve(ref, path)
-    text = _read(ref_path)
-    lines = _lines(text)
+    lines = _lines(_read(ref_path))
     if lines and lines[0][1].split()[0] == "morphism":
         raise ParseError(path, no, "morphism endpoints must be object files")
-    return parse_exreg(text, ref_path)
+    return _parse_exreg_lines(lines, ref_path)
 
 
 def parse_exreg(text, path="<string>"):
-    lines = _lines(text)
+    return _parse_exreg_lines(_lines(text), path)
+
+
+def _parse_exreg_lines(lines, path):
     if not lines:
         raise ParseError(path, 1, "empty file")
     no, header = lines[0]

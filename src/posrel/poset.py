@@ -12,6 +12,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -363,17 +364,19 @@ def classify_map(f):
 
 
 def linear_extension(poset):
-    """A topological order of the elements (stable: smallest index first)."""
-    remaining = set(range(poset.n))
+    """A topological order (stable: smallest index first), by Kahn's algorithm over a heap."""
+    leq = poset.leq.tolist()
+    below = [sum(col) - col[i] for i, col in enumerate(zip(*leq))]
+    ready = [i for i in range(poset.n) if not below[i]]
     out = []
-    while remaining:
-        for i in sorted(remaining):
-            if all(j == i or j not in remaining or not poset.leq[j, i] for j in range(poset.n)):
-                out.append(i)
-                remaining.remove(i)
-                break
-        else:  # pragma: no cover - impossible for a valid poset
-            raise RuntimeError("cycle in order matrix")
+    while ready:
+        i = heapq.heappop(ready)
+        out.append(i)
+        for j, up in enumerate(leq[i]):
+            if up and j != i:
+                below[j] -= 1
+                if not below[j]:
+                    heapq.heappush(ready, j)
     return out
 
 
@@ -423,12 +426,6 @@ def all_monotone_maps(X, Y):
     return maps
 
 
-def _iso_signature(poset):
-    down = poset.leq.sum(axis=0)
-    up = poset.leq.sum(axis=1)
-    return sorted((int(d), int(u)) for d, u in zip(down, up))
-
-
 def find_order_iso(X, Y):
     """An order-isomorphism X -> Y as a MonotoneMap, or None.
 
@@ -437,38 +434,33 @@ def find_order_iso(X, Y):
     """
     if X.n != Y.n:
         return None
-    if _iso_signature(X) != _iso_signature(Y):
+    sig_x, sig_y = (
+        list(zip(P.leq.sum(axis=0).tolist(), P.leq.sum(axis=1).tolist())) for P in (X, Y)
+    )
+    if sorted(sig_x) != sorted(sig_y):
         return None
-    sig_y = {}
-    down_y = Y.leq.sum(axis=0)
-    up_y = Y.leq.sum(axis=1)
-    for j in range(Y.n):
-        sig_y.setdefault((int(down_y[j]), int(up_y[j])), []).append(j)
-    down_x = X.leq.sum(axis=0)
-    up_x = X.leq.sum(axis=1)
-
+    by_sig = {}
+    for j, key in enumerate(sig_y):
+        by_sig.setdefault(key, []).append(j)
+    leq_x, leq_y = X.leq.tolist(), Y.leq.tolist()
     assign = [None] * X.n
     used = [False] * Y.n
 
     def backtrack(i):
         if i == X.n:
             return True
-        key = (int(down_x[i]), int(up_x[i]))
-        for j in sig_y.get(key, []):
+        for j in by_sig[sig_x[i]]:
             if used[j]:
                 continue
-            ok = True
             for k in range(i):
-                if X.leq[k, i] != Y.leq[assign[k], j] or X.leq[i, k] != Y.leq[j, assign[k]]:
-                    ok = False
+                if leq_x[k][i] != leq_y[assign[k]][j] or leq_x[i][k] != leq_y[j][assign[k]]:
                     break
-            if ok:
+            else:
                 assign[i] = j
                 used[j] = True
                 if backtrack(i + 1):
                     return True
                 used[j] = False
-                assign[i] = None
         return False
 
     if backtrack(0):

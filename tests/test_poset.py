@@ -664,6 +664,108 @@ def test_certificate_equality_matches_find_order_iso():
     assert verdicts.count(False) >= 20
 
 
+def reference_find_order_iso(X, Y):
+    """``find_order_iso`` as it was before it read its matrices as lists."""
+
+    def _iso_signature(poset):
+        down = poset.leq.sum(axis=0)
+        up = poset.leq.sum(axis=1)
+        return sorted((int(d), int(u)) for d, u in zip(down, up))
+
+    if X.n != Y.n:
+        return None
+    if _iso_signature(X) != _iso_signature(Y):
+        return None
+    sig_y = {}
+    down_y = Y.leq.sum(axis=0)
+    up_y = Y.leq.sum(axis=1)
+    for j in range(Y.n):
+        sig_y.setdefault((int(down_y[j]), int(up_y[j])), []).append(j)
+    down_x = X.leq.sum(axis=0)
+    up_x = X.leq.sum(axis=1)
+
+    assign = [None] * X.n
+    used = [False] * Y.n
+
+    def backtrack(i):
+        if i == X.n:
+            return True
+        key = (int(down_x[i]), int(up_x[i]))
+        for j in sig_y.get(key, []):
+            if used[j]:
+                continue
+            ok = True
+            for k in range(i):
+                if X.leq[k, i] != Y.leq[assign[k], j] or X.leq[i, k] != Y.leq[j, assign[k]]:
+                    ok = False
+                    break
+            if ok:
+                assign[i] = j
+                used[j] = True
+                if backtrack(i + 1):
+                    return True
+                used[j] = False
+                assign[i] = None
+        return False
+
+    if backtrack(0):
+        return MonotoneMap(X, Y, assign)
+    return None
+
+
+def reference_linear_extension(poset):
+    """``linear_extension`` as it was before Kahn's algorithm."""
+    remaining = set(range(poset.n))
+    out = []
+    while remaining:
+        for i in sorted(remaining):
+            if all(j == i or j not in remaining or not poset.leq[j, i] for j in range(poset.n)):
+                out.append(i)
+                remaining.remove(i)
+                break
+        else:  # pragma: no cover - impossible for a valid poset
+            raise RuntimeError("cycle in order matrix")
+    return out
+
+
+def shuffled(rng, P):
+    perm = list(range(P.n))
+    rng.shuffle(perm)
+    return relabel(P, perm)
+
+
+def test_find_order_iso_returns_the_references_map():
+    from posrel.equivalence import all_posets_up_to_iso
+
+    rng = random.Random(2501)
+    pairs = [
+        (X, shuffled(rng, Y))
+        for n in range(6)
+        for X, Y in itertools.product(all_posets_up_to_iso(n), repeat=2)
+    ]
+    for _ in range(600):
+        X = random_poset(rng, rng.randrange(0, 9))
+        pairs.append((X, shuffled(rng, X if rng.random() < 0.5 else random_poset(rng, X.n))))
+    verdicts = set()
+    for X, Y in pairs:
+        got, want = (f(X, Y) for f in (find_order_iso, reference_find_order_iso))
+        assert (got is None) == (want is None)
+        assert got is None or got.assign == want.assign
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
+
+
+def test_linear_extension_is_the_references_order():
+    from posrel.equivalence import all_posets_up_to_iso
+
+    rng = random.Random(2502)
+    posets = [P for n in range(7) for P in all_posets_up_to_iso(n)]
+    posets += [shuffled(rng, P) for P in posets]
+    posets += [shuffled(rng, random_poset(rng, rng.randrange(0, 10))) for _ in range(300)]
+    for P in posets:
+        assert poset.linear_extension(P) == reference_linear_extension(P)
+
+
 def test_certificate_separates_sizes_and_keeps_the_empty_poset():
     E = FinPoset.discrete(0)
     assert canonical_certificate(E) == (0, b"")
