@@ -22,10 +22,10 @@ from .poset import (
     MapClass,
     TooLarge,
     bool_mat,
+    closure,
     pair_mask,
     pair_order,
     pair_span,
-    transitive_closure,
 )
 from .relation import (
     DomainMismatch,
@@ -110,7 +110,7 @@ class ExRegObject:
     @classmethod
     def from_pairs(cls, X, pair_list):
         """X with the smallest congruence containing its order and the given pairs."""
-        return cls(X, transitive_closure(X.leq | pair_mask((X.n, X.n), pair_list)))
+        return cls(X, closure(X.leq | pair_mask((X.n, X.n), pair_list)))
 
     def core(self):
         """E ∩ E°, the symmetric part; identity of the ambient allegory."""

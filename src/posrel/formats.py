@@ -26,9 +26,8 @@ from .poset import (
     AntisymmetryViolation,
     FinPoset,
     InputError,
-    acyclic_closure,
+    closure,
     pair_mask,
-    transitive_closure,
 )
 from .relation import Relation
 from .exreg import ExRegObject, validate_morphism
@@ -124,28 +123,37 @@ def parse_poset(text, path="<string>"):
             labels[i] = toks[2]
         else:
             raise ParseError(path, no, f"unrecognized line {line!r}")
-    leq = acyclic_closure(pair_mask((n, n), pairs))
-    if leq is not None:
-        return FinPoset(leq, labels=labels)
-    # The pairs close a cycle, and a cycle stays closed as pairs are added:
-    # the shortest cyclic prefix of the pair lines ends at the line closing it.
+    leq, cyclic = _close(n, pairs)
+    if not cyclic:
+        # a closure is reflexive and transitive, and with no cycle it is antisymmetric
+        return FinPoset._trusted(leq, labels)
+    # A cycle stays closed as pairs are added, so the shortest cyclic prefix
+    # of the pair lines ends at the line closing it.
     lo, hi = 0, len(pairs)  # pairs[:lo] have no cycle, pairs[:hi] have one
-    leq = np.eye(n, dtype=bool)  # the order that pairs[:lo] generate
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        closed = acyclic_closure(pair_mask((n, n), pairs[:mid]))
-        if closed is None:
-            hi = mid
+        closed, cyclic = _close(n, pairs[:mid])
+        if cyclic:
+            hi, leq = mid, closed
         else:
-            lo, leq = mid, closed
-    # Every cycle of pairs[:hi] runs through its last pair (a, b), so its one
-    # class of more than one element is {x : b <= x <= a} in the order that
-    # pairs[:lo] generate, and the class's two least elements are the 2-cycle
-    # the squaring closure and the validating constructor would name.
-    a, b = pairs[hi - 1]
-    i, j = np.flatnonzero(leq[b] & leq[:, a])[:2].tolist()
+            lo = mid
+    # Every cycle of pairs[:hi] runs through its last pair (a, b), so its
+    # closure has one class of more than one element, a's, and the class's two
+    # least elements are the first 2-cycle, which the validating constructor
+    # would name.
+    a, _ = pairs[hi - 1]
+    i, j = np.flatnonzero(leq[a] & leq[:, a])[:2].tolist()
     exc = AntisymmetryViolation.between(i, j)
     raise ParseError(path, pair_nos[hi - 1], str(exc)) from exc
+
+
+def _close(n, pairs):
+    """The closure of ``pairs`` on n elements, and whether it has a cycle: whether
+    some pair (i, j) with i != j has j <= i in the closure.  That reads one
+    cell per pair, where ``leq & leq.T`` would transpose the whole matrix."""
+    leq = closure(pair_mask((n, n), pairs))
+    ij = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    return leq, bool((leq[ij[:, 1], ij[:, 0]] & (ij[:, 0] != ij[:, 1])).any())
 
 
 def serialize_poset(P):
@@ -280,7 +288,7 @@ def _parse_exreg_lines(lines, path):
         X = load_poset(_resolve(parts[1], path))
         (pairs,) = _parse_pairs(lines[1:], {"cong": (X.n, X.n)}, path)
         # the closure of a matrix that holds the order is a congruence
-        return ExRegObject._trusted(X, transitive_closure(X.leq | pairs))
+        return ExRegObject._trusted(X, closure(X.leq | pairs))
     if parts[0] == "morphism" and len(parts) == 3:
         src, tgt = (_load_endpoint(ref, path, no) for ref in parts[1:])
         lower, upper = _parse_pairs(

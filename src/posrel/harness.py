@@ -37,7 +37,7 @@ def gen_poset(rng, n, p=0.35):
             if rng.random() < p:
                 mat[i, j] = True
     # the closure of a strictly upper-triangular matrix is reflexive, transitive and antisymmetric
-    return FinPoset._trusted(poset.transitive_closure(mat))
+    return FinPoset._trusted(poset.closure(mat))
 
 
 def gen_map(rng, X, Y):
@@ -70,7 +70,7 @@ def gen_congruence(rng, X):
     """The object X with the congruence generated by its order and two random pairs."""
     pairs = [(rng.randrange(X.n), rng.randrange(X.n)) for _ in range(2)] if X.n else []
     # a transitive closure of the order and some pairs is transitive and contains the order
-    E = poset.transitive_closure(X.leq | poset.pair_mask((X.n, X.n), pairs))
+    E = poset.closure(X.leq | poset.pair_mask((X.n, X.n), pairs))
     return exreg.ExRegObject._trusted(X, E)
 
 
@@ -439,7 +439,7 @@ def _trial_exactness(rng, cap):
     obj = gen_exreg_object(rng, min(cap, 4))
     n = obj.X.n
     extra = poset.pair_mask((n, n), [(rng.randrange(n), rng.randrange(n)) for _ in range(2)])
-    R = Relation(obj.X, obj.X, poset.transitive_closure(obj.E.pairs | extra))
+    R = Relation(obj.X, obj.X, poset.closure(obj.E.pairs | extra))
     q, m = exreg.split_congruence(obj, R.pairs)
     if relation.compose(m.rel, q.lower) != R:
         return "legs do not compose to the congruence"

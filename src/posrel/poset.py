@@ -97,29 +97,42 @@ def _bit_rows(mat):
     return [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width or 1)]
 
 
-def acyclic_closure(rel):
-    """The reflexive-transitive closure of a square boolean relation, or None
-    when the relation has a cycle (self-loops aside).
+def closure(rel):
+    """The reflexive-transitive closure of a square boolean relation.
 
-    One depth-first pass (Purdom, "A transitive closure algorithm", 1970), each
-    row held as the bits of an int, taking roots from the last element down.
-    An element's row starts as its own bit; its successors are read off its
-    relation row nearest first (those below it from the highest, then those
-    above it from the lowest), skipping those the row already reaches.  A
-    successor already left has its row ORed in, one not yet entered is entered
-    first, and one entered but not left closes a cycle.  A row holds only
-    elements already left, so no successor on the stack is skipped.  When every
-    pair goes one way along the numbering, the nearest successor still to read
-    is reached from no other, so an element takes one OR per successor that no
-    other successor reaches: O(n + covers) ORs of n-bit ints."""
+    One depth-first pass (Purdom, "A transitive closure algorithm", 1970)
+    that finds the strongly connected components by Tarjan's lowlinks and
+    closes them as it leaves them (Nuutila, "Efficient transitive closure
+    computation in large digraphs", 1995).  Each row is held as the bits of
+    an int, and roots are taken from the last element down.  An element's
+    row starts as its own bit; its successors are read off its relation row
+    nearest first (those below it from the highest, then those above it from
+    the lowest), skipping those the row already reaches.  A successor not
+    yet entered is entered first.  One already left has its row ORed in and
+    its lowlink taken: the final row of a closed component, or the partial
+    row of a member of an open one.  One entered but not left is on the
+    stack, in the same component: it gives its index and its bit is
+    dropped.  A row holds only its own element and elements already left, so
+    no successor on the stack is skipped.  Leaving a component's root ORs its
+    members' rows and gives every member that row.  When every pair goes one
+    way along the numbering, the nearest successor still to read is reached
+    from no other, so an element takes one OR per successor that no other
+    successor reaches: O(n + covers) ORs of n-bit ints.  A cycle (self-loops
+    aside) shows in the result as a pair i != j with both ``out[i, j]`` and
+    ``out[j, i]``."""
     succ = _bit_rows(rel)
-    reach = [0] * len(succ)  # 0 until entered, -1 until left, then the row
+    n = len(succ)
+    reach = [0] * n  # 0 until entered, -1 until left, then the row
+    low = [0] * n  # the index while entered, the lowlink once left, n once closed
+    members = []  # the elements left whose component is still open
     stack = []
-    for root in reversed(range(len(succ))):
+    count = 0
+    for root in reversed(range(n)):
         if reach[root]:
             continue
-        reach[root] = -1
-        v, row = root, 1 << root
+        reach[root], low[root] = -1, count
+        v, row, vlow, base = root, 1 << root, count, 0
+        count += 1
         below = row - 1
         # x ^ (x & m) clears the bits of m, cheaper on long ints than x & ~m
         todo = succ[v] ^ (succ[v] & row)
@@ -132,20 +145,38 @@ def acyclic_closure(rel):
                 if r > 0:
                     row |= r
                     todo ^= todo & r
+                elif r:
+                    # on the stack: low[j] is still j's index
+                    todo ^= 1 << j
+                else:
+                    reach[j], low[j] = -1, count
+                    stack.append((v, row, below, todo, vlow, base))
+                    v, row, vlow, base = j, 1 << j, count, len(members)
+                    count += 1
+                    below = row - 1
+                    todo = succ[v] ^ (succ[v] & row)
                     continue
-                if r:
-                    return None
-                reach[j] = -1
-                stack.append((v, row, below, todo))
-                v, row = j, 1 << j
-                below = row - 1
-                todo = succ[v] ^ (succ[v] & row)
+                if low[j] < vlow:
+                    vlow = low[j]
                 continue
-            reach[v] = row
+            if vlow < low[v]:
+                # a lowlink below v's own index: v's component is still open
+                reach[v], low[v] = row, vlow
+                members.append(v)
+            else:
+                # v is its component's root, and the members left since v was entered are the rest
+                if len(members) > base:
+                    comp = members[base:]
+                    del members[base:]
+                    for u in comp:
+                        row |= reach[u]
+                    for u in comp:
+                        reach[u], low[u] = row, n
+                reach[v], low[v] = row, n
             if not stack:
                 break
-            v, row, below, todo = stack.pop()
-    n, width = len(reach), (len(reach) + 7) // 8
+            v, row, below, todo, vlow, base = stack.pop()
+    width = (n + 7) // 8
     packed = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in reach]), np.uint8)
     return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
 
@@ -165,20 +196,20 @@ class FinPoset:
         sym = leq & leq.T
         sym[np.diag_indices(n)] = False
         if sym.any():
-            i, j = map(int, np.argwhere(sym)[0])
-            raise AntisymmetryViolation.between(i, j)
+            # argmax of a boolean array is its first True cell, found without listing the others
+            raise AntisymmetryViolation.between(*divmod(int(sym.argmax()), n))
         if (bool_mat(leq, leq) & ~leq).any():
             raise ValueError("order matrix is not transitive")
         self._fill(leq, labels)
 
     @classmethod
-    def _trusted(cls, leq):
+    def _trusted(cls, leq, labels=None):
         """The poset of an order matrix that is valid by construction, unchecked.
 
         Only for results of this package; every call site says why ``leq`` is
         reflexive, antisymmetric and transitive."""
         self = cls.__new__(cls)
-        self._fill(leq, None)
+        self._fill(leq, labels)
         return self
 
     def _fill(self, leq, labels):
@@ -193,14 +224,9 @@ class FinPoset:
     @classmethod
     def from_covers(cls, n, pairs, labels=None):
         """Poset generated by ``pairs`` (i <= j), closed reflexively/transitively
-        by ``acyclic_closure``.  Pairs that close a cycle are closed by
-        squaring instead, so that the validating constructor names the first
-        2-cycle of the full closure."""
-        mask = pair_mask((n, n), pairs)
-        leq = acyclic_closure(mask)
-        if leq is None:
-            leq = transitive_closure(mask)
-        return cls(leq, labels=labels)
+        by ``closure``; pairs that close a cycle raise the validating
+        constructor's ``AntisymmetryViolation`` for its first 2-cycle."""
+        return cls(closure(pair_mask((n, n), pairs)), labels=labels)
 
     @classmethod
     def discrete(cls, n, labels=None):
@@ -429,8 +455,9 @@ def all_monotone_maps(X, Y):
 def find_order_iso(X, Y):
     """An order-isomorphism X -> Y as a MonotoneMap, or None.
 
-    Backtracking on (down-set size, up-set size) signatures; adequate for the
-    small carriers this engine works with.
+    Backtracking on (down-set size, up-set size) signatures, with an explicit
+    stack of the options tried per element, so no carrier size is bounded
+    by the recursion limit.
     """
     if X.n != Y.n:
         return None
@@ -443,29 +470,31 @@ def find_order_iso(X, Y):
     for j, key in enumerate(sig_y):
         by_sig.setdefault(key, []).append(j)
     leq_x, leq_y = X.leq.tolist(), Y.leq.tolist()
+    options = [by_sig[key] for key in sig_x]
     assign = [None] * X.n
     used = [False] * Y.n
-
-    def backtrack(i):
-        if i == X.n:
-            return True
-        for j in by_sig[sig_x[i]]:
+    tried = [0] * X.n  # for each element, how many of its options were tried
+    i = 0
+    while i < X.n:
+        for t in range(tried[i], len(options[i])):
+            j = options[i][t]
             if used[j]:
                 continue
             for k in range(i):
                 if leq_x[k][i] != leq_y[assign[k]][j] or leq_x[i][k] != leq_y[j][assign[k]]:
                     break
             else:
-                assign[i] = j
-                used[j] = True
-                if backtrack(i + 1):
-                    return True
-                used[j] = False
-        return False
-
-    if backtrack(0):
-        return MonotoneMap(X, Y, assign)
-    return None
+                assign[i], used[j], tried[i] = j, True, t + 1
+                i += 1
+                break
+        else:
+            # no option left for element i: try the next value of the element before it
+            tried[i] = 0
+            if not i:
+                return None
+            i -= 1
+            used[assign[i]] = False
+    return MonotoneMap(X, Y, assign)
 
 
 def are_isomorphic(X, Y):
@@ -688,7 +717,7 @@ def coinserter(f0, f1):
     X = f0.cod
     pre = X.leq.copy()
     pre[f0.assign, f1.assign] = True
-    pre = transitive_closure(pre)
+    pre = closure(pre)
     Q, class_of = poset_reflection(pre)
     # pre contains the order of X, and Q orders the classes by pre
     return MonotoneMap._trusted(X, Q, class_of)

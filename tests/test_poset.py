@@ -95,17 +95,24 @@ def outcome(build):
 
 def assert_from_covers_matches_squaring(mask):
     """``from_covers`` closes the True cells of ``mask`` as the squaring closure and
-    the validating constructor do: the same matrix, or the same error."""
+    the validating constructor do: the same matrix, or the same error.  ``closure``
+    is the squaring closure on every mask, cyclic ones included, and leaves the
+    mask as it was."""
     n = len(mask)
     pairs = cells(mask)
+    before = mask.copy()
     want = outcome(lambda: FinPoset(transitive_closure(mask)))
     assert outcome(lambda: FinPoset.from_covers(n, pairs)) == want
-    closed = poset.acyclic_closure(mask)
+    closed = poset.closure(mask)
+    assert closed.dtype == bool and np.array_equal(closed, transitive_closure(mask))
+    assert np.array_equal(mask, before)
+    sym = closed & closed.T & ~np.eye(n, dtype=bool)
     if isinstance(want, list):
-        assert closed.dtype == bool and closed.tolist() == want
+        assert not sym.any()
     else:
-        # the only error of a closed mask is a 2-cycle, which the pass sees as a cycle
-        assert want[0] is AntisymmetryViolation and closed is None
+        # the only error of a closed mask is its first 2-cycle in row-major order
+        i, j = np.argwhere(sym)[0].tolist()
+        assert want == (AntisymmetryViolation, str(AntisymmetryViolation.between(i, j)))
 
 
 def test_from_covers_matches_squaring_on_every_mask_of_at_most_3_elements():
@@ -135,28 +142,72 @@ def test_from_covers_matches_squaring_on_seeded_masks_with_planted_cycles():
         assert_from_covers_matches_squaring(mask)
 
 
-def test_acyclic_closure_keeps_the_identity_and_refuses_a_3_cycle():
-    assert np.array_equal(poset.acyclic_closure(np.eye(3, dtype=bool)), np.eye(3, dtype=bool))
-    assert poset.acyclic_closure(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], bool)) is None
+def test_closure_keeps_the_identity_and_closes_a_3_cycle():
+    assert np.array_equal(poset.closure(np.eye(3, dtype=bool)), np.eye(3, dtype=bool))
+    closed = poset.closure(np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], bool))
+    assert np.array_equal(closed, np.ones((3, 3), dtype=bool))
 
 
-def test_acyclic_closure_matches_squaring_on_a_permuted_2048_chain_and_its_cycle():
+def test_closure_matches_squaring_on_a_permuted_2048_chain_and_its_cycle():
     n = poset.MAX_ELEMENTS
     perm = np.random.default_rng(2401).permutation(n)
     mask = np.zeros((n, n), dtype=bool)
     mask[perm[:-1], perm[1:]] = True
-    assert np.array_equal(poset.acyclic_closure(mask), transitive_closure(mask))
+    assert np.array_equal(poset.closure(mask), transitive_closure(mask))
     mask[perm[-1], perm[0]] = True
-    assert poset.acyclic_closure(mask) is None
+    closed = poset.closure(mask)
+    assert np.array_equal(closed, transitive_closure(mask))
+    assert closed.all()
 
 
 @pytest.mark.parametrize("up", [True, False])
-def test_acyclic_closure_matches_squaring_on_every_pair_of_a_400_chain(up):
+def test_closure_matches_squaring_on_every_pair_of_a_400_chain(up):
     mask = np.triu(np.ones((400, 400), dtype=bool), 1)
     if not up:
         mask = mask.T
     assert int(mask.sum()) == 79800
-    assert np.array_equal(poset.acyclic_closure(mask), transitive_closure(mask))
+    assert np.array_equal(poset.closure(mask), transitive_closure(mask))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 300, 1200, poset.MAX_ELEMENTS])
+def test_closure_matches_squaring_on_seeded_cyclic_relations(n):
+    rng = np.random.default_rng(2601 + n)
+    # sparse random digraphs, whose components range from single elements to one giant one
+    for density in (0.5 / n, 1 / n, 2 / n):
+        mask = rng.random((n, n)) < density
+        assert np.array_equal(poset.closure(mask), transitive_closure(mask))
+    # a chain in a random order with back pairs: long cycles inside an order
+    perm = rng.permutation(n)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[perm[:-1], perm[1:]] = True
+    back = rng.integers(0, n, (2, 3))
+    mask[perm[back.max(0)], perm[back.min(0)]] = True
+    assert np.array_equal(poset.closure(mask), transitive_closure(mask))
+
+
+def test_harness_generators_draw_and_close_as_with_squaring():
+    from posrel.harness import gen_congruence, gen_poset
+
+    def gen_poset_by_squaring(rng, n, p=0.35):
+        mat = np.zeros((n, n), dtype=bool)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    mat[i, j] = True
+        return transitive_closure(mat)
+
+    def gen_congruence_by_squaring(rng, X):
+        pairs = [(rng.randrange(X.n), rng.randrange(X.n)) for _ in range(2)] if X.n else []
+        return transitive_closure(X.leq | poset.pair_mask((X.n, X.n), pairs))
+
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        n = seed % 9
+        X = gen_poset(rng, n)
+        assert np.array_equal(X.leq, gen_poset_by_squaring(ref, n))
+        obj = gen_congruence(rng, X)
+        assert np.array_equal(obj.E.pairs, gen_congruence_by_squaring(ref, X))
+        assert rng.getstate() == ref.getstate()
 
 
 def test_closing_a_2048_chain_from_covers_makes_one_bool_mat_call(monkeypatch):
@@ -665,47 +716,36 @@ def test_certificate_equality_matches_find_order_iso():
 
 
 def reference_find_order_iso(X, Y):
-    """``find_order_iso`` as it was before it read its matrices as lists."""
-
-    def _iso_signature(poset):
-        down = poset.leq.sum(axis=0)
-        up = poset.leq.sum(axis=1)
-        return sorted((int(d), int(u)) for d, u in zip(down, up))
-
+    """``find_order_iso`` as it was when it recursed once per element."""
     if X.n != Y.n:
         return None
-    if _iso_signature(X) != _iso_signature(Y):
+    sig_x, sig_y = (
+        list(zip(P.leq.sum(axis=0).tolist(), P.leq.sum(axis=1).tolist())) for P in (X, Y)
+    )
+    if sorted(sig_x) != sorted(sig_y):
         return None
-    sig_y = {}
-    down_y = Y.leq.sum(axis=0)
-    up_y = Y.leq.sum(axis=1)
-    for j in range(Y.n):
-        sig_y.setdefault((int(down_y[j]), int(up_y[j])), []).append(j)
-    down_x = X.leq.sum(axis=0)
-    up_x = X.leq.sum(axis=1)
-
+    by_sig = {}
+    for j, key in enumerate(sig_y):
+        by_sig.setdefault(key, []).append(j)
+    leq_x, leq_y = X.leq.tolist(), Y.leq.tolist()
     assign = [None] * X.n
     used = [False] * Y.n
 
     def backtrack(i):
         if i == X.n:
             return True
-        key = (int(down_x[i]), int(up_x[i]))
-        for j in sig_y.get(key, []):
+        for j in by_sig[sig_x[i]]:
             if used[j]:
                 continue
-            ok = True
             for k in range(i):
-                if X.leq[k, i] != Y.leq[assign[k], j] or X.leq[i, k] != Y.leq[j, assign[k]]:
-                    ok = False
+                if leq_x[k][i] != leq_y[assign[k]][j] or leq_x[i][k] != leq_y[j][assign[k]]:
                     break
-            if ok:
+            else:
                 assign[i] = j
                 used[j] = True
                 if backtrack(i + 1):
                     return True
                 used[j] = False
-                assign[i] = None
         return False
 
     if backtrack(0):
@@ -744,7 +784,7 @@ def test_find_order_iso_returns_the_references_map():
         for X, Y in itertools.product(all_posets_up_to_iso(n), repeat=2)
     ]
     for _ in range(600):
-        X = random_poset(rng, rng.randrange(0, 9))
+        X = random_poset(rng, rng.randrange(0, 10))
         pairs.append((X, shuffled(rng, X if rng.random() < 0.5 else random_poset(rng, X.n))))
     verdicts = set()
     for X, Y in pairs:
@@ -753,6 +793,11 @@ def test_find_order_iso_returns_the_references_map():
         assert got is None or got.assign == want.assign
         verdicts.add(got is None)
     assert verdicts == {True, False}
+
+
+def test_find_order_iso_takes_a_chain_past_the_recursion_limit():
+    C = FinPoset.chain(poset.MAX_ELEMENTS)
+    assert are_isomorphic(C, C)
 
 
 def test_linear_extension_is_the_references_order():

@@ -10,6 +10,7 @@ import pytest
 
 from posrel import equivalence
 from posrel.poset import (
+    AntisymmetryViolation,
     FinPoset,
     MonotoneMap,
     NotMonotone,
@@ -375,6 +376,25 @@ def test_parsed_congruence_matches_the_validating_constructor(tmp_path):
         obj = parse_exreg(text, str(tmp_path / "o.exreg"))
         assert obj == ExRegObject.from_pairs(X, pairs)
         assert obj == ExRegObject(X, obj.E.pairs)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_parsed_poset_matches_the_validating_constructor(n):
+    from posrel.formats import ParseError, parse_poset
+
+    # every mask, self-loops and cycles included, as the generating lines of a labelled poset
+    labels = ["low"] + [str(i) for i in range(1, n)] if n else None
+    for mat in bool_matrices(n, n):
+        lines = "".join(f"{i} < {j}\n" for i, j in np.argwhere(mat).tolist())
+        text = f"poset {n}\n" + lines + ("label 0 low\n" if n else "")
+        try:
+            P = parse_poset(text)
+        except ParseError:
+            with pytest.raises(AntisymmetryViolation):
+                FinPoset(transitive_closure(mat))
+            continue
+        checked = FinPoset(transitive_closure(mat), labels=labels)
+        assert P == checked and hash(P) == hash(checked) and P.labels == checked.labels
 
 
 def test_gen_poset_matches_the_validating_constructor():
