@@ -90,7 +90,8 @@ class ExRegObject:
             raise NotCongruence(f"expected {(X.n, X.n)} matrix, got {E.shape}")
         if (X.leq & ~E).any():
             raise NotCongruence("congruence does not contain the order")
-        if (bool_mat(E, E) & ~E).any():
+        # E holds the order, so it is reflexive, and transitive iff it equals its closure
+        if not np.array_equal(closure(E), E):
             raise NotCongruence("congruence is not transitive")
         self._fill(X, E)
 
@@ -110,7 +111,8 @@ class ExRegObject:
     @classmethod
     def from_pairs(cls, X, pair_list):
         """X with the smallest congruence containing its order and the given pairs."""
-        return cls(X, closure(X.leq | pair_mask((X.n, X.n), pair_list)))
+        # the closure of a matrix that holds the order is a congruence
+        return cls._trusted(X, closure(X.leq | pair_mask((X.n, X.n), pair_list)))
 
     def core(self):
         """E ∩ E°, the symmetric part; identity of the ambient allegory."""

@@ -27,7 +27,6 @@ from .poset import (
     FinPoset,
     InputError,
     closure,
-    pair_mask,
 )
 from .relation import Relation
 from .exreg import ExRegObject, validate_morphism
@@ -123,43 +122,26 @@ def parse_poset(text, path="<string>"):
             labels[i] = toks[2]
         else:
             raise ParseError(path, no, f"unrecognized line {line!r}")
-    leq, cyclic = _close(n, pairs)
-    if not cyclic:
-        # a closure is reflexive and transitive, and with no cycle it is antisymmetric
-        return FinPoset._trusted(leq, labels)
+    try:
+        return FinPoset.from_covers(n, pairs, labels)
+    except AntisymmetryViolation as exc:
+        cycle = exc
     # A cycle stays closed as pairs are added, so the shortest cyclic prefix
     # of the pair lines ends at the line closing it.
     lo, hi = 0, len(pairs)  # pairs[:lo] have no cycle, pairs[:hi] have one
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        closed, cyclic = _close(n, pairs[:mid])
-        if cyclic:
-            hi, leq = mid, closed
+        try:
+            FinPoset.from_covers(n, pairs[:mid])
+        except AntisymmetryViolation as exc:
+            hi, cycle = mid, exc
         else:
             lo = mid
-    # Every cycle of pairs[:hi] runs through its last pair (a, b), so its
-    # closure has one class of more than one element, a's, and the class's two
-    # least elements are the first 2-cycle, which the validating constructor
-    # would name.
-    a, _ = pairs[hi - 1]
-    i, j = np.flatnonzero(leq[a] & leq[:, a])[:2].tolist()
-    exc = AntisymmetryViolation.between(i, j)
-    raise ParseError(path, pair_nos[hi - 1], str(exc)) from exc
-
-
-def _close(n, pairs):
-    """The closure of ``pairs`` on n elements, and whether it has a cycle: whether
-    some pair (i, j) with i != j has j <= i in the closure.  That reads one
-    cell per pair, where ``leq & leq.T`` would transpose the whole matrix."""
-    leq = closure(pair_mask((n, n), pairs))
-    ij = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    return leq, bool((leq[ij[:, 1], ij[:, 0]] & (ij[:, 0] != ij[:, 1])).any())
+    raise ParseError(path, pair_nos[hi - 1], str(cycle)) from cycle
 
 
 def serialize_poset(P):
-    out = [f"poset {P.n}"]
-    for i, j in P.covers():
-        out.append(f"{i} < {j}")
+    out = [f"poset {P.n}"] + [f"{i} < {j}" for i, j in P.covers()]
     if P.labels is not None:
         for i, lab in enumerate(P.labels):
             if lab != str(i):
@@ -171,9 +153,10 @@ def load_poset(path):
     return parse_poset(_read(path), path)
 
 
-def _resolve(ref, base_path):
-    if os.path.isabs(ref):
-        return ref
+def _resolve(ref, base_path, no):
+    if "\0" in ref:
+        raise ParseError(base_path, no, "file name holds a NUL byte")
+    # an absolute ref is returned as it is: join drops the parts before an absolute one
     return os.path.join(os.path.dirname(os.path.abspath(base_path)), ref)
 
 
@@ -237,7 +220,7 @@ def rel_refs(path):
 
 def parse_rel(text, path="<string>"):
     lines = _lines(text)
-    dom, cod = (load_poset(_resolve(ref, path)) for ref in _rel_header(lines, path))
+    dom, cod = (load_poset(_resolve(ref, path, lines[0][0])) for ref in _rel_header(lines, path))
     rows, cols = [], []
     for no, line in lines[1:]:
         toks = line.split()
@@ -268,7 +251,7 @@ def _load_endpoint(ref, path, no):
     """The object file ``ref`` named at line ``no`` of ``path``.  A morphism file
     is refused from its header, before its own endpoints are loaded, so a
     file that reaches itself through its endpoints cannot recurse."""
-    ref_path = _resolve(ref, path)
+    ref_path = _resolve(ref, path, no)
     lines = _lines(_read(ref_path))
     if lines and lines[0][1].split()[0] == "morphism":
         raise ParseError(path, no, "morphism endpoints must be object files")
@@ -285,7 +268,7 @@ def _parse_exreg_lines(lines, path):
     no, header = lines[0]
     parts = header.split()
     if parts[0] == "object" and len(parts) == 2:
-        X = load_poset(_resolve(parts[1], path))
+        X = load_poset(_resolve(parts[1], path, no))
         (pairs,) = _parse_pairs(lines[1:], {"cong": (X.n, X.n)}, path)
         # the closure of a matrix that holds the order is a congruence
         return ExRegObject._trusted(X, closure(X.leq | pairs))

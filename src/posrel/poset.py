@@ -63,18 +63,13 @@ def bool_mat(a, b):
     one length), this is numpy's boolean matmul (an OR of ANDs).  From there on
     the operands are cast to float32 and multiplied by BLAS sgemm, which only
     adds non-negative 0/1 products: rounding never takes a positive sum to 0 and
-    overflow gives inf, so ``> 0`` is exact at every size.  A square
-    ``bool_mat(a, a)`` is cast once."""
-    square = b is a
-    a = np.asarray(a, bool)
-    b = a if square else np.asarray(b, bool)
+    overflow gives inf, so ``> 0`` is exact at every size."""
+    a, b = np.asarray(a, bool), np.asarray(b, bool)
     # the one matrix a meets each matrix of b, or each matrix of a meets one matrix of b
     madds = a.shape[-2] * b.size if a.ndim < b.ndim else a.size * b.shape[-1]
     if madds < BLAS_MADDS:
         return a @ b
-    fa = a.astype(np.float32)
-    fb = fa if square else b.astype(np.float32)
-    return (fa @ fb) > 0
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
 def transitive_closure(mat):
@@ -198,7 +193,8 @@ class FinPoset:
         if sym.any():
             # argmax of a boolean array is its first True cell, found without listing the others
             raise AntisymmetryViolation.between(*divmod(int(sym.argmax()), n))
-        if (bool_mat(leq, leq) & ~leq).any():
+        # a reflexive matrix is transitive iff it equals its own closure
+        if not np.array_equal(closure(leq), leq):
             raise ValueError("order matrix is not transitive")
         self._fill(leq, labels)
 
@@ -223,10 +219,16 @@ class FinPoset:
 
     @classmethod
     def from_covers(cls, n, pairs, labels=None):
-        """Poset generated by ``pairs`` (i <= j), closed reflexively/transitively
-        by ``closure``; pairs that close a cycle raise the validating
-        constructor's ``AntisymmetryViolation`` for its first 2-cycle."""
-        return cls(closure(pair_mask((n, n), pairs)), labels=labels)
+        """Poset generated by ``pairs`` (i <= j) through ``closure``; a cycle raises the
+        validating constructor's ``AntisymmetryViolation`` for the closure's first 2-cycle."""
+        pairs = list(pairs)
+        leq = closure(pair_mask((n, n), pairs))
+        rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        # a cycle runs through a pair (i, j), i != j, with j <= i: one cell per pair
+        if (leq[cols, rows] & (rows != cols)).any():
+            return cls(leq, labels)  # reflexive, so it fails antisymmetry, not transitivity
+        # a closure is reflexive and transitive, and with no cycle it is antisymmetric
+        return cls._trusted(leq, labels)
 
     @classmethod
     def discrete(cls, n, labels=None):
@@ -245,10 +247,24 @@ class FinPoset:
         return self.labels[i] if self.labels is not None else str(i)
 
     def covers(self):
-        """Cover pairs (i, j): i < j with nothing strictly between."""
-        lt = self.leq & ~np.eye(self.n, dtype=bool)
-        rows, cols = np.nonzero(lt & ~bool_mat(lt, lt))
-        return list(zip(rows.tolist(), cols.tolist()))
+        """Cover pairs (i, j), i < j with nothing strictly between, in row-major order:
+        a transitive reduction (Aho, Garey & Ullman 1972) on up-set bit rows numbered
+        along a linear extension, by down-set size.  The least element of i's strict
+        up-set that no cover of i reaches is a cover; clearing its up-set is one AND-NOT."""
+        order = np.argsort(self.leq.sum(axis=0), kind="stable")
+        rows = _bit_rows(self.leq.take(order, 0).take(order, 1))
+        up = [row >> (p + 1) for p, row in enumerate(rows)]  # strict up-sets, bit 0 for p + 1
+        label, out = order.tolist(), []
+        for i, p in enumerate(np.argsort(order).tolist()):
+            todo, q, found = up[p], p, []
+            while todo:
+                # x ^ (x - 1) keeps the bits up to x's lowest, and x ^ (x & m) clears the bits of m
+                k = (todo ^ (todo - 1)).bit_length()
+                todo, q = todo >> k, q + k  # q: the least left; bit 0: q + 1
+                found.append(label[q])
+                todo ^= todo & up[q]
+            out += [(i, j) for j in sorted(found)]
+        return out
 
     def __eq__(self, other):
         return self is other or (

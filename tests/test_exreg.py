@@ -3,7 +3,15 @@ import random
 import numpy as np
 import pytest
 
-from posrel.poset import FinPoset, MonotoneMap, all_monotone_maps, are_isomorphic, terminal
+from posrel.poset import (
+    FinPoset,
+    MonotoneMap,
+    all_monotone_maps,
+    are_isomorphic,
+    bool_mat,
+    terminal,
+    transitive_closure,
+)
 from posrel.relation import NotAMap, Relation, compose, delta, identity_I, meet, opposite
 from posrel.exreg import (
     AdjunctionFailed,
@@ -131,6 +139,68 @@ def test_bimodule_law_rejects_bare_diagonal():
 def bool_matrices(rows, cols):
     for bits in range(1 << (rows * cols)):
         yield np.array([bits >> k & 1 for k in range(rows * cols)], bool).reshape(rows, cols)
+
+
+def reference_exreg_object(X, E):
+    """A verbatim copy of ``ExRegObject.__init__``'s checks as they were when they
+    tested transitivity by squaring; returns the checked matrix."""
+    E = np.ascontiguousarray(E, dtype=bool)
+    if E.shape != (X.n, X.n):
+        raise NotCongruence(f"expected {(X.n, X.n)} matrix, got {E.shape}")
+    if (X.leq & ~E).any():
+        raise NotCongruence("congruence does not contain the order")
+    if (bool_mat(E, E) & ~E).any():
+        raise NotCongruence("congruence is not transitive")
+    return E
+
+
+def assert_checks_as_the_squaring_object(X, E):
+    def outcome(build):
+        try:
+            return build().tolist()
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    before = np.array(E, copy=True)
+    want = outcome(lambda: reference_exreg_object(X, E))
+    assert outcome(lambda: ExRegObject(X, E).E.pairs) == want
+    assert np.array_equal(E, before)
+
+
+def test_exreg_object_checks_as_the_squaring_object_on_every_matrix_of_at_most_3_elements():
+    count = 0
+    for n in range(4):
+        carriers = labelled_posets(n)
+        for mat in bool_matrices(n, n):
+            for X in carriers:
+                assert_checks_as_the_squaring_object(X, mat)
+            count += 1
+    assert count == 531
+    for shape in [(2, 3), (3, 2), (3,)]:
+        assert_checks_as_the_squaring_object(C2, np.ones(shape, dtype=bool))
+
+
+@pytest.mark.parametrize("n", [4, 9, 40, 120, 300])
+def test_exreg_object_checks_as_the_squaring_object_on_seeded_matrices(n):
+    rng = np.random.default_rng(2704 + n)
+    eye = np.eye(n, dtype=bool)
+    for density in (1 / n, 3 / n):
+        rank = rng.permutation(n)
+        up = (rng.random((n, n)) < density) & (rank[:, None] < rank[None, :])
+        X = FinPoset(transitive_closure(up))
+        extra = rng.random((n, n)) < density
+        closed = transitive_closure(X.leq | extra)
+        candidates = [X.leq | extra, closed]
+        # the congruence with one pair taken out (an order pair or another) or one pair put in,
+        # up to three times each
+        for cells, keep in ((closed & ~eye, False), (~closed, True)):
+            found = np.argwhere(cells)
+            for i, j in found[rng.choice(len(found), min(3, len(found)), replace=False)]:
+                changed = closed.copy()
+                changed[i, j] = keep
+                candidates.append(changed)
+        for E in candidates:
+            assert_checks_as_the_squaring_object(X, E)
 
 
 def objects_up_to(n_max):

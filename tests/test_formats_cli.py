@@ -208,6 +208,10 @@ PARSE_ERRORS = [
      ("bad.poset", 2, "element out of range 0..1")),
     ("rel-cod-file", "x.rel", "rel a.poset bad.poset\n0 ~ x\n",
      ("bad.poset", 2, "element out of range 0..1")),
+    # a NUL in a referenced file name is refused at the header that names it
+    ("rel-dom-nul", "x.rel", "# r\nrel a\0.poset d.poset\n",
+     ("x.rel", 2, "file name holds a NUL byte")),
+    ("rel-cod-nul", "x.rel", "rel a.poset a\0.poset\n", ("x.rel", 1, "file name holds a NUL byte")),
     ("rel-short-line", "x.rel", REL + "0 ~\n", ("x.rel", 2, "expected 'i ~ j', got '0 ~'")),
     ("rel-wrong-separator", "x.rel", REL + "0 - 1\n",
      ("x.rel", 2, "expected 'i ~ j', got '0 - 1'")),
@@ -236,6 +240,12 @@ PARSE_ERRORS = [
      ("x.exreg", 1, "expected 'object <posetfile>' or 'morphism <src> <tgt>'")),
     ("exreg-object-carrier-file", "x.exreg", "object bad.poset\n",
      ("bad.poset", 2, "element out of range 0..1")),
+    ("exreg-object-nul", "x.exreg", "\nobject a\0.poset\n",
+     ("x.exreg", 2, "file name holds a NUL byte")),
+    ("exreg-source-nul", "x.exreg", "morphism o\0.exreg c.exreg\n",
+     ("x.exreg", 1, "file name holds a NUL byte")),
+    ("exreg-target-nul", "x.exreg", "# m\nmorphism o.exreg c.exreg\0\n",
+     ("x.exreg", 2, "file name holds a NUL byte")),
     ("exreg-cong-first-int", "x.exreg", "object d.poset\ncong x ~ 1\n",
      ("x.exreg", 2, "expected an integer, got 'x'")),
     ("exreg-cong-second-int", "x.exreg", "object d.poset\ncong 0 ~ 0x1\n",
@@ -377,6 +387,24 @@ def test_a_cyclic_2048_chain_is_refused_without_squaring(monkeypatch):
     with pytest.raises(ParseError) as err:
         parse_poset(text, "cyc.poset")
     assert str(err.value) == f"cyc.poset:{n + 1}: elements 0 and 1 form a 2-cycle"
+    assert calls == []
+
+
+def test_absolute_file_names_are_read_as_they_are(tmp_path):
+    carrier = write(tmp_path, "a.poset", "poset 2\n0 < 1\n")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    R = load_rel(write(elsewhere, "r.rel", f"rel {carrier} {carrier}\n0 ~ 1\n"))
+    assert R.dom == C2 and R.cod == C2 and int(R.pairs.sum()) == 1
+    assert load_exreg(write(elsewhere, "o.exreg", f"object {carrier}\n")).X == C2
+
+
+def test_serializing_a_2048_chain_makes_no_bool_mat_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(poset, "bool_mat", lambda a, b: calls.append(1))
+    n = MAX_ELEMENTS
+    text = serialize_poset(FinPoset.chain(n))
+    assert text == f"poset {n}\n" + "".join(f"{i} < {i + 1}\n" for i in range(n - 1))
     assert calls == []
 
 
@@ -640,6 +668,20 @@ def test_cli_poset_check_of_a_directory_exits_2(tmp_path):
     assert code == 2
     assert err.startswith("error: IsADirectoryError: ") and err.count("\n") == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("verb, name, text", [
+    (["rel", "check"], "r.rel", "rel a.poset a\0.poset\n0 ~ 1\n"),
+    (["exreg", "check"], "o.exreg", "object a\0.poset\n"),
+    (["exreg", "check"], "m.exreg", "morphism o.exreg o\0.exreg\n"),
+])
+def test_cli_refuses_a_file_name_holding_a_nul_with_exit_2(tmp_path, verb, name, text):
+    write(tmp_path, "a.poset", "poset 2\n0 < 1\n")
+    write(tmp_path, "o.exreg", "object a.poset\n")
+    path = write(tmp_path, name, text)
+    code, out, err = run_cli(*verb, path)
+    assert (code, out) == (2, "")
+    assert err == f"error: ParseError: {path}:1: file name holds a NUL byte\n"
 
 
 def test_cli_rejects_an_oversized_poset_before_allocating(tmp_path):

@@ -210,7 +210,7 @@ def test_harness_generators_draw_and_close_as_with_squaring():
         assert rng.getstate() == ref.getstate()
 
 
-def test_closing_a_2048_chain_from_covers_makes_one_bool_mat_call(monkeypatch):
+def test_closing_a_2048_chain_from_covers_makes_no_bool_mat_call(monkeypatch):
     calls = []
 
     def counting(a, b):
@@ -221,8 +221,118 @@ def test_closing_a_2048_chain_from_covers_makes_one_bool_mat_call(monkeypatch):
     n = poset.MAX_ELEMENTS
     P = FinPoset.from_covers(n, [(i, i + 1) for i in range(n - 1)])
     assert np.array_equal(P.leq, np.triu(np.ones((n, n), dtype=bool)))
-    # the validating constructor's transitivity check, and no squaring
-    assert calls == [((n, n), (n, n))]
+    assert calls == []
+
+
+def reference_finposet(leq):
+    """A verbatim copy of ``FinPoset.__init__``'s checks as they were when they
+    tested transitivity by squaring; returns the checked matrix."""
+    leq = np.asarray(leq, dtype=bool)
+    n = leq.shape[0]
+    if leq.shape != (n, n):
+        raise ValueError(f"order matrix must be square, got {leq.shape}")
+    if not leq[np.diag_indices(n)].all():
+        raise ValueError("order matrix is not reflexive")
+    sym = leq & leq.T
+    sym[np.diag_indices(n)] = False
+    if sym.any():
+        # argmax of a boolean array is its first True cell, found without listing the others
+        raise AntisymmetryViolation.between(*divmod(int(sym.argmax()), n))
+    if (bool_mat(leq, leq) & ~leq).any():
+        raise ValueError("order matrix is not transitive")
+    return leq
+
+
+def assert_checks_as_the_squaring_constructor(leq):
+    before = np.array(leq, copy=True)
+    want = outcome(lambda: FinPoset._trusted(reference_finposet(leq)))
+    assert outcome(lambda: FinPoset(leq)) == want
+    assert np.array_equal(leq, before)
+
+
+def test_finposet_checks_as_the_squaring_constructor_on_every_matrix_of_at_most_3_elements():
+    count = 0
+    for n in range(4):
+        for bits in itertools.product([False, True], repeat=n * n):
+            assert_checks_as_the_squaring_constructor(np.array(bits, bool).reshape(n, n))
+            count += 1
+    assert count == 531
+    for shape in [(2, 3), (3, 2), (0, 1), (3,)]:
+        assert_checks_as_the_squaring_constructor(np.ones(shape, dtype=bool))
+
+
+@pytest.mark.parametrize("n", [4, 9, 40, 120, 300])
+def test_finposet_checks_as_the_squaring_constructor_on_seeded_matrices(n):
+    rng = np.random.default_rng(2700 + n)
+    eye = np.eye(n, dtype=bool)
+    for density in (1 / n, 3 / n, 0.3):
+        # pairs going up a random order of the elements: antisymmetric, rarely transitive
+        rank = rng.permutation(n)
+        up = ((rng.random((n, n)) < density) & (rank[:, None] < rank[None, :])) | eye
+        closed = transitive_closure(up)
+        candidates = [up, closed]
+        strict, missing = closed & ~eye, ~closed & (rank[:, None] < rank[None, :])
+        # the closure with one strict pair taken out, one pair up the order put in, or one
+        # strict pair reversed, up to three times each
+        changes = ((strict, False, False), (missing, True, False), (strict, True, True))
+        for cells, keep, flip in changes:
+            found = np.argwhere(cells)
+            for i, j in found[rng.choice(len(found), min(3, len(found)), replace=False)]:
+                changed = closed.copy()
+                changed[(j, i) if flip else (i, j)] = keep
+                candidates.append(changed)
+        unreflexive = closed.copy()
+        k = rng.integers(n)
+        unreflexive[k, k] = False
+        candidates.append(unreflexive)
+        for leq in candidates:
+            assert_checks_as_the_squaring_constructor(leq)
+
+
+def reference_covers(self):
+    """A verbatim copy of ``FinPoset.covers`` as it was when it squared the strict order."""
+    lt = self.leq & ~np.eye(self.n, dtype=bool)
+    rows, cols = np.nonzero(lt & ~bool_mat(lt, lt))
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def assert_covers_as_by_squaring(P):
+    got = P.covers()
+    assert got == reference_covers(P)
+    assert all(type(i) is int and type(j) is int for i, j in got)
+
+
+def test_covers_match_squaring_on_the_catalogue_and_relabellings():
+    from posrel.equivalence import all_posets_up_to
+
+    rng = np.random.default_rng(2702)
+    for P in all_posets_up_to(6):
+        assert_covers_as_by_squaring(P)
+        perm = rng.permutation(P.n)
+        assert_covers_as_by_squaring(FinPoset(P.leq[np.ix_(perm, perm)]))
+
+
+@pytest.mark.parametrize("n", [1, 7, 60, 300, 1200, poset.MAX_ELEMENTS])
+def test_covers_match_squaring_on_seeded_orders(n):
+    rng = np.random.default_rng(2703 + n)
+    for density in (1 / n, 4 / n, 0.5):
+        rank = rng.permutation(n)
+        up = (rng.random((n, n)) < density) & (rank[:, None] < rank[None, :])
+        assert_covers_as_by_squaring(FinPoset._trusted(transitive_closure(up)))
+
+
+def test_covers_match_squaring_on_large_chains_products_and_bipartite_orders():
+    n = poset.MAX_ELEMENTS
+    up = FinPoset.chain(n)
+    assert_covers_as_by_squaring(up)
+    assert_covers_as_by_squaring(FinPoset(up.leq.T))
+    assert_covers_as_by_squaring(product(FinPoset.chain(40), FinPoset.chain(40))[0])
+    # the complete bipartite order of 1024 below 1024: a million covers
+    half = n // 2
+    leq = np.eye(n, dtype=bool)
+    leq[:half, half:] = True
+    assert_covers_as_by_squaring(FinPoset(leq))
+    assert len(FinPoset._trusted(leq).covers()) == half * half
 
 
 @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (3, 0)])
@@ -330,7 +440,7 @@ def test_bool_mat_of_stacks_matches_witness_counts(a_shape, b_shape):
 
 @pytest.mark.parametrize("n", [5, 20, 21, 64, 200])
 def test_bool_mat_of_a_square_matches_witness_counts(n):
-    # bool_mat(a, a) casts a once; 21³ is the first square at BLAS_MADDS or above
+    # 21³ is the first square product at BLAS_MADDS or above
     assert (n**3 >= BLAS_MADDS) == (n > 20)
     rng = random.Random(n)
     for leq in (random_poset(rng, n).leq, np.random.default_rng(n).random((n, n)) < 0.2):

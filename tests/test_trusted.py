@@ -18,6 +18,7 @@ from posrel.poset import (
     classify_map,
     coinserter,
     image_factorize,
+    pair_mask,
     pair_order,
     pair_span,
     pointwise_order,
@@ -397,6 +398,38 @@ def test_parsed_poset_matches_the_validating_constructor(n):
         assert P == checked and hash(P) == hash(checked) and P.labels == checked.labels
 
 
+def test_from_covers_matches_the_validating_constructor():
+    rng = random.Random(2705)
+    for trial in range(300):
+        n = rng.randrange(0, 9)
+        rank = list(range(n))
+        rng.shuffle(rank)
+        # mostly pairs going up a random order: 44 of the 300 lists close a cycle
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n + 1))]
+        pairs = [(i, j) if rank[i] <= rank[j] or rng.random() < 0.3 else (j, i) for i, j in pairs]
+        labels = [f"e{i}" for i in range(n)] if trial % 2 else None
+        try:
+            checked = FinPoset(transitive_closure(pair_mask((n, n), pairs)), labels)
+        except AntisymmetryViolation as exc:
+            with pytest.raises(AntisymmetryViolation) as err:
+                FinPoset.from_covers(n, pairs, labels)
+            assert str(err.value) == str(exc)
+            continue
+        P = FinPoset.from_covers(n, pairs, labels)
+        assert P == checked and hash(P) == hash(checked) and P.labels == checked.labels
+        assert_valid_poset(P)
+
+
+def test_from_pairs_matches_the_validating_constructor():
+    rng, posets = random_posets(2706, count=80, n_max=7)
+    for X in small_posets() + posets:
+        count = rng.randrange(4) if X.n else 0
+        pairs = [(rng.randrange(X.n), rng.randrange(X.n)) for _ in range(count)]
+        obj = ExRegObject.from_pairs(X, pairs)
+        checked = ExRegObject(X, transitive_closure(X.leq | pair_mask((X.n, X.n), pairs)))
+        assert obj == checked and hash(obj) == hash(checked)
+
+
 def test_gen_poset_matches_the_validating_constructor():
     from posrel.harness import ChoiceStream, gen_poset
 
@@ -569,6 +602,6 @@ def test_gen_congruence_matches_the_validating_constructor():
         drawn, redrawn = ChoiceStream(seed), ChoiceStream(seed)
         obj = gen_congruence(drawn, X)
         pairs = [(redrawn.randrange(X.n), redrawn.randrange(X.n)) for _ in range(2)] if X.n else []
-        checked = ExRegObject.from_pairs(X, pairs)
+        checked = ExRegObject(X, transitive_closure(X.leq | pair_mask((X.n, X.n), pairs)))
         assert obj == checked and hash(obj) == hash(checked)
         assert drawn.draws == redrawn.draws
