@@ -26,6 +26,7 @@ from .poset import (
     AntisymmetryViolation,
     FinPoset,
     InputError,
+    close_pairs,
     closure,
 )
 from .relation import Relation
@@ -122,22 +123,24 @@ def parse_poset(text, path="<string>"):
             labels[i] = toks[2]
         else:
             raise ParseError(path, no, f"unrecognized line {line!r}")
-    try:
-        return FinPoset.from_covers(n, pairs, labels)
-    except AntisymmetryViolation as exc:
-        cycle = exc
+    leq, cyclic = close_pairs(n, pairs)
+    if not cyclic:
+        # a closure is reflexive and transitive, and with no cycle it is antisymmetric
+        return FinPoset._trusted(leq, labels)
     # A cycle stays closed as pairs are added, so the shortest cyclic prefix
     # of the pair lines ends at the line closing it.
-    lo, hi = 0, len(pairs)  # pairs[:lo] have no cycle, pairs[:hi] have one
+    lo, hi = 0, len(pairs)  # pairs[:lo] have no cycle, pairs[:hi] have one, closed in leq
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        try:
-            FinPoset.from_covers(n, pairs[:mid])
-        except AntisymmetryViolation as exc:
-            hi, cycle = mid, exc
+        prefix, cyclic = close_pairs(n, pairs[:mid])
+        if cyclic:
+            hi, leq = mid, prefix
         else:
             lo = mid
-    raise ParseError(path, pair_nos[hi - 1], str(cycle)) from cycle
+    try:
+        FinPoset(leq)  # reflexive, so refused for the first 2-cycle of the shortest cyclic prefix
+    except AntisymmetryViolation as cycle:
+        raise ParseError(path, pair_nos[hi - 1], str(cycle)) from cycle
 
 
 def serialize_poset(P):
@@ -303,11 +306,16 @@ def load_exreg(path):
 # -- DOT export ---------------------------------------------------------------
 
 
+def _dot_label(text):
+    """``text`` as a quoted DOT string, with ``\\`` and ``"`` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def dot_poset(P, name="poset"):
     """Hasse diagram: nodes plus cover edges, drawn bottom-up."""
     out = [f"digraph {name} {{", "  rankdir=BT;"]
     for i in range(P.n):
-        out.append(f'  n{i} [label="{P.label(i)}"];')
+        out.append(f"  n{i} [label={_dot_label(P.label(i))}];")
     for i, j in P.covers():
         out.append(f"  n{i} -> n{j};")
     out.append("}")
@@ -318,7 +326,7 @@ def dot_relation(R, name="rel"):
     """Bipartite picture of a relation between two carriers."""
     out = [f"digraph {name} {{", "  rankdir=LR;"]
     for i in range(R.dom.n):
-        out.append(f'  d{i} [label="{R.dom.label(i)}"];')
+        out.append(f"  d{i} [label={_dot_label(R.dom.label(i))}];")
     for j in range(R.cod.n):
-        out.append(f'  c{j} [label="{R.cod.label(j)}"];')
+        out.append(f"  c{j} [label={_dot_label(R.cod.label(j))}];")
     return "\n".join(out) + "\n" + _pair_lines("  d%d -> c%d;\n", R.pairs) + "}\n"

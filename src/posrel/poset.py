@@ -221,11 +221,8 @@ class FinPoset:
     def from_covers(cls, n, pairs, labels=None):
         """Poset generated by ``pairs`` (i <= j) through ``closure``; a cycle raises the
         validating constructor's ``AntisymmetryViolation`` for the closure's first 2-cycle."""
-        pairs = list(pairs)
-        leq = closure(pair_mask((n, n), pairs))
-        rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-        # a cycle runs through a pair (i, j), i != j, with j <= i: one cell per pair
-        if (leq[cols, rows] & (rows != cols)).any():
+        leq, cyclic = close_pairs(n, pairs)
+        if cyclic:
             return cls(leq, labels)  # reflexive, so it fails antisymmetry, not transitivity
         # a closure is reflexive and transitive, and with no cycle it is antisymmetric
         return cls._trusted(leq, labels)
@@ -280,6 +277,15 @@ class FinPoset:
 
     def __repr__(self):
         return f"FinPoset(n={self.n}, covers={self.covers()})"
+
+
+def close_pairs(n, pairs):
+    """The ``closure`` of the pairs (i <= j) on n elements, and whether they close a cycle."""
+    pairs = list(pairs)
+    leq = closure(pair_mask((n, n), pairs))
+    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    # a cycle runs through a pair (i, j), i != j, with j <= i: one cell per pair
+    return leq, bool((leq[cols, rows] & (rows != cols)).any())
 
 
 def pair_mask(shape, pairs):

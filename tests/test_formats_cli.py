@@ -390,6 +390,20 @@ def test_a_cyclic_2048_chain_is_refused_without_squaring(monkeypatch):
     assert calls == []
 
 
+def test_a_cyclic_poset_read_builds_no_poset(monkeypatch):
+    # the probes of the cycle search close and test their prefixes and build nothing
+    calls = []
+    fill = FinPoset._fill
+    monkeypatch.setattr(FinPoset, "_fill", lambda *args: calls.append(1) or fill(*args))
+    n = 64
+    text = f"poset {n}\n" + "".join(f"{i} < {i + 1}\n" for i in range(n - 1))
+    for back in ("40 < 3\n", f"{n - 1} < 0\n"):
+        with pytest.raises(ParseError):
+            parse_poset(text + back + "1 < 0\n")
+    assert calls == []
+    assert parse_poset(text).n == n and calls == [1]
+
+
 def test_absolute_file_names_are_read_as_they_are(tmp_path):
     carrier = write(tmp_path, "a.poset", "poset 2\n0 < 1\n")
     elsewhere = tmp_path / "elsewhere"
@@ -521,6 +535,19 @@ def test_dot_outputs_mention_all_elements():
     assert text.count("->") == 2  # transitive edge reduced away
     rel_text = dot_relation(Relation.from_pairs(C2, D2, [(0, 0)]))
     assert "d0 -> c0" in rel_text
+
+
+def test_dot_labels_escape_backslashes_and_double_quotes(tmp_path):
+    P = parse_poset('poset 4\n0 < 1\nlabel 0 a"b\nlabel 1 c\\\nlabel 2 \\"\nlabel 3 é\n')
+    nodes = ['n0 [label="a\\"b"];', 'n1 [label="c\\\\"];', 'n2 [label="\\\\\\""];', 'n3 [label="é"];']
+    assert [line.strip() for line in dot_poset(P).splitlines()[2:6]] == nodes
+    rel = dot_relation(Relation.full(P, FinPoset.from_covers(2, [], labels=['x"', "y"])))
+    assert '  c0 [label="x\\""];' in rel.splitlines() and '  d1 [label="c\\\\"];' in rel.splitlines()
+    # labels without either character are written as they are
+    Q = FinPoset.from_covers(2, [(0, 1)], labels=["lo", "hi"])
+    assert dot_poset(Q) == 'digraph poset {\n  rankdir=BT;\n  n0 [label="lo"];\n  n1 [label="hi"];\n  n0 -> n1;\n}\n'
+    path = write(tmp_path, "q.poset", 'poset 1\nlabel 0 a"b\n')
+    assert run_cli("dot", path) == (0, 'digraph poset {\n  rankdir=BT;\n  n0 [label="a\\"b"];\n}\n', "")
 
 
 

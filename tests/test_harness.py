@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from posrel import harness, poset, relation
-from posrel.poset import FinPoset, MonotoneMap
+from posrel import equivalence, exreg, harness, poset, relation
+from posrel.poset import MAX_ELEMENTS, FinPoset, MonotoneMap, TooLarge
 from posrel.relation import Relation
 from posrel.harness import (
     SIMPLEST_FLOAT,
@@ -301,22 +301,13 @@ def test_choice_stream_replays_the_simplest_draw_for_an_unusable_one():
     assert SIMPLEST_FLOAT < 1.0 and SIMPLEST_FLOAT + 2.0**-53 == 1.0
 
 
-def test_failing_report_is_identical_across_runs_and_jobs(fixture_suite, monkeypatch):
+def _forking_two_workers(monkeypatch):
+    """``--jobs 2`` runs on two forked workers, which inherit the suites registered here."""
     import concurrent.futures
     import functools
     import multiprocessing
     import os
 
-    from test_formats_cli import run_cli
-
-    D3 = FinPoset.discrete(3)
-
-    def mentions_01(rng, cap):
-        R = gen_relation(rng, D3, D3)
-        return f"pairs {R.pair_list()}" if R.pairs[0, 1] else None
-
-    fixture_suite(mentions_01)
-    # forked workers inherit the registered fixture suite
     monkeypatch.setattr(
         concurrent.futures,
         "ProcessPoolExecutor",
@@ -326,6 +317,19 @@ def test_failing_report_is_identical_across_runs_and_jobs(fixture_suite, monkeyp
         ),
     )
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def test_failing_report_is_identical_across_runs_and_jobs(fixture_suite, monkeypatch):
+    from test_formats_cli import run_cli
+
+    D3 = FinPoset.discrete(3)
+
+    def mentions_01(rng, cap):
+        R = gen_relation(rng, D3, D3)
+        return f"pairs {R.pair_list()}" if R.pairs[0, 1] else None
+
+    fixture_suite(mentions_01)
+    _forking_two_workers(monkeypatch)
     argv = ["harness", "run", "all", "--trials", "4", "--seed", "11"]
     first = run_cli(*argv)
     assert first[0] == 1 and "    shrunk: " in first[1]
@@ -575,3 +579,209 @@ def test_planted_compose_bug_is_found_and_shrunk_at_bound_10(fixture_suite, monk
     for _, shrunk in failures:
         assert shrunk is not None and " draws: carriers " in shrunk
         assert max(map(int, shrunk.split("carriers ")[1].split())) <= 3
+
+
+# -- trial bodies that leave their laws to their constructions' cross-checks --
+#
+# Verbatim copies of six trial bodies as they were while they re-ran, on the
+# same arguments, checks that their constructions cross-check themselves, or
+# did other work twice: the references for the draws and outcomes of the
+# bodies that replaced them.
+
+
+def reference_trial_r4_redundancy(rng, cap):
+    # every so-morphism is effective: the coinserter of its own kernel
+    # congruence, up to the canonical comparison isomorphism
+    X = gen_poset(rng, rng.randrange(1, cap + 1))
+    Y = gen_poset(rng, rng.randrange(1, cap + 1))
+    f = gen_map(rng, X, Y)
+    e, _ = poset.image_factorize(f)
+    K, k0, k1 = poset.kernel_congruence(e)
+    q = poset.coinserter(k0, k1)
+    if q.cod.n != e.cod.n:
+        return "comparison carriers differ"
+    h = [None] * q.cod.n
+    for x in range(X.n):
+        h[q.assign[x]] = e.assign[x]
+    try:
+        comparison = MonotoneMap(q.cod, e.cod, h)
+    except poset.NotMonotone:
+        return "comparison map is not monotone"
+    if not poset.classify_map(comparison).is_iso or comparison.dom != q.cod:
+        return "comparison map is not an isomorphism"
+    if any(comparison.assign[q.assign[x]] != e.assign[x] for x in range(X.n)):
+        return "comparison triangle does not commute"
+    return None
+
+
+def reference_trial_quotient_bijection(rng, cap):
+    A = gen_exreg_object(rng, min(cap, 4))
+    B = gen_exreg_object(rng, min(cap, 4))
+    R = gen_exreg_morphism(rng, A, B)
+    r = equivalence.realize_morphism(R)
+    if equivalence.morphism_from_map(A, B, r) != R:
+        return "morphism-to-map round trip failed"
+    S = gen_exreg_morphism(rng, A, B)
+    if exreg.hom_leq(R, S) != equivalence.realize_morphism(R).leq(
+        equivalence.realize_morphism(S)
+    ):
+        return "hom order not preserved by realization"
+    return None
+
+
+def reference_trial_tabulation(rng, cap):
+    A = gen_exreg_object(rng, 3)
+    B = gen_exreg_object(rng, 3)
+    raw = gen_relation(rng, A.X, B.X)
+    phi = relation.compose(B.core(), relation.compose(raw, A.core()))
+    tab = exreg.tabulate(phi, A, B)
+    W = gen_exreg_object(rng, 3)
+    to_B = equivalence.all_morphisms(W, B)
+    for S0 in equivalence.all_morphisms(W, A):
+        for S1 in to_B:
+            cone = relation.compose(
+                exreg.graph_of(S1), relation.opposite(exreg.graph_of(S0))
+            )
+            if not cone.leq(phi):
+                continue
+            H = exreg.tabulation_factor(tab, S0, S1)
+            if exreg.compose_morphisms(tab.leg0, H) != S0:
+                return "factorization does not recover the first leg"
+            if exreg.compose_morphisms(tab.leg1, H) != S1:
+                return "factorization does not recover the second leg"
+    return None
+
+
+def reference_trial_exreg_limits(rng, cap):
+    A = gen_exreg_object(rng, 3)
+    B = gen_exreg_object(rng, 3)
+    C = gen_exreg_object(rng, 3)
+    R = gen_exreg_morphism(rng, A, C)
+    S = gen_exreg_morphism(rng, B, C)
+    for kind, pos_ctor in (("pullback", poset.pullback), ("comma", poset.comma)):
+        tab = exreg.limit(kind, R, S)
+        rR, rS = equivalence.realize_morphism(R), equivalence.realize_morphism(S)
+        P, _, _ = pos_ctor(rR, rS)
+        Q, _ = equivalence.quotient_realize(tab.apex)
+        if not poset.are_isomorphic(Q, P):
+            return f"{kind} apex does not realize to the poset construction"
+    prod = exreg.limit("product", A, B)
+    QA, _ = equivalence.quotient_realize(A)
+    QB, _ = equivalence.quotient_realize(B)
+    P, _, _ = poset.product(QA, QB)
+    Q, _ = equivalence.quotient_realize(prod.apex)
+    if not poset.are_isomorphic(Q, P):
+        return "product apex does not realize to the product of realizations"
+    return None
+
+
+def reference_trial_exreg_factorization(rng, cap):
+    A = gen_exreg_object(rng, min(cap, 4))
+    B = gen_exreg_object(rng, min(cap, 4))
+    R = gen_exreg_morphism(rng, A, B)
+    Q, M = exreg.factorize(R)
+    if not exreg.classify(Q).is_so:
+        return "first factor is not so"
+    if not exreg.classify(M).is_ff:
+        return "second factor is not ff"
+    if exreg.compose_morphisms(M, Q) != R:
+        return "factorization does not compose to the original"
+    return None
+
+
+def reference_trial_exactness(rng, cap):
+    obj = gen_exreg_object(rng, min(cap, 4))
+    n = obj.X.n
+    extra = poset.pair_mask((n, n), [(rng.randrange(n), rng.randrange(n)) for _ in range(2)])
+    # closed by squaring, so split_congruence checks R by another algorithm than R's own
+    R = Relation(obj.X, obj.X, poset.transitive_closure(obj.E.pairs | extra))
+    q, m = exreg.split_congruence(obj, R.pairs)
+    if relation.compose(m.rel, q.lower) != R:
+        return "legs do not compose to the congruence"
+    if relation.compose(q.upper, q.lower) != R:
+        return "kernel congruence of the quotient leg is not the congruence"
+    if not exreg.classify(q).is_so:
+        return "quotient leg is not so"
+    return None
+
+
+REFERENCE_TRIALS = {
+    "r4-redundancy": reference_trial_r4_redundancy,
+    "quotient-bijection": reference_trial_quotient_bijection,
+    "tabulation": reference_trial_tabulation,
+    "exreg-limits": reference_trial_exreg_limits,
+    "exreg-factorization": reference_trial_exreg_factorization,
+    "exactness": reference_trial_exactness,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_TRIALS))
+def test_trial_draws_and_decides_as_its_reference(name):
+    _, trial = SUITES[name]
+    for cap in range(1, 6):
+        for seed in range(12):
+            new, old = ChoiceStream(f"{cap}:{seed}"), ChoiceStream(f"{cap}:{seed}")
+            assert trial(new, cap) == REFERENCE_TRIALS[name](old, cap)
+            assert new.draws == old.draws
+
+
+def _factoring_the_tabulation_legs(tabulation_factor):
+    """``tabulation_factor`` that factors the cone of the tabulation's own legs,
+    whatever cone it is given: the identity of the apex."""
+    return lambda tab, S0, S1: tabulation_factor(tab, tab.leg0, tab.leg1)
+
+
+def _dropping_last_lower_pair(make):
+    """``make`` with the last pair of its morphism's lower leg taken out, unchecked."""
+    Morphism = exreg.ExRegMorphism
+    drop = _dropping_last_pair(lambda rel: rel)
+
+    def planted(*args):
+        H = make(*args)
+        return Morphism(H.src, H.tgt, drop(H.lower), H.upper)
+
+    return planted
+
+
+@pytest.mark.parametrize(
+    "suite, name, plant, check",
+    [
+        ("exreg-factorization", "tabulation_factor", _factoring_the_tabulation_legs, "factorize"),
+        ("tabulation", "validate_morphism", _dropping_last_lower_pair, "tabulation_factor"),
+        ("exactness", "ExRegMorphism", _dropping_last_lower_pair, "split_congruence"),
+    ],
+)
+def test_a_fault_in_a_construction_fails_its_suite_through_its_cross_checks(
+    monkeypatch, suite, name, plant, check
+):
+    from test_formats_cli import run_cli
+
+    argv = ["harness", "run", suite, "--trials", "20", "--seed", "1"]
+    assert run_cli(*argv)[0] == 0
+    monkeypatch.setattr(exreg, name, plant(getattr(exreg, name)))
+    code, out, _ = run_cli(*argv)
+    assert code == 1
+    messages = [line.split("] ", 1)[1] for line in out.splitlines() if line.startswith("  trial ")]
+    assert messages and all(m.startswith("CrossCheckFailed: ") for m in messages)
+    assert any(m.startswith(f"CrossCheckFailed: {check}: ") for m in messages)
+
+
+def test_a_bound_past_the_carrier_limit_is_refused_before_any_trial(fixture_suite):
+    drawn = []
+    name = fixture_suite(lambda rng, cap: drawn.append(cap))
+    assert run_suite(name, 0, 1, MAX_ELEMENTS).passed
+    with pytest.raises(TooLarge, match=f"bound {MAX_ELEMENTS + 1} exceeds the limit of {MAX_ELEMENTS}"):
+        run_suite(name, 5, 1, MAX_ELEMENTS + 1)
+    assert run_suite(name, 2, 1, 3).passed and drawn == [3, 3]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_refuses_a_bound_past_the_carrier_limit_with_exit_2(monkeypatch, jobs):
+    from test_formats_cli import run_cli
+
+    # a trial that runs fails at once, so none runs on an oversized carrier
+    monkeypatch.setattr(harness, "SUITES", {name: ("", lambda rng, cap: "ran") for name in SUITES})
+    _forking_two_workers(monkeypatch)
+    code, out, err = run_cli("harness", "run", "all", "--bound", str(MAX_ELEMENTS + 1), "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err == f"error: TooLarge: bound {MAX_ELEMENTS + 1} exceeds the limit of {MAX_ELEMENTS}\n"
