@@ -23,8 +23,7 @@ import sys
 from . import equivalence, exreg, formats, harness
 from .poset import InputError, LawFailure
 from .relation import DomainMismatch
-from .exreg import ExRegMorphism, ExRegObject
-from .formats import ParseError
+from .exreg import ExRegObject
 
 
 class Emitter:
@@ -60,14 +59,6 @@ def _emit_tabulation(em, tab, src_ref, tgt_ref):
     _emit_morphism(em, tab.leg1, "leg1", "apex.exreg", tgt_ref)
 
 
-def _load(path, cls):
-    value = formats.load_exreg(path)
-    if not isinstance(value, cls):
-        kind = "an object" if cls is ExRegObject else "a morphism"
-        raise ParseError(path, 1, f"expected {kind} file")
-    return value
-
-
 def cmd_poset(args, out, err):
     P = formats.load_poset(args.file)
     out.write(formats.serialize_poset(P))
@@ -96,8 +87,8 @@ def cmd_exreg_check(args, out, err):
 
 def cmd_tabulate(args, out, err):
     phi = formats.load_rel(args.phi)
-    src = _load(args.src, ExRegObject)
-    tgt = _load(args.tgt, ExRegObject)
+    src = formats.load_exreg(args.src, "object")
+    tgt = formats.load_exreg(args.tgt, "object")
     tab = exreg.tabulate(phi, src, tgt)
     em = Emitter(args.out_dir, out)
     _emit_object(em, src, "src")
@@ -107,7 +98,7 @@ def cmd_tabulate(args, out, err):
 
 
 def cmd_factorize(args, out, err):
-    R = _load(args.morphism, ExRegMorphism)
+    R = formats.load_exreg(args.morphism, "morphism")
     Q, M = exreg.factorize(R)
     em = Emitter(args.out_dir, out)
     _emit_object(em, Q.tgt, "image")
@@ -120,8 +111,8 @@ def cmd_factorize(args, out, err):
 
 def cmd_limit(args, out, err):
     em = Emitter(args.out_dir, out)
-    cls = ExRegObject if args.kind in ("terminal", "product") else ExRegMorphism
-    values = [_load(path, cls) for path in args.args]
+    kind = "object" if args.kind in ("terminal", "product") else "morphism"
+    values = [formats.load_exreg(path, kind) for path in args.args]
     result = exreg.limit(args.kind, *values)
     if args.kind == "terminal":
         _emit_object(em, result, "terminal")
@@ -134,7 +125,7 @@ def cmd_limit(args, out, err):
 
 
 def cmd_split(args, out, err):
-    obj = _load(args.object, ExRegObject)
+    obj = formats.load_exreg(args.object, "object")
     R = formats.load_rel(args.congruence)
     if R.dom != obj.X or R.cod != obj.X:
         raise DomainMismatch("congruence is not a relation on the object's carrier")
@@ -148,7 +139,7 @@ def cmd_split(args, out, err):
 
 
 def cmd_present(args, out, err):
-    obj = _load(args.object, ExRegObject)
+    obj = formats.load_exreg(args.object, "object")
     pres = exreg.canonical_presentation(obj)
     em = Emitter(args.out_dir, out)
     _emit_object(em, obj, "base")

@@ -227,8 +227,9 @@ def discrete_inclusion_functor():
         return [FinPoset.discrete(k) for k in range(bound + 1)]
 
     def cover(Y):
+        D = FinPoset.discrete(Y.n)
         # a map out of a discrete poset is monotone
-        return FinPoset.discrete(Y.n), MonotoneMap._trusted(FinPoset.discrete(Y.n), Y, range(Y.n))
+        return D, MonotoneMap._trusted(D, Y, range(Y.n))
 
     return ConcreteFunctor(
         name="discrete-inclusion",

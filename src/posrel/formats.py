@@ -12,7 +12,9 @@ ignored everywhere):
            ``morphism <srcfile> <tgtfile>`` with ``lower i ~ j`` and
            ``upper j ~ i`` lines.
 
-Serializers emit exactly this shape, sorted, so output re-parses equal.
+Serializers emit exactly this shape, sorted, so output re-parses equal;
+``serialize_poset`` refuses a label that would not read back as itself.
+An .exreg file's kind is the first word of its header.
 """
 
 from __future__ import annotations
@@ -144,12 +146,15 @@ def parse_poset(text, path="<string>"):
 
 
 def serialize_poset(P):
-    out = [f"poset {P.n}"] + [f"{i} < {j}" for i, j in P.covers()]
-    if P.labels is not None:
-        for i, lab in enumerate(P.labels):
-            if lab != str(i):
-                out.append(f"label {i} {lab}")
-    return "\n".join(out) + "\n"
+    """The .poset text of ``P``.  A label that would not read back as itself, one
+    that is not a string of one token without a ``#``, raises ``ValueError``."""
+    labels = []
+    for i, lab in enumerate(P.labels or ()):
+        if not isinstance(lab, str) or lab.split() != [lab] or "#" in lab:
+            raise ValueError(f"label {lab!r} of element {i} would not read back")
+        if lab != str(i):
+            labels.append(f"label {i} {lab}")
+    return "\n".join([f"poset {P.n}"] + [f"{i} < {j}" for i, j in P.covers()] + labels) + "\n"
 
 
 def load_poset(path):
@@ -250,19 +255,32 @@ def load_rel(path):
     return parse_rel(_read(path), path)
 
 
+def _kind(lines):
+    """The kind of .exreg file whose ``_lines`` these are: its header's first word."""
+    return lines[0][1].split()[0] if lines else None
+
+
 def _load_endpoint(ref, path, no):
     """The object file ``ref`` named at line ``no`` of ``path``.  A morphism file
     is refused from its header, before its own endpoints are loaded, so a
     file that reaches itself through its endpoints cannot recurse."""
     ref_path = _resolve(ref, path, no)
     lines = _lines(_read(ref_path))
-    if lines and lines[0][1].split()[0] == "morphism":
+    if _kind(lines) == "morphism":
         raise ParseError(path, no, "morphism endpoints must be object files")
     return _parse_exreg_lines(lines, ref_path)
 
 
-def parse_exreg(text, path="<string>"):
-    return _parse_exreg_lines(_lines(text), path)
+def parse_exreg(text, path="<string>", kind=None):
+    """The object or morphism that ``text`` holds.  Given a ``kind``, "object" or
+    "morphism", a header of the other kind is refused at its line, before any
+    file it names is opened."""
+    lines = _lines(text)
+    found = _kind(lines)
+    if kind is not None and found != kind and found in ("object", "morphism"):
+        article = "an" if kind == "object" else "a"
+        raise ParseError(path, lines[0][0], f"expected {article} {kind} file")
+    return _parse_exreg_lines(lines, path)
 
 
 def _parse_exreg_lines(lines, path):
@@ -299,8 +317,8 @@ def serialize_exreg_morphism(R, src_ref, tgt_ref):
     ])
 
 
-def load_exreg(path):
-    return parse_exreg(_read(path), path)
+def load_exreg(path, kind=None):
+    return parse_exreg(_read(path), path, kind)
 
 
 # -- DOT export ---------------------------------------------------------------

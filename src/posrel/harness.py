@@ -555,6 +555,8 @@ def run_suite(name, trials, seed, cap=DEFAULT_RELATION_CAP):
     """Run one registered suite; failures carry their reproducing sub-seed."""
     if name not in SUITES:
         raise UnknownSuite(name)
+    if cap < 1:
+        raise poset.InputError(f"bound must be at least 1, got {cap}")
     if cap > poset.MAX_ELEMENTS:
         raise poset.TooLarge(f"bound {cap} exceeds the limit of {poset.MAX_ELEMENTS}")
     _, trial_fn = SUITES[name]

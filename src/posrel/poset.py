@@ -229,11 +229,13 @@ class FinPoset:
 
     @classmethod
     def discrete(cls, n, labels=None):
-        return cls(np.eye(n, dtype=bool), labels=labels)
+        # the identity is an order
+        return cls._trusted(np.eye(n, dtype=bool), labels)
 
     @classmethod
     def chain(cls, n, labels=None):
-        return cls(np.triu(np.ones((n, n), dtype=bool)), labels=labels)
+        # the upper triangle is an order: i <= j iff i <= j as integers
+        return cls._trusted(np.triu(np.ones((n, n), dtype=bool)), labels)
 
     # -- basic queries --------------------------------------------------------
 
@@ -575,11 +577,20 @@ def canonical_certificate(P):
 
 
 def subposet(X, elements):
-    """The induced subposet on a sorted element list, with its ff inclusion."""
-    elements = sorted(elements)
+    """The induced subposet on a sorted element list, with its ff inclusion.  An
+    element outside X, negative ones included, or listed twice raises ``ValueError``."""
+    elements = [int(a) for a in elements]
+    for a in elements:
+        if not 0 <= a < X.n:
+            raise ValueError(f"element {a} is outside a poset of {X.n} elements")
+    elements.sort()
+    for a, b in zip(elements, elements[1:]):
+        if a == b:
+            raise ValueError(f"element {a} is listed twice")
     idx = np.array(elements, dtype=np.intp)
-    sub = FinPoset(X.leq[idx[:, None], idx])
-    return sub, MonotoneMap(sub, X, elements)
+    # an order restricted to distinct elements is an order, and the inclusion preserves it
+    sub = FinPoset._trusted(X.leq[idx[:, None], idx])
+    return sub, MonotoneMap._trusted(sub, X, elements)
 
 
 def pair_order(A, B, mask):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from posrel import poset
+from posrel import formats, poset
 from posrel.poset import FinPoset, MonotoneMap, are_isomorphic, transitive_closure
 from posrel.relation import Relation
 from posrel.exreg import ExRegObject, gamma_morphism, gamma_object
@@ -65,6 +66,19 @@ def test_poset_labels_roundtrip():
     P = FinPoset.from_covers(2, [(0, 1)], labels=["lo", "hi"])
     Q = parse_poset(serialize_poset(P))
     assert Q.labels == ("lo", "hi")
+
+
+@pytest.mark.parametrize("label", ["a b", "", "x#y", " a", "a\n", "a\u2028b", "#", 7])
+def test_serialize_poset_refuses_a_label_that_would_not_read_back(label):
+    P = FinPoset.from_covers(3, [(0, 1)], labels=["lo", label, "hi"])
+    with pytest.raises(ValueError, match=f"^label {re.escape(repr(label))} of element 1 "):
+        serialize_poset(P)
+
+
+def test_serialize_poset_writes_labels_that_read_back_exactly():
+    labels = ["é", 'a"b', "\\", "-1", "1", "x<y"]
+    P = FinPoset.from_covers(6, [(0, 1), (2, 3)], labels=labels)
+    assert parse_poset(serialize_poset(P)).labels == tuple(labels)
 
 
 def test_poset_parse_errors_have_positions():
@@ -1164,6 +1178,63 @@ def test_cli_construction_verbs_print_the_same_under_exreg(construction_inputs, 
     code, nested, err = run_cli("exreg", *paths)
     assert code == 0, err
     assert nested == top
+
+
+# Wrong-kind files, each with its header after a comment: a morphism whose lower
+# leg is not up-closed, so that loading it would fail a law, and an object.
+# Their endpoint files are named by no other input.
+WRONG_KIND_FILES = {
+    "wm.exreg": "# not up-closed\nmorphism bx.exreg by.exreg\nlower 0 ~ 0\n",
+    "wo.exreg": "# an object\n\nobject bx.poset\n",
+}
+WRONG_KIND_ENDPOINTS = {
+    "bx.poset": "poset 2\n",
+    "by.poset": "poset 2\n0 < 1\n",
+    "bx.exreg": "object bx.poset\n",
+    "by.exreg": "object by.poset\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, wrong, error",
+    [
+        (["tabulate", "r.rel", "wm.exreg", "sy.exreg"], "wm.exreg", "2: expected an object file"),
+        (["tabulate", "r.rel", "sx.exreg", "wm.exreg"], "wm.exreg", "2: expected an object file"),
+        (["factorize", "wo.exreg"], "wo.exreg", "3: expected a morphism file"),
+        (["split", "wm.exreg", "r.rel"], "wm.exreg", "2: expected an object file"),
+        (["present", "wm.exreg"], "wm.exreg", "2: expected an object file"),
+        (["limit", "product", "wm.exreg", "sy.exreg"], "wm.exreg", "2: expected an object file"),
+        (["limit", "product", "sx.exreg", "wm.exreg"], "wm.exreg", "2: expected an object file"),
+        (["limit", "comma", "wo.exreg", "n.exreg"], "wo.exreg", "3: expected a morphism file"),
+        (["limit", "pullback", "m.exreg", "wo.exreg"], "wo.exreg", "3: expected a morphism file"),
+        (["limit", "inserter", "wo.exreg", "n.exreg"], "wo.exreg", "3: expected a morphism file"),
+    ],
+)
+@pytest.mark.parametrize("endpoints", [True, False])
+def test_a_wrong_kind_file_is_refused_at_its_header_before_its_endpoints_are_read(
+    construction_inputs, monkeypatch, argv, wrong, error, endpoints
+):
+    files = {**WRONG_KIND_FILES, **(WRONG_KIND_ENDPOINTS if endpoints else {})}
+    for name, body in files.items():
+        write(construction_inputs, name, body)
+    reads = []
+    read = formats._read
+    monkeypatch.setattr(formats, "_read", lambda path: reads.append(os.path.basename(path)) or read(path))
+    paths = [str(construction_inputs / a) if "." in a else a for a in argv]
+    for prefix in ([], ["exreg"]):
+        reads.clear()
+        code, out, err = run_cli(*prefix, *paths)
+        assert (code, out) == (2, "")
+        assert err == f"error: ParseError: {construction_inputs / wrong}:{error}\n"
+        assert reads.count(wrong) == 1 and not set(reads) & set(WRONG_KIND_ENDPOINTS)
+    # a check asks for no kind, and loads the file whole
+    code, out, err = run_cli("exreg", "check", str(construction_inputs / wrong))
+    if not endpoints:
+        assert code == 2 and "No such file" in err
+    elif wrong == "wm.exreg":
+        assert (code, err) == (1, "error: BimoduleLawFailed: F R_* E = R_* fails\n")
+    else:
+        assert (code, out) == (0, "# valid object\n")
 
 
 LIMIT_PRODUCT_STDOUT = """\

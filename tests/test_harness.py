@@ -775,6 +775,17 @@ def test_a_bound_past_the_carrier_limit_is_refused_before_any_trial(fixture_suit
     assert run_suite(name, 2, 1, 3).passed and drawn == [3, 3]
 
 
+def test_a_bound_below_one_is_refused_before_any_trial(fixture_suite):
+    drawn = []
+    name = fixture_suite(lambda rng, cap: drawn.append(cap))
+    # the least bound, as `harness run --bound` declares it
+    assert run_suite(name, 1, 1, 1).passed and drawn == [1]
+    for cap in (0, -1):
+        with pytest.raises(poset.InputError, match=f"^bound must be at least 1, got {cap}$"):
+            run_suite(name, 5, 1, cap)
+    assert drawn == [1]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cli_refuses_a_bound_past_the_carrier_limit_with_exit_2(monkeypatch, jobs):
     from test_formats_cli import run_cli

@@ -25,6 +25,7 @@ from posrel.poset import (
     poset_reflection,
     power,
     product,
+    subposet,
     transitive_closure,
 )
 from posrel.relation import Relation, compose, hypergraph, hypograph
@@ -605,3 +606,74 @@ def test_gen_congruence_matches_the_validating_constructor():
         checked = ExRegObject(X, transitive_closure(X.leq | pair_mask((X.n, X.n), pairs)))
         assert obj == checked and hash(obj) == hash(checked)
         assert drawn.draws == redrawn.draws
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_discrete_and_chain_match_the_validating_constructor(n):
+    labels = [f"e{i}" for i in range(n)]
+    for built, leq in (
+        (FinPoset.discrete, np.eye(n, dtype=bool)),
+        (FinPoset.chain, np.triu(np.ones((n, n), dtype=bool))),
+    ):
+        for lab in (None, labels):
+            P, checked = built(n, lab), FinPoset(leq, lab)
+            assert P == checked and hash(P) == hash(checked) and P.labels == checked.labels
+            assert not P.leq.flags.writeable
+
+
+def reference_subposet(X, elements):
+    """``poset.subposet`` before it trusted its results, verbatim."""
+    elements = sorted(elements)
+    idx = np.array(elements, dtype=np.intp)
+    sub = FinPoset(X.leq[idx[:, None], idx])
+    return sub, MonotoneMap(sub, X, elements)
+
+
+def check_subposet(X, elements):
+    sub, incl = subposet(X, elements)
+    checked, checked_incl = reference_subposet(X, elements)
+    assert sub == checked and hash(sub) == hash(checked)
+    assert incl == checked_incl and incl.dom is sub and incl.cod is X
+    assert_valid_map(incl)
+
+
+def test_subposet_matches_the_validating_constructor_exhaustive():
+    for X in equivalence.all_posets_up_to(4):
+        for k in range(X.n + 1):
+            for elements in itertools.permutations(range(X.n), k):
+                check_subposet(X, list(elements))
+
+
+def test_subposet_matches_the_validating_constructor_random():
+    rng = random.Random(2901)
+    for _ in range(60):
+        X = random_poset(rng, rng.randrange(5, 12))
+        elements = rng.sample(range(X.n), rng.randrange(X.n + 1))
+        check_subposet(X, elements)
+        check_subposet(X, np.array(elements, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "elements, message",
+    [
+        ([0, 3], "element 3 is outside a poset of 3 elements"),
+        ([2, -1], "element -1 is outside a poset of 3 elements"),
+        ([0, 0], "element 0 is listed twice"),
+        ([2, 1, 2], "element 2 is listed twice"),
+    ],
+)
+def test_subposet_refuses_elements_outside_the_poset_or_listed_twice(elements, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        subposet(FinPoset.chain(3), elements)
+
+
+def test_discrete_cover_matches_the_validating_constructors():
+    cover = discrete_inclusion_functor().cover
+    for Y in equivalence.all_posets_up_to(5):
+        D, e = cover(Y)
+        checked = FinPoset(np.eye(Y.n, dtype=bool))
+        assert D == checked and hash(D) == hash(checked)
+        # one discrete poset, the cover's domain
+        assert e.dom is D and e.cod is Y
+        assert e == MonotoneMap(checked, Y, range(Y.n))
+        assert_valid_map(e)
