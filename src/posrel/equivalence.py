@@ -449,10 +449,9 @@ def commutation_check(bound):
 def discrete_check(bound):
     """Every poset up to the bound is covered by a discrete object."""
     report = Report(f"enough discrete objects, bound {bound}")
+    cover = discrete_inclusion_functor().cover
     for Y in all_posets_up_to(bound):
-        D = FinPoset.discrete(Y.n)
-        # a map out of a discrete poset is monotone
-        e = MonotoneMap._trusted(D, Y, range(Y.n))
+        _, e = cover(Y)
         cls = classify_map(e)
         ok = cls.is_so and (not Y.is_discrete() or cls.is_iso)
         report.record(f"cover n={Y.n}", ok)

@@ -15,12 +15,10 @@ from collections import namedtuple
 import numpy as np
 
 from .poset import (
-    MAX_ELEMENTS,
     FinPoset,
     InputError,
     LawFailure,
     MapClass,
-    TooLarge,
     bool_mat,
     closure,
     pair_mask,
@@ -352,26 +350,18 @@ def _q_morphism_check(phi, src, tgt):
         raise NotQMorphism("(F∩F°) Φ (E∩E°) = Φ fails")
 
 
-def _check_apex_size(count):
-    """Refuse a pair-set carrier of ``count`` elements above ``MAX_ELEMENTS``."""
-    if count > MAX_ELEMENTS:
-        raise TooLarge(f"apex of {count} elements exceeds the limit of {MAX_ELEMENTS}")
-
-
 def tabulate(phi, src, tgt):
     """Tabulate a relation Φ: (X,E) ⇸ (Y,F) of the completion.
 
-    The apex carrier is the pair set of Φ in lexicographic order, with
-    componentwise order from X and Y; T(z, z') holds when both
-    coordinates are congruent, and the legs push coordinates through
-    the respective congruences.  Raises ``TooLarge`` before building an
-    apex of more than ``MAX_ELEMENTS`` pairs."""
+    The apex carrier is ``pair_span``'s pair set of Φ in lexicographic
+    order, with componentwise order from X and Y; T(z, z') holds when
+    both coordinates are congruent, and the legs push coordinates through
+    the respective congruences.  ``pair_span`` refuses an oversized
+    apex, after the q-morphism check and before anything is built."""
     _q_morphism_check(phi, src, tgt)
-    _check_apex_size(int(np.count_nonzero(phi.pairs)))
     X, Y = src.X, tgt.X
     E, F = src.E.pairs, tgt.E.pairs
-    # the product order of two orders, on distinct pairs (the cells of Φ's matrix), is an order
-    Z = FinPoset._trusted(pair_order(X.leq, Y.leq, phi.pairs))
+    Z, _, _ = pair_span(X, Y, phi.pairs)
     # componentwise E x F is transitive and contains Z's order, as E and F do theirs
     apex = ExRegObject._trusted(Z, pair_order(E, F, phi.pairs))
     xs, ys = np.nonzero(phi.pairs)
@@ -499,7 +489,6 @@ def canonical_presentation(obj):
     the quotient is the effective morphism (E, E): Γ X -> (X, E)."""
     X = obj.X
     E = obj.E
-    _check_apex_size(int(np.count_nonzero(E.pairs)))
     K, e0, e1 = pair_span(X, X, E.pairs)
     # E is transitive and contains the order, so E E I = E, I <= E E and E E <= E
     quotient = ExRegMorphism(gamma_object(X), obj, E, E)

@@ -44,8 +44,9 @@ class NotMonotone(InputError):
 
 
 class TooLarge(InputError):
-    """Raised before building a carrier of more than ``MAX_ELEMENTS`` elements,
-    or enumerating more than ``MAX_MAPS`` maps."""
+    """Raised before building a pair-set carrier of more than ``MAX_ELEMENTS``
+    elements (by ``pair_span``, which builds them all), before a harness run at a
+    bound past it, or before enumerating more than ``MAX_MAPS`` maps."""
 
 
 MAX_ELEMENTS = 2048  # largest carrier read or built; keeps an n x n float32 temporary at 16 MiB
@@ -183,7 +184,7 @@ class FinPoset:
 
     def __init__(self, leq, labels=None):
         leq = np.asarray(leq, dtype=bool)
-        n = leq.shape[0]
+        n = leq.shape[0] if leq.ndim else 0
         if leq.shape != (n, n):
             raise ValueError(f"order matrix must be square, got {leq.shape}")
         if not leq[np.diag_indices(n)].all():
@@ -213,6 +214,8 @@ class FinPoset:
         self.leq.flags.writeable = False
         self.n = self.leq.shape[0]
         self.labels = tuple(labels) if labels is not None else None
+        if self.labels is not None and len(self.labels) != self.n:
+            raise ValueError(f"expected {self.n} labels, got {len(self.labels)}")
         self._hash = hash((self.n, self.leq.tobytes()))
 
     # -- construction helpers -------------------------------------------------
@@ -606,7 +609,13 @@ def pair_order(A, B, mask):
 
 
 def pair_span(X, Y, mask):
-    """The True cells of an |X| x |Y| mask, row-major, as a subposet of X x Y with projections."""
+    """The True cells of an |X| x |Y| mask, row-major, as a subposet of X x Y with projections:
+    the one constructor of pair-set carriers, behind every product, comma, pullback,
+    presentation and tabulation.  Raises ``TooLarge`` before building a carrier of
+    more than ``MAX_ELEMENTS`` pairs."""
+    count = int(np.count_nonzero(mask))
+    if count > MAX_ELEMENTS:
+        raise TooLarge(f"apex of {count} elements exceeds the limit of {MAX_ELEMENTS}")
     # the product order of two orders, on distinct pairs (a mask cannot repeat a cell), is an order
     P = FinPoset._trusted(pair_order(X.leq, Y.leq, mask))
     xs, ys = np.nonzero(mask)

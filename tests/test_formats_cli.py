@@ -1491,12 +1491,12 @@ def test_cli_refuses_an_oversized_apex_before_building_it(oversized_inputs, monk
 
 
 def test_apex_limit_is_inclusive(construction_inputs, monkeypatch):
-    from posrel import exreg
+    from posrel import poset
 
     q, sy = str(construction_inputs / "q.exreg"), str(construction_inputs / "sy.exreg")
-    monkeypatch.setattr(exreg, "MAX_ELEMENTS", 4)
+    monkeypatch.setattr(poset, "MAX_ELEMENTS", 4)
     assert run_cli("limit", "product", q, sy) == (0, LIMIT_PRODUCT_STDOUT, "")
-    monkeypatch.setattr(exreg, "MAX_ELEMENTS", 3)
+    monkeypatch.setattr(poset, "MAX_ELEMENTS", 3)
     code, out, err = run_cli("limit", "product", q, sy)
     assert (code, out) == (2, "")
     assert err == "error: TooLarge: apex of 4 elements exceeds the limit of 3\n"

@@ -46,6 +46,7 @@ from posrel.poset import (
     terminal,
     transitive_closure,
 )
+from posrel.relation import Relation, compose_categorical
 
 
 C2 = FinPoset.chain(2)
@@ -83,6 +84,29 @@ def test_make_poset_closes_transitively():
 def test_make_poset_rejects_cycle():
     with pytest.raises(AntisymmetryViolation):
         make_poset("ab", [("a", "b"), ("b", "a")])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda labels: FinPoset(C3.leq, labels),
+        lambda labels: FinPoset.from_covers(3, [(0, 1), (1, 2)], labels),
+        lambda labels: FinPoset.discrete(3, labels),
+        lambda labels: FinPoset.chain(3, labels),
+    ],
+    ids=["FinPoset", "from_covers", "discrete", "chain"],
+)
+def test_every_constructor_refuses_a_label_count_other_than_its_size(build):
+    for labels in (["a"], [], "abcd"):
+        with pytest.raises(ValueError, match=rf"^expected 3 labels, got {len(labels)}$"):
+            build(labels)
+    assert build("xyz").labels == ("x", "y", "z")
+    assert build(None).labels is None
+
+
+def test_a_0d_order_matrix_is_refused_as_not_square():
+    with pytest.raises(ValueError, match=r"^order matrix must be square, got \(\)$"):
+        FinPoset(np.array(True))
 
 
 def outcome(build):
@@ -1035,6 +1059,57 @@ def test_pair_order_refuses_anything_but_a_boolean_mask_of_the_carrier_shape(mas
         pair_order(C2.leq, C2.leq, mask)
     with pytest.raises(ValueError, match=r"boolean array of shape \(2, 2\)"):
         pair_span(C2, C2, mask)
+
+
+# -- the size limit of pair carriers --------------------------------------------
+
+
+@pytest.fixture
+def pair_order_sizes(monkeypatch):
+    """The cell counts of the masks ``poset.pair_order`` is called on, by a recording stand-in."""
+    sizes = []
+
+    def recording(A, B, mask):
+        sizes.append(int(np.count_nonzero(mask)))
+        return pair_order(A, B, mask)
+
+    monkeypatch.setattr(poset, "pair_order", recording)
+    return sizes
+
+
+def constant_into_a_point(n):
+    return MonotoneMap(FinPoset.chain(n), terminal(), [0] * n)
+
+
+def full_on_a_chain(n):
+    return Relation.full(FinPoset.chain(n), FinPoset.chain(n))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: product(FinPoset.chain(46), FinPoset.chain(46)),
+        lambda: pullback(constant_into_a_point(46), constant_into_a_point(46)),
+        lambda: comma(constant_into_a_point(46), constant_into_a_point(46)),
+        lambda: kernel_congruence(constant_into_a_point(46)),
+        lambda: power_via_inserters(FinPoset.chain(46), D2),
+        lambda: compose_categorical(full_on_a_chain(46), full_on_a_chain(46)),
+    ],
+    ids=["product", "pullback", "comma", "kernel_congruence", "power_via_inserters",
+         "compose_categorical"],
+)
+def test_a_pair_carrier_past_the_limit_is_refused_before_its_order_is_built(pair_order_sizes, build):
+    # 46 * 46 = 2116 cells, past the limit of 2048
+    assert poset.MAX_ELEMENTS == 2048
+    with pytest.raises(TooLarge, match=r"^apex of 2116 elements exceeds the limit of 2048$"):
+        build()
+    assert pair_order_sizes == []
+
+
+def test_a_pair_carrier_of_exactly_the_limit_is_built(pair_order_sizes):
+    P, p0, p1 = product(FinPoset.chain(32), FinPoset.chain(64))
+    assert pair_order_sizes == [poset.MAX_ELEMENTS] and P.n == poset.MAX_ELEMENTS
+    assert p0.assign[-1] == 31 and p1.assign[-1] == 63
 
 
 # -- pair carriers from masks against the pair-list code they replaced ---------
