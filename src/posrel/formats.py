@@ -15,11 +15,15 @@ ignored everywhere):
 Serializers emit exactly this shape, sorted, so output re-parses equal;
 ``serialize_poset`` refuses a label that would not read back as itself.
 An .exreg file's kind is the first word of its header.
+
+Pair lines in the serializers' shape are read at array speed (``_array_pairs``);
+any other text is read line by line, and every error comes from that reader.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
@@ -28,8 +32,9 @@ from .poset import (
     AntisymmetryViolation,
     FinPoset,
     InputError,
-    close_pairs,
     closure,
+    index_mask,
+    shortest_cyclic_prefix,
 )
 from .relation import Relation
 from .exreg import ExRegObject, validate_morphism
@@ -54,13 +59,59 @@ def _read(path):
         raise ParseError(path, no, f"not UTF-8 text: byte 0x{data[exc.start]:02x}") from None
 
 
-def _lines(text):
-    """The numbered lines of ``text`` that are not blank once comments are cut."""
+def _lines(text, start=1):
+    """The numbered lines of ``text`` that are not blank once comments are cut,
+    the first numbered ``start``."""
     return [
         (no, line)
-        for no, raw in enumerate(text.splitlines(), start=1)
+        for no, raw in enumerate(text.splitlines(), start=start)
         if (line := raw.split("#", 1)[0].strip())
     ]
+
+
+def _head(text):
+    """``(header, rest)``: the first of the ``_lines`` of ``text``, or None for text
+    with none, and what follows its line as ``(body, start)``, the text and the
+    number of its first line, so that ``_lines(*rest)`` are the lines after it."""
+    head, newline, body = text.partition("\n")
+    if newline and _lines(head) == [(1, head)]:
+        # the header as it stands on the first line: the rest is not split here
+        return (1, head), (body, 2)
+    raws = text.splitlines(keepends=True)
+    for k, raw in enumerate(raws):
+        if line := raw.split("#", 1)[0].strip():
+            return (k + 1, line), ("".join(raws[k + 1:]), k + 2)
+    return None, ("", 1)
+
+
+def _array_pairs(body, keywords, sep, shapes):
+    """The index columns ``(rows, cols)`` of the pair lines ``body``, one per keyword,
+    read at array speed, when ``body`` is in the serializers' shape: for each keyword
+    in turn (each ends in a space, or is empty), lines ``<keyword>i <sep> j`` whose
+    indices are at most 9 ASCII digits and in range of that keyword's shape.  For any
+    other body, returns None: the line reader then reads it and finds any error.
+
+    One ``re.fullmatch`` checks the shape.  The keywords hold no digit, so with every
+    other byte a space the indices are the digit runs in order, which numpy's text
+    reader converts in one call; numpy checks their range."""
+    pair = "[0-9]{1,9} " + re.escape(sep) + " [0-9]{1,9}\n"
+    # an empty group marks where each keyword's lines after the first keyword's start
+    shape = "()".join(f"(?:{kw}{pair})*" for kw in keywords)
+    match = re.fullmatch(shape, body)
+    if not match:
+        return None
+    spaces = bytes(c if 48 <= c <= 57 else 32 for c in range(256))
+    flat = np.fromstring(body.encode("ascii").translate(spaces), dtype=np.intp, sep=" ")
+    starts = [0, *(match.start(k) for k in range(1, len(keywords))), len(body)]
+    out, first = [], 0
+    for k, (height, width) in enumerate(shapes):
+        last = first + 2 * body.count("\n", starts[k], starts[k + 1])
+        rows, cols = flat[first:last:2], flat[first + 1:last:2]
+        if len(rows) and (rows.max() >= height or cols.max() >= width):
+            return None
+        out.append((rows, cols))
+        first = last
+    return out
 
 
 def _int(tok, path, no):
@@ -88,10 +139,10 @@ def _pair_lines(fmt, mask):
 
 
 def parse_poset(text, path="<string>"):
-    lines = _lines(text)
-    if not lines:
+    first, (body, start) = _head(text)
+    if first is None:
         raise ParseError(path, 1, "empty poset file")
-    no, header = lines[0]
+    no, header = first
     parts = header.split()
     if len(parts) != 2 or parts[0] != "poset":
         raise ParseError(path, no, "expected header 'poset <n>'")
@@ -100,9 +151,13 @@ def parse_poset(text, path="<string>"):
         raise ParseError(path, no, f"element count must be at least 0, got {n}")
     if n > MAX_ELEMENTS:
         raise ParseError(path, no, f"poset of {n} elements exceeds the limit of {MAX_ELEMENTS}")
-    pairs, pair_nos = [], []
+    columns = _array_pairs(body, ("",), "<", [(n, n)])
+    if columns:
+        ((rows, cols),) = columns
+        return _close_poset(n, rows, cols, range(start, start + len(rows)), None, path)
+    rows, cols, pair_nos = [], [], []
     labels = None
-    for no, line in lines[1:]:
+    for no, line in _lines(body, start):
         toks = line.split()
         if len(toks) == 3 and toks[1] == "<":
             try:
@@ -111,7 +166,8 @@ def parse_poset(text, path="<string>"):
                     raise ValueError
             except ValueError:
                 raise _bad_ints(toks[::2], f"element out of range 0..{n - 1}", path, no) from None
-            pairs.append((i, j))
+            rows.append(i)
+            cols.append(j)
             pair_nos.append(no)
         elif len(toks) == 3 and toks[0] == "label":
             if labels is None:
@@ -125,24 +181,20 @@ def parse_poset(text, path="<string>"):
             labels[i] = toks[2]
         else:
             raise ParseError(path, no, f"unrecognized line {line!r}")
-    leq, cyclic = close_pairs(n, pairs)
-    if not cyclic:
+    return _close_poset(n, rows, cols, pair_nos, labels, path)
+
+
+def _close_poset(n, rows, cols, pair_nos, labels, path):
+    """The poset generated by the pairs (rows[k] <= cols[k]), read at lines ``pair_nos``.
+    A cycle is refused at the line that closes it: the last of the shortest cyclic prefix."""
+    leq, closing = shortest_cyclic_prefix(n, rows, cols)
+    if closing is None:
         # a closure is reflexive and transitive, and with no cycle it is antisymmetric
         return FinPoset._trusted(leq, labels)
-    # A cycle stays closed as pairs are added, so the shortest cyclic prefix
-    # of the pair lines ends at the line closing it.
-    lo, hi = 0, len(pairs)  # pairs[:lo] have no cycle, pairs[:hi] have one, closed in leq
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        prefix, cyclic = close_pairs(n, pairs[:mid])
-        if cyclic:
-            hi, leq = mid, prefix
-        else:
-            lo = mid
     try:
         FinPoset(leq)  # reflexive, so refused for the first 2-cycle of the shortest cyclic prefix
     except AntisymmetryViolation as cycle:
-        raise ParseError(path, pair_nos[hi - 1], str(cycle)) from cycle
+        raise ParseError(path, pair_nos[closing - 1], str(cycle)) from cycle
 
 
 def serialize_poset(P):
@@ -168,18 +220,23 @@ def _resolve(ref, base_path, no):
     return os.path.join(os.path.dirname(os.path.abspath(base_path)), ref)
 
 
-def _parse_pairs(lines, shapes, path):
-    """The matrices of ``<keyword> i ~ j`` lines, one per keyword of ``shapes``
-    (which maps each keyword to its matrix's shape), read in one pass.
+def _parse_pairs(rest, shapes, path):
+    """The matrices of the ``<keyword> i ~ j`` lines ``rest`` (the ``(body, start)``
+    of ``_head``), one per keyword of ``shapes`` (which maps each keyword to its
+    matrix's shape): at array speed for a body in the serializers' shape, else
+    line by line, in one pass.
 
     The error raised is the first one met by reading the lines once per
     keyword, in the order of ``shapes``, and then once for a line that is no
     keyword's: the first bad pair of the first keyword wins, then that of the
     next, then the first unrecognized line."""
+    columns = _array_pairs(rest[0], [f"{keyword} " for keyword in shapes], "~", shapes.values())
+    if columns:
+        return [index_mask(shape, *cells) for shape, cells in zip(shapes.values(), columns)]
     found = {keyword: ([], []) for keyword in shapes}
     bad = {}
     unrecognized = None
-    for no, line in lines:
+    for no, line in _lines(*rest):
         toks = line.split()
         shape = shapes.get(toks[0]) if len(toks) == 4 and toks[2] == "~" else None
         if shape is None:
@@ -202,19 +259,15 @@ def _parse_pairs(lines, shapes, path):
             raise _bad_ints(toks, "pair element out of range", path, no)
     if unrecognized is not None:
         raise unrecognized
-    mats = []
-    for keyword, shape in shapes.items():
-        mat = np.zeros(shape, dtype=bool)
-        mat[found[keyword]] = True
-        mats.append(mat)
-    return mats
+    return [index_mask(shape, *found[keyword]) for keyword, shape in shapes.items()]
 
 
-def _rel_header(lines, path):
-    """The domain and codomain files that the header of a .rel file's ``_lines`` names."""
-    if not lines:
+def _rel_header(first, path):
+    """The domain and codomain files that the header ``first`` of a .rel file names,
+    as ``_head`` returns it."""
+    if first is None:
         raise ParseError(path, 1, "empty relation file")
-    no, header = lines[0]
+    no, header = first
     parts = header.split()
     if len(parts) != 3 or parts[0] != "rel":
         raise ParseError(path, no, "expected header 'rel <domfile> <codfile>'")
@@ -223,14 +276,18 @@ def _rel_header(lines, path):
 
 def rel_refs(path):
     """The domain and codomain files, as written, that the .rel file at ``path`` names."""
-    return _rel_header(_lines(_read(path)), path)
+    return _rel_header(_head(_read(path))[0], path)
 
 
 def parse_rel(text, path="<string>"):
-    lines = _lines(text)
-    dom, cod = (load_poset(_resolve(ref, path, lines[0][0])) for ref in _rel_header(lines, path))
+    first, (body, start) = _head(text)
+    dom, cod = (load_poset(_resolve(ref, path, first[0])) for ref in _rel_header(first, path))
+    columns = _array_pairs(body, ("",), "~", [(dom.n, cod.n)])
+    if columns:
+        ((rows, cols),) = columns
+        return Relation(dom, cod, index_mask((dom.n, cod.n), rows, cols))
     rows, cols = [], []
-    for no, line in lines[1:]:
+    for no, line in _lines(body, start):
         toks = line.split()
         if len(toks) != 3 or toks[1] != "~":
             raise ParseError(path, no, f"expected 'i ~ j', got {line!r}")
@@ -242,9 +299,7 @@ def parse_rel(text, path="<string>"):
             raise _bad_ints(toks[::2], "pair element out of range", path, no) from None
         rows.append(i)
         cols.append(j)
-    mat = np.zeros((dom.n, cod.n), dtype=bool)
-    mat[rows, cols] = True
-    return Relation(dom, cod, mat)
+    return Relation(dom, cod, index_mask((dom.n, cod.n), rows, cols))
 
 
 def serialize_rel(R, dom_ref, cod_ref):
@@ -255,9 +310,9 @@ def load_rel(path):
     return parse_rel(_read(path), path)
 
 
-def _kind(lines):
-    """The kind of .exreg file whose ``_lines`` these are: its header's first word."""
-    return lines[0][1].split()[0] if lines else None
+def _kind(first):
+    """The kind of .exreg file whose header ``_head`` returned: its first word."""
+    return first[1].split()[0] if first else None
 
 
 def _load_endpoint(ref, path, no):
@@ -265,38 +320,39 @@ def _load_endpoint(ref, path, no):
     is refused from its header, before its own endpoints are loaded, so a
     file that reaches itself through its endpoints cannot recurse."""
     ref_path = _resolve(ref, path, no)
-    lines = _lines(_read(ref_path))
-    if _kind(lines) == "morphism":
+    first, rest = _head(_read(ref_path))
+    if _kind(first) == "morphism":
         raise ParseError(path, no, "morphism endpoints must be object files")
-    return _parse_exreg_lines(lines, ref_path)
+    return _parse_exreg_lines(first, rest, ref_path)
 
 
 def parse_exreg(text, path="<string>", kind=None):
     """The object or morphism that ``text`` holds.  Given a ``kind``, "object" or
     "morphism", a header of the other kind is refused at its line, before any
     file it names is opened."""
-    lines = _lines(text)
-    found = _kind(lines)
+    first, rest = _head(text)
+    found = _kind(first)
     if kind is not None and found != kind and found in ("object", "morphism"):
         article = "an" if kind == "object" else "a"
-        raise ParseError(path, lines[0][0], f"expected {article} {kind} file")
-    return _parse_exreg_lines(lines, path)
+        raise ParseError(path, first[0], f"expected {article} {kind} file")
+    return _parse_exreg_lines(first, rest, path)
 
 
-def _parse_exreg_lines(lines, path):
-    if not lines:
+def _parse_exreg_lines(first, rest, path):
+    """The object or morphism of the file at ``path`` whose header and rest ``_head`` returned."""
+    if first is None:
         raise ParseError(path, 1, "empty file")
-    no, header = lines[0]
+    no, header = first
     parts = header.split()
     if parts[0] == "object" and len(parts) == 2:
         X = load_poset(_resolve(parts[1], path, no))
-        (pairs,) = _parse_pairs(lines[1:], {"cong": (X.n, X.n)}, path)
+        (pairs,) = _parse_pairs(rest, {"cong": (X.n, X.n)}, path)
         # the closure of a matrix that holds the order is a congruence
         return ExRegObject._trusted(X, closure(X.leq | pairs))
     if parts[0] == "morphism" and len(parts) == 3:
         src, tgt = (_load_endpoint(ref, path, no) for ref in parts[1:])
         lower, upper = _parse_pairs(
-            lines[1:], {"lower": (src.X.n, tgt.X.n), "upper": (tgt.X.n, src.X.n)}, path
+            rest, {"lower": (src.X.n, tgt.X.n), "upper": (tgt.X.n, src.X.n)}, path
         )
         return validate_morphism(
             src, tgt, Relation(src.X, tgt.X, lower), Relation(tgt.X, src.X, upper)

@@ -94,7 +94,22 @@ def _bit_rows(mat):
 
 
 def closure(rel):
-    """The reflexive-transitive closure of a square boolean relation.
+    """The reflexive-transitive closure of a square boolean relation, by ``_close_rows``."""
+    return _bool_rows(_close_rows(_bit_rows(rel))[0])
+
+
+def _bool_rows(rows):
+    """The square boolean matrix whose rows are the ints ``rows``, as ``_bit_rows`` packs them."""
+    n = len(rows)
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in rows]), np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
+
+
+def _close_rows(succ):
+    """The reflexive-transitive closure of the relation whose rows are the ints
+    ``succ`` (bit j of row i for i R j), as rows of the same form, and whether it
+    has a cycle through two or more elements.
 
     One depth-first pass (Purdom, "A transitive closure algorithm", 1970)
     that finds the strongly connected components by Tarjan's lowlinks and
@@ -114,10 +129,10 @@ def closure(rel):
     way along the numbering, the nearest successor still to read is reached
     from no other, so an element takes one OR per successor that no other
     successor reaches: O(n + covers) ORs of n-bit ints.  A cycle (self-loops
-    aside) shows in the result as a pair i != j with both ``out[i, j]`` and
-    ``out[j, i]``."""
-    succ = _bit_rows(rel)
+    aside) is a component of two or more members: in the result, a pair
+    i != j where each row holds the other's bit."""
     n = len(succ)
+    cyclic = False
     reach = [0] * n  # 0 until entered, -1 until left, then the row
     low = [0] * n  # the index while entered, the lowlink once left, n once closed
     members = []  # the elements left whose component is still open
@@ -162,6 +177,7 @@ def closure(rel):
             else:
                 # v is its component's root, and the members left since v was entered are the rest
                 if len(members) > base:
+                    cyclic = True
                     comp = members[base:]
                     del members[base:]
                     for u in comp:
@@ -172,9 +188,17 @@ def closure(rel):
             if not stack:
                 break
             v, row, below, todo, vlow, base = stack.pop()
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in reach]), np.uint8)
-    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
+    return reach, cyclic
+
+
+def _meet_transpose(mat):
+    """``mat & mat.T`` for a square boolean matrix, in stripes of 512 columns.  A
+    transposed read of a whole matrix past the cache is slow: 29 ms for a 2048 x 2048
+    matrix on a 2 vCPU host, against 5 ms in stripes."""
+    out = np.empty_like(mat)
+    for s in range(0, len(mat), 512):
+        np.logical_and(mat[:, s:s + 512], mat[s:s + 512].T, out=out[:, s:s + 512])
+    return out
 
 
 class FinPoset:
@@ -189,7 +213,7 @@ class FinPoset:
             raise ValueError(f"order matrix must be square, got {leq.shape}")
         if not leq[np.diag_indices(n)].all():
             raise ValueError("order matrix is not reflexive")
-        sym = leq & leq.T
+        sym = _meet_transpose(leq)
         sym[np.diag_indices(n)] = False
         if sym.any():
             # argmax of a boolean array is its first True cell, found without listing the others
@@ -286,25 +310,57 @@ class FinPoset:
 
 def close_pairs(n, pairs):
     """The ``closure`` of the pairs (i <= j) on n elements, and whether they close a cycle."""
-    pairs = list(pairs)
-    leq = closure(pair_mask((n, n), pairs))
-    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    # a cycle runs through a pair (i, j), i != j, with j <= i: one cell per pair
-    return leq, bool((leq[cols, rows] & (rows != cols)).any())
+    rows, cyclic = _close_rows(_bit_rows(pair_mask((n, n), pairs)))
+    return _bool_rows(rows), cyclic
+
+
+def shortest_cyclic_prefix(n, rows, cols):
+    """The ``closure`` of the pairs (rows[k] <= cols[k]) on n elements and None when
+    they close no cycle; else the closure of the shortest prefix of the pairs that
+    closes one, and that prefix's length.  Every index must be in range.
+
+    A cycle stays closed as pairs are added, so a binary search finds the prefix.
+    The closure of a longer prefix is that of a shorter one's closure and the pairs
+    after it, so each probe closes the last acyclic probe's rows with the pairs it
+    adds, rather than all of its prefix again."""
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    reach, cyclic = _close_rows(_bit_rows(index_mask((n, n), rows, cols)))
+    if not cyclic:
+        return _bool_rows(reach), None
+    lo, hi = 0, len(rows)  # pairs[:lo] close no cycle, pairs[:hi] close one, closed in reach
+    closed = [1 << v for v in range(n)]  # the closure of pairs[:lo]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        succ = closed.copy()
+        for i, j in zip(rows[lo:mid].tolist(), cols[lo:mid].tolist()):
+            succ[i] |= 1 << j
+        probe, cyclic = _close_rows(succ)
+        if cyclic:
+            hi, reach = mid, probe
+        else:
+            lo, closed = mid, probe
+    return _bool_rows(reach), hi
 
 
 def pair_mask(shape, pairs):
     """The ``shape`` boolean matrix that is True at the index pairs ``pairs``: the
     boundary check of the public constructors that take pair lists.  An index
     outside the shape, negative ones included, raises ``ValueError``."""
-    mask = np.zeros(shape, dtype=bool)
     pairs = list(pairs)
-    if pairs:
-        rows, cols = zip(*pairs)
-        if min(rows) < 0 or max(rows) >= shape[0] or min(cols) < 0 or max(cols) >= shape[1]:
-            i, j = next(p for p in pairs if not (0 <= p[0] < shape[0] and 0 <= p[1] < shape[1]))
-            raise ValueError(f"pair ({i}, {j}) is outside a {shape[0]} x {shape[1]} matrix")
-        mask[rows, cols] = True
+    if not pairs:
+        return np.zeros(shape, dtype=bool)
+    rows, cols = zip(*pairs)
+    if min(rows) < 0 or max(rows) >= shape[0] or min(cols) < 0 or max(cols) >= shape[1]:
+        i, j = next(p for p in pairs if not (0 <= p[0] < shape[0] and 0 <= p[1] < shape[1]))
+        raise ValueError(f"pair ({i}, {j}) is outside a {shape[0]} x {shape[1]} matrix")
+    return index_mask(shape, rows, cols)
+
+
+def index_mask(shape, rows, cols):
+    """The ``shape`` boolean matrix that is True at (rows[k], cols[k]) for each k,
+    unchecked: for indices already known to be in range (``pair_mask`` checks)."""
+    mask = np.zeros(shape, dtype=bool)
+    mask[rows, cols] = True
     return mask
 
 

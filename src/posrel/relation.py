@@ -15,8 +15,9 @@ from .poset import (
     LawFailure,
     MonotoneMap,
     bool_mat,
-    image_factorize,
+    index_mask,
     pair_mask,
+    pair_span,
     pullback,
 )
 
@@ -123,32 +124,16 @@ def compose_categorical(S, R):
 
     A relation X ⇸ Y is spanned by its pair set with the two coordinate
     maps; composing means pulling back over Y and taking the (so, ff)
-    image of the outer legs into X x Z.  Used only to cross-check
-    ``compose``."""
+    image of the outer legs into X x Z, whose carrier is the pairs they
+    reach.  Each span is built at its relation's size, and X x Z is not
+    built.  Used only to cross-check ``compose``."""
     if R.cod != S.dom:
         raise DomainMismatch("cod of inner relation must equal dom of outer")
-    from .poset import product, subposet
-
-    def span(rel):
-        elems = rel.pair_list()
-        P, p0, p1 = product(rel.dom, rel.cod)
-        idx = [x * rel.cod.n + y for x, y in elems]
-        T, incl = subposet(P, idx)
-        return T, incl.then(p0), incl.then(p1)
-
-    TR, r0, r1 = span(R)
-    TS, s0, s1 = span(S)
+    TR, r0, r1 = pair_span(R.dom, R.cod, R.pairs)
+    TS, s0, s1 = pair_span(S.dom, S.cod, S.pairs)
     Pb, q0, q1 = pullback(r1, s0)
-    outer0 = q0.then(r0)
-    outer1 = q1.then(s1)
-    XZ, _, _ = product(R.dom, S.cod)
-    m = S.cod.n
-    into = MonotoneMap(Pb, XZ, [outer0.assign[k] * m + outer1.assign[k] for k in range(Pb.n)])
-    e, mono = image_factorize(into)
-    mat = np.zeros((R.dom.n, S.cod.n), dtype=bool)
-    for k in mono.assign:
-        mat[k // m, k % m] = True
-    return Relation(R.dom, S.cod, mat)
+    image = index_mask((R.dom.n, S.cod.n), q0.then(r0).assign, q1.then(s1).assign)
+    return Relation(R.dom, S.cod, image)
 
 
 def opposite(R):
@@ -171,9 +156,7 @@ def identity_I(X):
 
 
 def graph(f):
-    mat = np.zeros((f.dom.n, f.cod.n), dtype=bool)
-    mat[range(f.dom.n), f.assign] = True
-    return Relation(f.dom, f.cod, mat)
+    return Relation(f.dom, f.cod, index_mask((f.dom.n, f.cod.n), range(f.dom.n), f.assign))
 
 
 def hypergraph(f):
@@ -265,9 +248,7 @@ def kernel_identity_check(f):
 
     composite = compose(hypograph(f), hypergraph(f))
     _, k0, k1 = kernel_congruence(f)
-    mat = np.zeros((f.dom.n, f.dom.n), dtype=bool)
-    mat[k0.assign, k1.assign] = True
-    return composite == Relation(f.dom, f.dom, mat)
+    return composite == Relation(f.dom, f.dom, index_mask((f.dom.n, f.dom.n), k0.assign, k1.assign))
 
 
 def exact_fork_identities(p, E):

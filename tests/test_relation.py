@@ -109,6 +109,22 @@ def test_compose_matches_categorical_construction():
         assert compose(S, R) == compose_categorical(S, R)
 
 
+def test_compose_categorical_is_built_at_the_relations_size(monkeypatch):
+    # 46 pairs on a 46-chain, every element related to the top: 46 * 46 = 2116
+    # cells is past the carrier limit, but each span and the pullback have 46
+    X = FinPoset.chain(46)
+    R = Relation.from_pairs(X, X, [(x, 45) for x in range(46)])
+    expected = compose(R, R)
+    from posrel import relation
+
+    def refused(*args):
+        raise AssertionError("the oracle called the fast path")
+
+    monkeypatch.setattr(relation, "compose", refused)
+    monkeypatch.setattr(relation, "bool_mat", refused)
+    assert compose_categorical(R, R) == expected
+
+
 def test_compose_rejects_mismatch():
     with pytest.raises(DomainMismatch):
         compose(Relation.empty(C2, C2), Relation.empty(C2, C3))
