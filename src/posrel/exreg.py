@@ -20,8 +20,9 @@ from .poset import (
     LawFailure,
     MapClass,
     bool_mat,
+    checked_pairs,
+    close_over,
     closure,
-    pair_mask,
     pair_order,
     pair_span,
 )
@@ -77,10 +78,11 @@ class ExRegObject:
 
     ``E`` is the relation X ⇸ X; it contains the order and is transitive, so
     it is weakening-closed.  ``_realization`` holds the (Q, q) pair of
-    ``equivalence.quotient_realize``, which computes it on first use; every
-    later caller shares it."""
+    ``equivalence.quotient_realize``, which computes it on first use, and
+    ``_core`` the relation ``core`` returns, kept on its first call; every
+    later caller shares them."""
 
-    __slots__ = ("X", "E", "_realization")
+    __slots__ = ("X", "E", "_realization", "_core")
 
     def __init__(self, X, E):
         E = np.ascontiguousarray(E, dtype=bool)
@@ -105,16 +107,19 @@ class ExRegObject:
         self.X = X
         self.E = Relation(X, X, E)
         self._realization = None
+        self._core = None
 
     @classmethod
     def from_pairs(cls, X, pair_list):
         """X with the smallest congruence containing its order and the given pairs."""
-        # the closure of a matrix that holds the order is a congruence
-        return cls._trusted(X, closure(X.leq | pair_mask((X.n, X.n), pair_list)))
+        # the closure of the order and some pairs is a congruence
+        return cls._trusted(X, close_over(X, *checked_pairs((X.n, X.n), pair_list)))
 
     def core(self):
         """E ∩ E°, the symmetric part; identity of the ambient allegory."""
-        return meet(self.E, opposite(self.E))
+        if self._core is None:
+            self._core = meet(self.E, opposite(self.E))
+        return self._core
 
     def __eq__(self, other):
         # E is a relation X ⇸ X, so equal congruences have equal carriers

@@ -32,7 +32,7 @@ from .poset import (
     AntisymmetryViolation,
     FinPoset,
     InputError,
-    closure,
+    close_over,
     index_mask,
     shortest_cyclic_prefix,
 )
@@ -187,10 +187,10 @@ def parse_poset(text, path="<string>"):
 def _close_poset(n, rows, cols, pair_nos, labels, path):
     """The poset generated by the pairs (rows[k] <= cols[k]), read at lines ``pair_nos``.
     A cycle is refused at the line that closes it: the last of the shortest cyclic prefix."""
-    leq, closing = shortest_cyclic_prefix(n, rows, cols)
+    leq, up, closing = shortest_cyclic_prefix(n, rows, cols)
     if closing is None:
         # a closure is reflexive and transitive, and with no cycle it is antisymmetric
-        return FinPoset._trusted(leq, labels)
+        return FinPoset._trusted(leq, labels, up)
     try:
         FinPoset(leq)  # reflexive, so refused for the first 2-cycle of the shortest cyclic prefix
     except AntisymmetryViolation as cycle:
@@ -221,10 +221,10 @@ def _resolve(ref, base_path, no):
 
 
 def _parse_pairs(rest, shapes, path):
-    """The matrices of the ``<keyword> i ~ j`` lines ``rest`` (the ``(body, start)``
-    of ``_head``), one per keyword of ``shapes`` (which maps each keyword to its
-    matrix's shape): at array speed for a body in the serializers' shape, else
-    line by line, in one pass.
+    """The index columns ``(rows, cols)`` of the ``<keyword> i ~ j`` lines ``rest``
+    (the ``(body, start)`` of ``_head``), one pair per keyword of ``shapes`` (which
+    maps each keyword to its matrix's shape): at array speed for a body in the
+    serializers' shape, else line by line, in one pass.
 
     The error raised is the first one met by reading the lines once per
     keyword, in the order of ``shapes``, and then once for a line that is no
@@ -232,7 +232,7 @@ def _parse_pairs(rest, shapes, path):
     next, then the first unrecognized line."""
     columns = _array_pairs(rest[0], [f"{keyword} " for keyword in shapes], "~", shapes.values())
     if columns:
-        return [index_mask(shape, *cells) for shape, cells in zip(shapes.values(), columns)]
+        return columns
     found = {keyword: ([], []) for keyword in shapes}
     bad = {}
     unrecognized = None
@@ -259,7 +259,7 @@ def _parse_pairs(rest, shapes, path):
             raise _bad_ints(toks, "pair element out of range", path, no)
     if unrecognized is not None:
         raise unrecognized
-    return [index_mask(shape, *found[keyword]) for keyword, shape in shapes.items()]
+    return [found[keyword] for keyword in shapes]
 
 
 def _rel_header(first, path):
@@ -346,13 +346,15 @@ def _parse_exreg_lines(first, rest, path):
     parts = header.split()
     if parts[0] == "object" and len(parts) == 2:
         X = load_poset(_resolve(parts[1], path, no))
-        (pairs,) = _parse_pairs(rest, {"cong": (X.n, X.n)}, path)
-        # the closure of a matrix that holds the order is a congruence
-        return ExRegObject._trusted(X, closure(X.leq | pairs))
+        (cells,) = _parse_pairs(rest, {"cong": (X.n, X.n)}, path)
+        # the closure of the order and some pairs is a congruence
+        return ExRegObject._trusted(X, close_over(X, *cells))
     if parts[0] == "morphism" and len(parts) == 3:
         src, tgt = (_load_endpoint(ref, path, no) for ref in parts[1:])
-        lower, upper = _parse_pairs(
-            rest, {"lower": (src.X.n, tgt.X.n), "upper": (tgt.X.n, src.X.n)}, path
+        shapes = {"lower": (src.X.n, tgt.X.n), "upper": (tgt.X.n, src.X.n)}
+        lower, upper = (
+            index_mask(shape, *cells)
+            for shape, cells in zip(shapes.values(), _parse_pairs(rest, shapes, path))
         )
         return validate_morphism(
             src, tgt, Relation(src.X, tgt.X, lower), Relation(tgt.X, src.X, upper)

@@ -11,6 +11,7 @@ separately for the CLI to print on stderr.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -32,14 +33,15 @@ DEFAULT_RELATION_CAP = 5
 
 
 def gen_poset(rng, n, p=0.35):
-    """Random poset: upper-triangular edges with probability p, then closure."""
-    mat = np.zeros((n, n), dtype=bool)
+    """Random poset: upper-triangular edges with probability p, drawn into the
+    int rows ``FinPoset._closing`` closes, bit j of row i for the edge i < j."""
+    succ = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < p:
-                mat[i, j] = True
-    # the closure of a strictly upper-triangular matrix is reflexive, transitive and antisymmetric
-    return FinPoset._trusted(poset.closure(mat))
+                succ[i] |= 1 << j
+    # every edge goes up the numbering, so the closure has no cycle
+    return FinPoset._closing(succ)
 
 
 def gen_map(rng, X, Y):
@@ -338,13 +340,17 @@ def _trial_tabulation(rng, cap):
     phi = relation.compose(B.core(), relation.compose(raw, A.core()))
     tab = exreg.tabulate(phi, A, B)
     W = gen_exreg_object(rng, 3)
+    # W, A and B have elements, so neither hom-set is empty and each stacks
     to_B = equivalence.all_morphisms(W, B)
-    for S0 in equivalence.all_morphisms(W, A):
-        for S1 in to_B:
-            cone = relation.compose(exreg.graph_of(S1), relation.opposite(exreg.graph_of(S0)))
+    to_A = equivalence.all_morphisms(W, A)
+    G1 = exreg.graph_stack(to_B)
+    for S0, g0 in zip(to_A, exreg.graph_stack(to_A)):
+        # the cones gr(S1) gr(S0)° of every S1 at once, each tested against Φ
+        cones = poset.bool_mat(g0.T, G1)
+        included = ~(cones & ~phi.pairs).reshape(len(to_B), -1).any(axis=1)
+        for S1 in itertools.compress(to_B, included.tolist()):
             # tabulation_factor cross-checks that H recovers both legs
-            if cone.leq(phi):
-                exreg.tabulation_factor(tab, S0, S1)
+            exreg.tabulation_factor(tab, S0, S1)
     return None
 
 

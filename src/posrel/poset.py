@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -202,9 +203,13 @@ def _meet_transpose(mat):
 
 
 class FinPoset:
-    """An immutable finite poset given by its full order matrix."""
+    """An immutable finite poset given by its full order matrix.
 
-    __slots__ = ("n", "leq", "labels", "_hash")
+    ``_rows`` holds the up-sets as the bits of ints, as ``up_rows`` returns
+    them: handed over by the closure or the check that made the order, else
+    packed on first use; every later caller shares them."""
+
+    __slots__ = ("n", "leq", "labels", "_hash", "_rows")
 
     def __init__(self, leq, labels=None):
         leq = np.asarray(leq, dtype=bool)
@@ -218,22 +223,24 @@ class FinPoset:
         if sym.any():
             # argmax of a boolean array is its first True cell, found without listing the others
             raise AntisymmetryViolation.between(*divmod(int(sym.argmax()), n))
-        # a reflexive matrix is transitive iff it equals its own closure
-        if not np.array_equal(closure(leq), leq):
+        rows = _bit_rows(leq)
+        # a reflexive matrix is transitive iff it equals its own closure, row for row
+        if _close_rows(rows)[0] != rows:
             raise ValueError("order matrix is not transitive")
-        self._fill(leq, labels)
+        self._fill(leq, labels, rows)
 
     @classmethod
-    def _trusted(cls, leq, labels=None):
-        """The poset of an order matrix that is valid by construction, unchecked.
+    def _trusted(cls, leq, labels=None, rows=None):
+        """The poset of an order matrix that is valid by construction, unchecked,
+        with its up-set rows when the caller has them (``_bit_rows(leq)``).
 
         Only for results of this package; every call site says why ``leq`` is
         reflexive, antisymmetric and transitive."""
         self = cls.__new__(cls)
-        self._fill(leq, labels)
+        self._fill(leq, labels, rows)
         return self
 
-    def _fill(self, leq, labels):
+    def _fill(self, leq, labels, rows=None):
         self.leq = np.ascontiguousarray(leq, dtype=bool)
         self.leq.flags.writeable = False
         self.n = self.leq.shape[0]
@@ -241,18 +248,31 @@ class FinPoset:
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError(f"expected {self.n} labels, got {len(self.labels)}")
         self._hash = hash((self.n, self.leq.tobytes()))
+        self._rows = None if rows is None else tuple(rows)
+
+    @classmethod
+    def _closing(cls, succ, labels=None):
+        """The poset whose order is the closure of the int rows ``succ`` (bit j of
+        row i for i <= j, every j below len(succ)), with the closure's rows; a
+        cycle raises the validating constructor's ``AntisymmetryViolation`` for
+        the closure's first 2-cycle."""
+        rows, cyclic = _close_rows(succ)
+        leq = _bool_rows(rows)
+        if cyclic:
+            return cls(leq, labels)  # reflexive, so it fails antisymmetry, not transitivity
+        # a closure is reflexive and transitive, and with no cycle it is antisymmetric
+        return cls._trusted(leq, labels, rows)
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def from_covers(cls, n, pairs, labels=None):
-        """Poset generated by ``pairs`` (i <= j) through ``closure``; a cycle raises the
+        """Poset generated by ``pairs`` (i <= j) through ``_close_rows``; a cycle raises the
         validating constructor's ``AntisymmetryViolation`` for the closure's first 2-cycle."""
-        leq, cyclic = close_pairs(n, pairs)
-        if cyclic:
-            return cls(leq, labels)  # reflexive, so it fails antisymmetry, not transitivity
-        # a closure is reflexive and transitive, and with no cycle it is antisymmetric
-        return cls._trusted(leq, labels)
+        succ = [0] * n
+        for i, j in zip(*checked_pairs((n, n), pairs)):
+            succ[i] |= 1 << j
+        return cls._closing(succ, labels)
 
     @classmethod
     def discrete(cls, n, labels=None):
@@ -308,16 +328,37 @@ class FinPoset:
         return f"FinPoset(n={self.n}, covers={self.covers()})"
 
 
-def close_pairs(n, pairs):
-    """The ``closure`` of the pairs (i <= j) on n elements, and whether they close a cycle."""
-    rows, cyclic = _close_rows(_bit_rows(pair_mask((n, n), pairs)))
-    return _bool_rows(rows), cyclic
+def up_rows(P):
+    """The up-sets of P as the bits of ints, bit j of row i for i <= j, as
+    ``_bit_rows(P.leq)`` packs them: the rows the closure or check that made
+    P's order handed over, else packed on first use and kept on P."""
+    if P._rows is None:
+        P._rows = tuple(_bit_rows(P.leq))
+    return P._rows
+
+
+def close_over(P, rows, cols):
+    """The reflexive-transitive closure of P's order together with the pairs
+    (rows[k] <= cols[k]), indices in range: ``P.leq`` itself, with no closure
+    pass, when the order holds every pair; else ``_close_rows`` of P's up-set
+    rows with the pairs ORed in.  Behind ``ExRegObject.from_pairs``,
+    ``coinserter`` and the ``.exreg`` object read."""
+    up = up_rows(P)
+    if len(rows) > 4 * P.n:
+        # so many pairs that packing them into the order's matrix beats an OR per pair at every n
+        succ = _bit_rows(P.leq | index_mask((P.n, P.n), rows, cols))
+    else:
+        succ = list(up)
+        for i, j in zip(rows, cols):
+            succ[int(i)] |= 1 << int(j)  # int: a numpy index would shift in 64 bits
+    return P.leq if tuple(succ) == up else _bool_rows(_close_rows(succ)[0])
 
 
 def shortest_cyclic_prefix(n, rows, cols):
-    """The ``closure`` of the pairs (rows[k] <= cols[k]) on n elements and None when
-    they close no cycle; else the closure of the shortest prefix of the pairs that
-    closes one, and that prefix's length.  Every index must be in range.
+    """The ``closure`` of the pairs (rows[k] <= cols[k]) on n elements, its rows
+    and None when they close no cycle; else the closure of the shortest prefix of
+    the pairs that closes one, its rows and that prefix's length.  Every index
+    must be in range.
 
     A cycle stays closed as pairs are added, so a binary search finds the prefix.
     The closure of a longer prefix is that of a shorter one's closure and the pairs
@@ -326,7 +367,7 @@ def shortest_cyclic_prefix(n, rows, cols):
     rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
     reach, cyclic = _close_rows(_bit_rows(index_mask((n, n), rows, cols)))
     if not cyclic:
-        return _bool_rows(reach), None
+        return _bool_rows(reach), reach, None
     lo, hi = 0, len(rows)  # pairs[:lo] close no cycle, pairs[:hi] close one, closed in reach
     closed = [1 << v for v in range(n)]  # the closure of pairs[:lo]
     while hi - lo > 1:
@@ -339,21 +380,41 @@ def shortest_cyclic_prefix(n, rows, cols):
             hi, reach = mid, probe
         else:
             lo, closed = mid, probe
-    return _bool_rows(reach), hi
+    return _bool_rows(reach), reach, hi
+
+
+def _indices(values, what):
+    """``values`` as a list of ints, each taken by ``operator.index``: a value that is
+    not an integer (a float among them, even an integral one) raises ``ValueError``
+    naming it as ``what``."""
+    out = []
+    for value in values:
+        try:
+            out.append(operator.index(value))
+        except TypeError:
+            raise ValueError(f"{what} {value!r} is not an integer") from None
+    return out
+
+
+def checked_pairs(shape, pairs):
+    """The rows and the columns of the index pairs ``pairs``, as lists of ints: the
+    boundary check of the public constructors that take pair lists.  An index that
+    is not an integer, or that lies outside ``shape`` (negative ones included),
+    raises ``ValueError``."""
+    rows, cols = [], []
+    for pair in pairs:
+        i, j = _indices(pair, "pair index")
+        if not (0 <= i < shape[0] and 0 <= j < shape[1]):
+            raise ValueError(f"pair ({i}, {j}) is outside a {shape[0]} x {shape[1]} matrix")
+        rows.append(i)
+        cols.append(j)
+    return rows, cols
 
 
 def pair_mask(shape, pairs):
-    """The ``shape`` boolean matrix that is True at the index pairs ``pairs``: the
-    boundary check of the public constructors that take pair lists.  An index
-    outside the shape, negative ones included, raises ``ValueError``."""
-    pairs = list(pairs)
-    if not pairs:
-        return np.zeros(shape, dtype=bool)
-    rows, cols = zip(*pairs)
-    if min(rows) < 0 or max(rows) >= shape[0] or min(cols) < 0 or max(cols) >= shape[1]:
-        i, j = next(p for p in pairs if not (0 <= p[0] < shape[0] and 0 <= p[1] < shape[1]))
-        raise ValueError(f"pair ({i}, {j}) is outside a {shape[0]} x {shape[1]} matrix")
-    return index_mask(shape, rows, cols)
+    """The ``shape`` boolean matrix that is True at the index pairs ``pairs``, once
+    ``checked_pairs`` has checked them."""
+    return index_mask(shape, *checked_pairs(shape, pairs))
 
 
 def index_mask(shape, rows, cols):
@@ -382,7 +443,7 @@ class MonotoneMap:
     __slots__ = ("dom", "cod", "assign")
 
     def __init__(self, dom, cod, assign):
-        assign = tuple(int(a) for a in assign)
+        assign = tuple(_indices(assign, "image index"))
         if len(assign) != dom.n:
             raise ValueError("assignment length does not match domain size")
         for a in assign:
@@ -496,12 +557,12 @@ def walk_monotone_maps(X, Y, pick):
     elements of Y above the values already given to the elements below it,
     in index order; ``pick(options)`` removes and returns the value to try
     next.  A level with no option left is popped and the latest level that
-    still has one is redrawn.  Each up-set of Y is held as the bits of an
-    int, so a level's options cost one AND per element below."""
+    still has one is redrawn.  The up-sets of Y are its ``up_rows``, the
+    bits of ints, so a level's options cost one AND per element below."""
     order = linear_extension(X)
     leq = X.leq.tolist()
     below = [[j for j in order[:k] if leq[j][x]] for k, x in enumerate(order)]
-    up = _bit_rows(Y.leq)
+    up = up_rows(Y)
     assign = [None] * X.n
     untried = []  # for each element of ``order`` given a value, the values not tried yet
     while True:
@@ -638,7 +699,7 @@ def canonical_certificate(P):
 def subposet(X, elements):
     """The induced subposet on a sorted element list, with its ff inclusion.  An
     element outside X, negative ones included, or listed twice raises ``ValueError``."""
-    elements = [int(a) for a in elements]
+    elements = _indices(elements, "element")
     for a in elements:
         if not 0 <= a < X.n:
             raise ValueError(f"element {a} is outside a poset of {X.n} elements")
@@ -813,11 +874,8 @@ def coinserter(f0, f1):
     if f0.dom != f1.dom or f0.cod != f1.cod:
         raise ValueError("coinserter needs a parallel pair")
     X = f0.cod
-    pre = X.leq.copy()
-    pre[f0.assign, f1.assign] = True
-    pre = closure(pre)
-    Q, class_of = poset_reflection(pre)
-    # pre contains the order of X, and Q orders the classes by pre
+    Q, class_of = poset_reflection(close_over(X, f0.assign, f1.assign))
+    # the preorder contains the order of X, and Q orders the classes by it
     return MonotoneMap._trusted(X, Q, class_of)
 
 

@@ -2,7 +2,8 @@
 serializers' shape were read at array speed: every line through ``_lines``,
 ``split`` and ``int``.  Kept verbatim, apart from this docstring and the imports,
 as the oracle that ``test_formats_reader.py`` holds the readers to: the same
-value, or the same error class, message and line, on every input."""
+value, or the same error class, message and line, on every input.  ``close_pairs``,
+which they called, is kept here verbatim too, since ``posrel.poset`` no longer has it."""
 
 import os
 
@@ -10,8 +11,23 @@ import numpy as np
 
 from posrel.exreg import ExRegObject, validate_morphism
 from posrel.formats import ParseError
-from posrel.poset import MAX_ELEMENTS, AntisymmetryViolation, FinPoset, close_pairs, closure
+from posrel.poset import (
+    MAX_ELEMENTS,
+    AntisymmetryViolation,
+    FinPoset,
+    _bit_rows,
+    _bool_rows,
+    _close_rows,
+    closure,
+    pair_mask,
+)
 from posrel.relation import Relation
+
+
+def close_pairs(n, pairs):
+    """The ``closure`` of the pairs (i <= j) on n elements, and whether they close a cycle."""
+    rows, cyclic = _close_rows(_bit_rows(pair_mask((n, n), pairs)))
+    return _bool_rows(rows), cyclic
 
 
 def _read(path):

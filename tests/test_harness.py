@@ -725,6 +725,45 @@ def test_trial_draws_and_decides_as_its_reference(name):
             assert new.draws == old.draws
 
 
+def test_tabulation_trial_factors_the_cones_of_its_reference(monkeypatch):
+    factored = []
+    tabulation_factor = exreg.tabulation_factor
+
+    def recording(tab, S0, S1):
+        factored.append((S0.lower.pairs.tobytes(), S1.lower.pairs.tobytes()))
+        return tabulation_factor(tab, S0, S1)
+
+    monkeypatch.setattr(exreg, "tabulation_factor", recording)
+    _, trial = SUITES["tabulation"]
+    total = 0
+    for cap in range(1, 6):
+        for seed in range(12):
+            trial(ChoiceStream(f"{cap}:{seed}"), cap)
+            new = factored.copy()
+            factored.clear()
+            reference_trial_tabulation(ChoiceStream(f"{cap}:{seed}"), cap)
+            # the same included cones, each factored once, in the same order
+            assert new == factored
+            total += len(new)
+            factored.clear()
+    assert total
+
+
+def test_run_all_factors_and_checks_as_many_morphisms_as_before(monkeypatch):
+    calls = {"tabulation_factor": 0, "_check_morphism_laws": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(exreg, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(exreg, name, counting)
+    # equivalence checks the laws of the morphisms it builds, in stacks, by its own import
+    monkeypatch.setattr(equivalence, "_check_morphism_laws", exreg._check_morphism_laws)
+    assert all(run_suite(name, 100, 1).passed for name in SUITES)
+    # the counts of `harness run all --trials 100 --seed 1` before the stacked cone test
+    assert calls == {"tabulation_factor": 390, "_check_morphism_laws": 1945}
+
+
 def _factoring_the_tabulation_legs(tabulation_factor):
     """``tabulation_factor`` that factors the cone of the tabulation's own legs,
     whatever cone it is given: the identity of the apex."""
