@@ -19,10 +19,11 @@ from .poset import (
     InputError,
     LawFailure,
     MapClass,
+    _bit_rows,
+    _close_rows,
     bool_mat,
     checked_pairs,
     close_over,
-    closure,
     pair_order,
     pair_span,
 )
@@ -90,8 +91,9 @@ class ExRegObject:
             raise NotCongruence(f"expected {(X.n, X.n)} matrix, got {E.shape}")
         if (X.leq & ~E).any():
             raise NotCongruence("congruence does not contain the order")
+        rows = _bit_rows(E)
         # E holds the order, so it is reflexive, and transitive iff it equals its closure
-        if not np.array_equal(closure(E), E):
+        if _close_rows(rows)[0] != rows:
             raise NotCongruence("congruence is not transitive")
         self._fill(X, E)
 

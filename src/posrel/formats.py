@@ -32,7 +32,9 @@ from .poset import (
     AntisymmetryViolation,
     FinPoset,
     InputError,
+    _bool_rows,
     close_over,
+    close_rows_with,
     index_mask,
     shortest_cyclic_prefix,
 )
@@ -187,12 +189,13 @@ def parse_poset(text, path="<string>"):
 def _close_poset(n, rows, cols, pair_nos, labels, path):
     """The poset generated by the pairs (rows[k] <= cols[k]), read at lines ``pair_nos``.
     A cycle is refused at the line that closes it: the last of the shortest cyclic prefix."""
-    leq, up, closing = shortest_cyclic_prefix(n, rows, cols)
-    if closing is None:
+    up, cyclic = close_rows_with([1 << v for v in range(n)], rows, cols)
+    if not cyclic:
         # a closure is reflexive and transitive, and with no cycle it is antisymmetric
-        return FinPoset._trusted(leq, labels, up)
+        return FinPoset._trusted(_bool_rows(up), labels, up)
+    reach, closing = shortest_cyclic_prefix(up, rows, cols)
     try:
-        FinPoset(leq)  # reflexive, so refused for the first 2-cycle of the shortest cyclic prefix
+        FinPoset(_bool_rows(reach))  # reflexive, so refused for the prefix's first 2-cycle
     except AntisymmetryViolation as cycle:
         raise ParseError(path, pair_nos[closing - 1], str(cycle)) from cycle
 

@@ -33,15 +33,16 @@ DEFAULT_RELATION_CAP = 5
 
 
 def gen_poset(rng, n, p=0.35):
-    """Random poset: upper-triangular edges with probability p, drawn into the
-    int rows ``FinPoset._closing`` closes, bit j of row i for the edge i < j."""
-    succ = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                succ[i] |= 1 << j
+    """Random poset: upper-triangular edges with probability p, closed by
+    ``poset.close_rows_with`` over the discrete order."""
+    rows, cols = [], []
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            rows.append(i)
+            cols.append(j)
+    up, _ = poset.close_rows_with([1 << v for v in range(n)], rows, cols)
     # every edge goes up the numbering, so the closure has no cycle
-    return FinPoset._closing(succ)
+    return FinPoset._trusted(poset._bool_rows(up), None, up)
 
 
 def gen_map(rng, X, Y):

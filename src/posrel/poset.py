@@ -12,7 +12,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import operator
@@ -45,8 +44,8 @@ class NotMonotone(InputError):
 
 
 class TooLarge(InputError):
-    """Raised before building a pair-set carrier of more than ``MAX_ELEMENTS``
-    elements (by ``pair_span``, which builds them all), before a harness run at a
+    """Raised before building a pair-set carrier (by ``pair_span``, which builds them
+    all) or a power of more than ``MAX_ELEMENTS`` elements, before a harness run at a
     bound past it, or before enumerating more than ``MAX_MAPS`` maps."""
 
 
@@ -250,29 +249,20 @@ class FinPoset:
         self._hash = hash((self.n, self.leq.tobytes()))
         self._rows = None if rows is None else tuple(rows)
 
-    @classmethod
-    def _closing(cls, succ, labels=None):
-        """The poset whose order is the closure of the int rows ``succ`` (bit j of
-        row i for i <= j, every j below len(succ)), with the closure's rows; a
-        cycle raises the validating constructor's ``AntisymmetryViolation`` for
-        the closure's first 2-cycle."""
-        rows, cyclic = _close_rows(succ)
-        leq = _bool_rows(rows)
-        if cyclic:
-            return cls(leq, labels)  # reflexive, so it fails antisymmetry, not transitivity
-        # a closure is reflexive and transitive, and with no cycle it is antisymmetric
-        return cls._trusted(leq, labels, rows)
-
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def from_covers(cls, n, pairs, labels=None):
-        """Poset generated by ``pairs`` (i <= j) through ``_close_rows``; a cycle raises the
+        """Poset generated by ``pairs`` (i <= j) through ``close_rows_with``; a cycle raises the
         validating constructor's ``AntisymmetryViolation`` for the closure's first 2-cycle."""
-        succ = [0] * n
-        for i, j in zip(*checked_pairs((n, n), pairs)):
-            succ[i] |= 1 << j
-        return cls._closing(succ, labels)
+        (n,) = _indices([n], "element count")
+        if n < 0:
+            raise ValueError(f"element count must be at least 0, got {n}")
+        up, cyclic = close_rows_with([1 << v for v in range(n)], *checked_pairs((n, n), pairs))
+        if cyclic:
+            return cls(_bool_rows(up), labels)  # reflexive, so it fails antisymmetry
+        # a closure is reflexive and transitive, and with no cycle it is antisymmetric
+        return cls._trusted(_bool_rows(up), labels, up)
 
     @classmethod
     def discrete(cls, n, labels=None):
@@ -337,50 +327,52 @@ def up_rows(P):
     return P._rows
 
 
-def close_over(P, rows, cols):
-    """The reflexive-transitive closure of P's order together with the pairs
-    (rows[k] <= cols[k]), indices in range: ``P.leq`` itself, with no closure
-    pass, when the order holds every pair; else ``_close_rows`` of P's up-set
-    rows with the pairs ORed in.  Behind ``ExRegObject.from_pairs``,
-    ``coinserter`` and the ``.exreg`` object read."""
-    up = up_rows(P)
-    if len(rows) > 4 * P.n:
-        # so many pairs that packing them into the order's matrix beats an OR per pair at every n
-        succ = _bit_rows(P.leq | index_mask((P.n, P.n), rows, cols))
+def close_rows_with(up, rows, cols):
+    """The closure of the closed, acyclic up-set rows ``up`` (ints, bit j of row i
+    for i <= j) with the pairs (rows[k] <= cols[k]) added, indices in range, and
+    whether it has a cycle: ``up`` itself, with no pass, when it holds every pair;
+    else ``_close_rows`` of the rows with the pairs ORed in.  The one way from
+    pairs into ``_close_rows``."""
+    if len(rows) > 4 * len(up):
+        # so many pairs that packing them as a mask beats an OR per pair at every n
+        succ = [a | b for a, b in zip(up, _bit_rows(index_mask((len(up),) * 2, rows, cols)))]
     else:
         succ = list(up)
+        if isinstance(rows, np.ndarray):
+            rows, cols = rows.tolist(), cols.tolist()  # a numpy index would shift in 64 bits
         for i, j in zip(rows, cols):
-            succ[int(i)] |= 1 << int(j)  # int: a numpy index would shift in 64 bits
-    return P.leq if tuple(succ) == up else _bool_rows(_close_rows(succ)[0])
+            succ[i] |= 1 << j
+    return (up, False) if succ == list(up) else _close_rows(succ)
 
 
-def shortest_cyclic_prefix(n, rows, cols):
-    """The ``closure`` of the pairs (rows[k] <= cols[k]) on n elements, its rows
-    and None when they close no cycle; else the closure of the shortest prefix of
-    the pairs that closes one, its rows and that prefix's length.  Every index
-    must be in range.
+def close_over(P, rows, cols):
+    """The closure of P's order and the pairs (rows[k] <= cols[k]), indices in range, by
+    ``close_rows_with``: ``P.leq`` itself when the order holds every pair.  Behind
+    ``ExRegObject.from_pairs``, ``coinserter`` and the ``.exreg`` object read."""
+    up = up_rows(P)
+    closed, _ = close_rows_with(up, rows, cols)
+    return P.leq if closed is up else _bool_rows(closed)
+
+
+def shortest_cyclic_prefix(reach, rows, cols):
+    """For pairs (rows[k] <= cols[k]) whose closure ``reach`` (rows, as
+    ``close_rows_with`` returns them) has a cycle: the closure of the shortest
+    prefix of the pairs that closes one, and that prefix's length.
 
     A cycle stays closed as pairs are added, so a binary search finds the prefix.
     The closure of a longer prefix is that of a shorter one's closure and the pairs
     after it, so each probe closes the last acyclic probe's rows with the pairs it
     adds, rather than all of its prefix again."""
-    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-    reach, cyclic = _close_rows(_bit_rows(index_mask((n, n), rows, cols)))
-    if not cyclic:
-        return _bool_rows(reach), reach, None
     lo, hi = 0, len(rows)  # pairs[:lo] close no cycle, pairs[:hi] close one, closed in reach
-    closed = [1 << v for v in range(n)]  # the closure of pairs[:lo]
+    closed = [1 << v for v in range(len(reach))]  # the closure of pairs[:lo]
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        succ = closed.copy()
-        for i, j in zip(rows[lo:mid].tolist(), cols[lo:mid].tolist()):
-            succ[i] |= 1 << j
-        probe, cyclic = _close_rows(succ)
+        probe, cyclic = close_rows_with(closed, rows[lo:mid], cols[lo:mid])
         if cyclic:
             hi, reach = mid, probe
         else:
             lo, closed = mid, probe
-    return _bool_rows(reach), reach, hi
+    return reach, hi
 
 
 def _indices(values, what):
@@ -426,14 +418,22 @@ def index_mask(shape, rows, cols):
 
 
 def make_poset(elements, cover_pairs):
-    """Build a poset from labels and generating pairs given by index or label."""
+    """Build a poset from labels and generating pairs given by index or label.  A label
+    listed twice, or a pair naming one not listed, raises ``ValueError``."""
     labels = [str(e) for e in elements]
-    index = {lab: i for i, lab in enumerate(labels)}
-    pairs = []
-    for a, b in cover_pairs:
-        i = a if isinstance(a, int) else index[str(a)]
-        j = b if isinstance(b, int) else index[str(b)]
-        pairs.append((i, j))
+    index = {}
+    for i, lab in enumerate(labels):
+        if index.setdefault(lab, i) != i:
+            raise ValueError(f"label {lab!r} is listed twice")
+
+    def position(x):
+        if isinstance(x, (int, np.integer)):
+            return x
+        if str(x) not in index:
+            raise ValueError(f"unknown label {str(x)!r}")
+        return index[str(x)]
+
+    pairs = [(position(a), position(b)) for a, b in cover_pairs]
     return FinPoset.from_covers(len(labels), pairs, labels=labels)
 
 
@@ -534,19 +534,19 @@ def classify_map(f):
 
 
 def linear_extension(poset):
-    """A topological order (stable: smallest index first), by Kahn's algorithm over a heap."""
-    leq = poset.leq.tolist()
-    below = [sum(col) - col[i] for i, col in enumerate(zip(*leq))]
-    ready = [i for i in range(poset.n) if not below[i]]
-    out = []
-    while ready:
-        i = heapq.heappop(ready)
+    """A topological order (stable: smallest index first): each step takes the least
+    element left that is strictly above no other element left, read off ``up_rows``."""
+    strict = [row ^ (1 << i) for i, row in enumerate(up_rows(poset))]
+    left, out = list(range(poset.n)), []
+    while left:
+        above = 0  # the elements strictly above some element left
+        for j in left:
+            above |= strict[j]
+        for i in left:
+            if not above >> i & 1:
+                break
+        left.remove(i)
         out.append(i)
-        for j, up in enumerate(leq[i]):
-            if up and j != i:
-                below[j] -= 1
-                if not below[j]:
-                    heapq.heappush(ready, j)
     return out
 
 
@@ -557,11 +557,11 @@ def walk_monotone_maps(X, Y, pick):
     elements of Y above the values already given to the elements below it,
     in index order; ``pick(options)`` removes and returns the value to try
     next.  A level with no option left is popped and the latest level that
-    still has one is redrawn.  The up-sets of Y are its ``up_rows``, the
-    bits of ints, so a level's options cost one AND per element below."""
+    still has one is redrawn.  The up-sets of X and Y are their ``up_rows``,
+    the bits of ints, so a level's options cost one AND per element below."""
     order = linear_extension(X)
-    leq = X.leq.tolist()
-    below = [[j for j in order[:k] if leq[j][x]] for k, x in enumerate(order)]
+    up_x = up_rows(X)
+    below = [[j for j in order[:k] if up_x[j] >> x & 1] for k, x in enumerate(order)]
     up = up_rows(Y)
     assign = [None] * X.n
     untried = []  # for each element of ``order`` given a value, the values not tried yet
@@ -787,8 +787,11 @@ def equalizer_via_inserters(f, g):
 
 
 def power(X, P):
-    """The power poset of monotone maps P -> X under pointwise order."""
+    """The power poset of monotone maps P -> X under pointwise order.  Raises
+    ``TooLarge`` before building the order of more than ``MAX_ELEMENTS`` maps."""
     maps = all_monotone_maps(P, X)
+    if len(maps) > MAX_ELEMENTS:
+        raise TooLarge(f"power of {len(maps)} maps exceeds the limit of {MAX_ELEMENTS}")
     # distinct monotone maps into a poset, ordered pointwise: antisymmetric
     return FinPoset._trusted(pointwise_order(maps, X.leq)), maps
 

@@ -112,10 +112,10 @@ def test_pairs_inside_the_order_give_the_order_with_no_closure_pass(monkeypatch,
     assert ExRegObject.from_pairs(X, [(0, 2), (1, 1)]).E.pairs is X.leq
     assert coinserter(MonotoneMap(D, X, [0, 1]), MonotoneMap(D, X, [2, 1])).cod == X
     assert passes == []
-    # the one pass closes the .poset file's pairs
+    # the one pass closes the .poset file's pairs, ORed into the discrete order's rows
     obj = parse_exreg("object c.poset\ncong 0 ~ 1\n", str(tmp_path / "o.exreg"))
     assert obj.E.pairs is obj.X.leq
-    assert passes == [[2, 4, 0]]
+    assert passes == [[0b011, 0b110, 0b100]]
 
 
 def test_an_object_file_with_a_pair_outside_the_order_still_closes(tmp_path):
@@ -168,7 +168,8 @@ def test_the_kept_rows_are_the_packed_order_on_every_route():
 
 
 def test_monotone_maps_are_walked_on_the_kept_rows(monkeypatch):
-    X, Y = FinPoset.chain(2), FinPoset.from_covers(3, [(0, 1), (0, 2)])
+    # both ends keep their rows: the walk reads the domain's as well as the codomain's
+    X, Y = FinPoset.from_covers(2, [(0, 1)]), FinPoset.from_covers(3, [(0, 1), (0, 2)])
     monkeypatch.setattr(poset, "_bit_rows", lambda mat: pytest.fail("rows packed again"))
     assert [f.assign for f in poset.all_monotone_maps(X, Y)] == [(0, 0), (0, 1), (0, 2), (1, 1), (2, 2)]
 
