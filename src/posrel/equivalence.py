@@ -303,6 +303,9 @@ def characterize(F, bound):
     faithful = Report(f"fully-order-faithful: {F.name}, bound {bound}")
     covering = Report(f"covering: {F.name}, bound {bound}")
     realizes = Report(f"characterization: {F.name}, bound {bound}")
+    # the last two clauses run over the catalogue up to the bound, so a bound past its
+    # limit is refused before any source object is built
+    _within_catalogue(bound)
     objs = F.objects(bound)
     # every source hom-set is listed first, so an enumeration budget refuses
     # the bound before any pointwise order is built

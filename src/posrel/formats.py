@@ -35,6 +35,7 @@ from .poset import (
     _bool_rows,
     close_over,
     close_rows_with,
+    first_cycle,
     index_mask,
     shortest_cyclic_prefix,
 )
@@ -188,16 +189,15 @@ def parse_poset(text, path="<string>"):
 
 def _close_poset(n, rows, cols, pair_nos, labels, path):
     """The poset generated by the pairs (rows[k] <= cols[k]), read at lines ``pair_nos``.
-    A cycle is refused at the line that closes it: the last of the shortest cyclic prefix."""
+    A cycle is refused at the line that closes it, the last of the shortest cyclic prefix,
+    naming that prefix's ``first_cycle``."""
     up, cyclic = close_rows_with([1 << v for v in range(n)], rows, cols)
     if not cyclic:
         # a closure is reflexive and transitive, and with no cycle it is antisymmetric
         return FinPoset._trusted(_bool_rows(up), labels, up)
     reach, closing = shortest_cyclic_prefix(up, rows, cols)
-    try:
-        FinPoset(_bool_rows(reach))  # reflexive, so refused for the prefix's first 2-cycle
-    except AntisymmetryViolation as cycle:
-        raise ParseError(path, pair_nos[closing - 1], str(cycle)) from cycle
+    cycle = AntisymmetryViolation.between(*first_cycle(reach))
+    raise ParseError(path, pair_nos[closing - 1], str(cycle)) from cycle
 
 
 def serialize_poset(P):

@@ -44,9 +44,10 @@ class NotMonotone(InputError):
 
 
 class TooLarge(InputError):
-    """Raised before building a pair-set carrier (by ``pair_span``, which builds them
-    all) or a power of more than ``MAX_ELEMENTS`` elements, before a harness run at a
-    bound past it, or before enumerating more than ``MAX_MAPS`` maps."""
+    """Raised before building a poset by a public constructor, a pair-set carrier (by
+    ``pair_span``, which builds them all) or a power of more than ``MAX_ELEMENTS``
+    elements, before a harness run at a bound past it, or before enumerating more than
+    ``MAX_MAPS`` maps."""
 
 
 MAX_ELEMENTS = 2048  # largest carrier read or built; keeps an n x n float32 temporary at 16 MiB
@@ -191,14 +192,15 @@ def _close_rows(succ):
     return reach, cyclic
 
 
-def _meet_transpose(mat):
-    """``mat & mat.T`` for a square boolean matrix, in stripes of 512 columns.  A
-    transposed read of a whole matrix past the cache is slow: 29 ms for a 2048 x 2048
-    matrix on a 2 vCPU host, against 5 ms in stripes."""
-    out = np.empty_like(mat)
-    for s in range(0, len(mat), 512):
-        np.logical_and(mat[:, s:s + 512], mat[s:s + 512].T, out=out[:, s:s + 512])
-    return out
+def first_cycle(rows):
+    """The first 2-cycle (i, j) in row-major order of closed up-set rows, or None: i and j
+    form one iff their rows are equal, so it is the least two of the first such class."""
+    first, pair = {}, None
+    for j, row in enumerate(rows):
+        i = first.setdefault(row, j)
+        if i != j and (pair is None or i < pair[0]):
+            pair = (i, j)
+    return pair
 
 
 class FinPoset:
@@ -215,16 +217,16 @@ class FinPoset:
         n = leq.shape[0] if leq.ndim else 0
         if leq.shape != (n, n):
             raise ValueError(f"order matrix must be square, got {leq.shape}")
+        _element_count(n)
         if not leq[np.diag_indices(n)].all():
             raise ValueError("order matrix is not reflexive")
-        sym = _meet_transpose(leq)
-        sym[np.diag_indices(n)] = False
-        if sym.any():
-            # argmax of a boolean array is its first True cell, found without listing the others
-            raise AntisymmetryViolation.between(*divmod(int(sym.argmax()), n))
         rows = _bit_rows(leq)
+        closed, cyclic = _close_rows(rows)
+        # a 2-cycle of leq is one of its closure; argmax finds a boolean array's first True cell
+        if cyclic and (sym := leq & leq.T & ~np.eye(n, dtype=bool)).any():
+            raise AntisymmetryViolation.between(*divmod(int(sym.argmax()), n))
         # a reflexive matrix is transitive iff it equals its own closure, row for row
-        if _close_rows(rows)[0] != rows:
+        if closed != rows:
             raise ValueError("order matrix is not transitive")
         self._fill(leq, labels, rows)
 
@@ -253,25 +255,24 @@ class FinPoset:
 
     @classmethod
     def from_covers(cls, n, pairs, labels=None):
-        """Poset generated by ``pairs`` (i <= j) through ``close_rows_with``; a cycle raises the
-        validating constructor's ``AntisymmetryViolation`` for the closure's first 2-cycle."""
-        (n,) = _indices([n], "element count")
-        if n < 0:
-            raise ValueError(f"element count must be at least 0, got {n}")
+        """Poset generated by ``pairs`` (i <= j) through ``close_rows_with``; a cycle raises
+        ``AntisymmetryViolation`` for the closure's ``first_cycle``."""
+        n = _element_count(n)
         up, cyclic = close_rows_with([1 << v for v in range(n)], *checked_pairs((n, n), pairs))
         if cyclic:
-            return cls(_bool_rows(up), labels)  # reflexive, so it fails antisymmetry
+            raise AntisymmetryViolation.between(*first_cycle(up))
         # a closure is reflexive and transitive, and with no cycle it is antisymmetric
         return cls._trusted(_bool_rows(up), labels, up)
 
     @classmethod
     def discrete(cls, n, labels=None):
         # the identity is an order
-        return cls._trusted(np.eye(n, dtype=bool), labels)
+        return cls._trusted(np.eye(_element_count(n), dtype=bool), labels)
 
     @classmethod
     def chain(cls, n, labels=None):
         # the upper triangle is an order: i <= j iff i <= j as integers
+        n = _element_count(n)
         return cls._trusted(np.triu(np.ones((n, n), dtype=bool)), labels)
 
     # -- basic queries --------------------------------------------------------
@@ -386,6 +387,18 @@ def _indices(values, what):
         except TypeError:
             raise ValueError(f"{what} {value!r} is not an integer") from None
     return out
+
+
+def _element_count(n):
+    """``n`` taken by ``operator.index``: the element count of the public constructors,
+    checked before anything of that size is built.  A negative count raises
+    ``ValueError``, and one past ``MAX_ELEMENTS`` raises ``TooLarge``."""
+    (n,) = _indices([n], "element count")
+    if n < 0:
+        raise ValueError(f"element count must be at least 0, got {n}")
+    if n > MAX_ELEMENTS:
+        raise TooLarge(f"poset of {n} elements exceeds the limit of {MAX_ELEMENTS}")
+    return n
 
 
 def checked_pairs(shape, pairs):

@@ -364,6 +364,14 @@ def test_catalogue_refuses_past_its_limit_from_the_declared_size(monkeypatch):
     assert len(all_posets_up_to(3)) == 9
 
 
+def test_characterize_refuses_a_bound_past_the_catalogue_before_building_an_object(monkeypatch):
+    monkeypatch.setattr(equivalence, "MAX_CATALOGUE", 3)
+    F = discrete_inclusion_functor()
+    F.objects = lambda bound: pytest.fail("source objects built")
+    with pytest.raises(TooLarge, match="^posets on 4 elements exceed the catalogue limit of 3$"):
+        characterize(F, 4)
+
+
 def test_commutation_check_builds_only_the_sampled_catalogue(monkeypatch):
     sizes = []
 

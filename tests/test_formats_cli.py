@@ -1006,6 +1006,19 @@ def test_cli_equiv_past_the_catalogue_limit_exits_2(monkeypatch, what):
     assert err == "error: TooLarge: posets on 4 elements exceed the catalogue limit of 3\n"
 
 
+@pytest.mark.parametrize(
+    "bound, refused",
+    [
+        (6, "5^6 functions exceed the limit of 8192"),
+        (7, "7^5 functions exceed the limit of 8192"),
+        (8, "7^5 functions exceed the limit of 8192"),
+        (9, "posets on 9 elements exceed the catalogue limit of 8"),
+    ],
+)
+def test_cli_equiv_set_pos_past_its_budgets_exits_2(bound, refused):
+    assert run_cli("equiv", "set-pos", "--bound", str(bound)) == (2, "", f"error: TooLarge: {refused}\n")
+
+
 def test_cli_equiv_set_pos_bound_five_is_pinned():
     code, out, err = run_cli("equiv", "set-pos", "--bound", "5")
     assert code == 0, out

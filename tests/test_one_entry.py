@@ -278,10 +278,13 @@ def test_the_walk_lists_and_draws_the_maps_as_its_reference():
 
 def test_from_covers_takes_its_size_as_an_index():
     assert FinPoset.from_covers(np.int64(2), [(0, 1)]) == FinPoset.chain(2)
-    with pytest.raises(ValueError, match=r"^element count must be at least 0, got -1$"):
-        FinPoset.from_covers(-1, [])
-    with pytest.raises(ValueError, match=r"^element count 2\.5 is not an integer$"):
-        FinPoset.from_covers(2.5, [])
+    # and so do discrete and chain
+    for build in (lambda n: FinPoset.from_covers(n, []), FinPoset.discrete, FinPoset.chain):
+        assert build(np.int64(3)) == build(3)
+        with pytest.raises(ValueError, match=r"^element count must be at least 0, got -1$"):
+            build(-1)
+        with pytest.raises(ValueError, match=r"^element count 2\.5 is not an integer$"):
+            build(2.5)
 
 
 def test_make_poset_names_an_unknown_or_repeated_label():

@@ -109,12 +109,6 @@ def test_a_0d_order_matrix_is_refused_as_not_square():
         FinPoset(np.array(True))
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, 512, 513, 1100])
-def test_the_symmetric_part_taken_in_stripes_is_the_whole_ones(n):
-    mat = np.random.default_rng(n).random((n, n)) < 0.5
-    assert np.array_equal(poset._meet_transpose(mat), mat & mat.T)
-
-
 def outcome(build):
     """The order matrix ``build()`` returns, or the class and message of what it raises."""
     try:
