@@ -21,13 +21,18 @@ from .poset import (
     FinPoset,
     MonotoneMap,
     TooLarge,
+    _bit_rows,
+    _bool_rows,
+    _element_count,
+    _indices,
+    _least_order,
     all_monotone_maps,
     are_isomorphic,
-    canonical_certificate,
     classify_map,
     hom_poset,
     pointwise_order,
     poset_reflection,
+    up_rows,
 )
 from .relation import Relation
 from .exreg import (
@@ -135,47 +140,67 @@ MAX_CATALOGUE = 8  # largest catalogue size: 16999 classes, against 183231 at n 
 
 
 def _within_catalogue(n):
-    if n > MAX_CATALOGUE:
-        raise TooLarge(f"posets on {n} elements exceed the catalogue limit of {MAX_CATALOGUE}")
+    """``n`` taken as ``poset._element_count`` takes it (by ``operator.index``, a
+    negative one refused with ``ValueError``), once it is found within
+    ``MAX_CATALOGUE``: the one check of a catalogue size or an ``equiv`` bound."""
+    (count,) = _indices([n], "element count")
+    if count > MAX_CATALOGUE:
+        raise TooLarge(f"posets on {count} elements exceed the catalogue limit of {MAX_CATALOGUE}")
+    return _element_count(count)
 
 
 def all_posets_up_to_iso(n):
     """All posets on n elements, one per isomorphism class, in certificate order.
 
     Each class of size n - 1 is extended by a new maximal element above each
-    of its down-sets, and the candidates are deduplicated by
-    ``canonical_certificate``.  Every class arises, because removing a
-    maximal element leaves a poset of size n - 1 (the one-maximal-element
-    generation of Brinkmann & McKay, "Posets on up to 16 points", 2002).
-    Sizes for n = 0..7: 1, 1, 2, 5, 16, 63, 318, 2045 (OEIS A000112).
-    An n past ``MAX_CATALOGUE`` is refused before the cache is looked up."""
-    _within_catalogue(n)
-    return _one_point_extensions(n)
+    of its down-sets, and the candidates are deduplicated by their least order
+    matrix, the int that ``canonical_certificate`` packs.  Every class arises,
+    because removing a maximal element leaves a poset of size n - 1 (the
+    one-maximal-element generation of Brinkmann & McKay, "Posets on up to 16
+    points", 2002).  Sizes for n = 0..7: 1, 1, 2, 5, 16, 63, 318, 2045 (OEIS
+    A000112).  n is taken by ``_within_catalogue`` before the cache is looked up."""
+    return _one_point_extensions(_within_catalogue(n))
 
 
 @lru_cache(maxsize=None)
 def _one_point_extensions(n):
+    """The classes of size n: each candidate of ``_extensions`` is certified on its
+    rows, and only the first of each class is built as a poset."""
     if n == 0:
         return (FinPoset.discrete(0),)
-    m = n - 1
-    subsets = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(bool)
     found = {}
-    for P in _one_point_extensions(m):
-        # a subset is a down-set when nothing below one of its elements is outside it
-        for down in subsets[~((subsets @ P.leq.T) & ~subsets).any(axis=1)]:
-            leq = np.eye(n, dtype=bool)
-            leq[:m, :m] = P.leq
-            leq[:m, m] = down
-            # above a down-set and below nothing, the new element keeps the order
-            # reflexive, antisymmetric and transitive
-            Q = FinPoset._trusted(leq)
-            found.setdefault(canonical_certificate(Q), Q)
-    return tuple(found[c] for c in sorted(found))
+    for P in _one_point_extensions(n - 1):
+        for up, down in _extensions(P):
+            key = _least_order(up, down)
+            if key not in found:
+                # above a down-set and below nothing, the new element keeps the order
+                # reflexive, antisymmetric and transitive
+                found[key] = FinPoset._trusted(_bool_rows(up), None, up)
+    return tuple(found[key] for key in sorted(found))
+
+
+def _extensions(P):
+    """P with a new maximal element m = P.n above each down-set of P, as up-set and
+    down-set rows (as ``_least_order`` takes them), the down-sets in increasing order
+    of their masks.  A subset is a down-set when it is its own down-closure, and
+    the closure of a subset is that of the subset without its lowest element, ORed
+    with that element's down-set."""
+    m = P.n
+    up, down = up_rows(P), _bit_rows(P.leq.T)
+    top = 1 << m
+    closure = [0] * top
+    for k in range(top):
+        if k:
+            low = k & -k
+            closure[k] = closure[k ^ low] | down[low.bit_length() - 1]
+        if closure[k] == k:
+            # m lies above the down-set's elements, and its own up-set is itself
+            rows = [row | top if k >> i & 1 else row for i, row in enumerate(up)]
+            yield rows + [top], down + [k | top]
 
 
 def all_posets_up_to(n):
-    _within_catalogue(n)
-    return [P for k in range(n + 1) for P in _one_point_extensions(k)]
+    return [P for k in range(_within_catalogue(n) + 1) for P in _one_point_extensions(k)]
 
 
 # -- concrete functors and the characterization checks ------------------------
@@ -184,12 +209,15 @@ def all_posets_up_to(n):
 def all_functions(A, B):
     """Every function between the carriers, as maps out of a discrete A.
 
-    Raises ``TooLarge`` before enumerating more than ``MAX_MAPS``."""
+    Raises ``TooLarge`` before enumerating more than ``MAX_MAPS``, and
+    ``ValueError`` for an A that is not discrete."""
+    if not A.is_discrete():
+        raise ValueError("all_functions needs a discrete domain")
     if B.n**A.n > MAX_MAPS:
         raise TooLarge(f"{B.n}^{A.n} functions exceed the limit of {MAX_MAPS}")
+    # a map out of a discrete poset is monotone
     return [
-        MonotoneMap(A, B, assign)
-        for assign in itertools.product(range(B.n), repeat=A.n)
+        MonotoneMap._trusted(A, B, assign) for assign in itertools.product(range(B.n), repeat=A.n)
     ]
 
 

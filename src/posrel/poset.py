@@ -13,7 +13,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 
 import numpy as np
@@ -103,7 +102,9 @@ def _bool_rows(rows):
     """The square boolean matrix whose rows are the ints ``rows``, as ``_bit_rows`` packs them."""
     n = len(rows)
     width = (n + 7) // 8
-    packed = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in rows]), np.uint8)
+    # rows of one byte each: bytes(rows) is the join of their to_bytes(1, "little")
+    data = bytes(rows) if width == 1 else b"".join([row.to_bytes(width, "little") for row in rows])
+    packed = np.frombuffer(data, np.uint8)
     return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
 
 
@@ -659,51 +660,153 @@ def are_isomorphic(X, Y):
 
 
 def _refined_colours(leq):
-    """Colours of the elements, refined to a fixpoint (a stable partition).
+    """The colours ``_row_colours`` gives the order matrix ``leq``."""
+    return _row_colours(_bit_rows(leq), _bit_rows(leq.T))
 
-    An element's next colour ranks its current colour together with the
-    sorted colours strictly below it and strictly above it.  Ranks are taken
-    in sorted order of those signatures, so an isomorphism maps each colour
-    class onto the class of the same colour.  Works on Python lists: the
-    matrix is read once with ``tolist``."""
-    rows = leq.tolist()
-    above = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(rows)]
-    below = [[j for j, x in enumerate(col) if x and j != i] for i, col in enumerate(zip(*rows))]
-    colour = [0] * len(rows)
-    while True:
-        sig = [
-            (c, tuple(sorted([colour[j] for j in down])), tuple(sorted([colour[j] for j in up])))
-            for c, down, up in zip(colour, below, above)
-        ]
-        rank = {s: k for k, s in enumerate(sorted(set(sig)))}
-        # the own colour leads the signature, so a round only splits classes
-        if len(rank) == len(set(colour)):
-            return colour
-        colour = [rank[s] for s in sig]
+
+def _row_colours(up, down):
+    """Colours of the elements of the order with up-set rows ``up`` and down-set
+    rows ``down`` (ints, as ``up_rows`` packs the order and its transpose), refined
+    to a fixpoint (a stable partition).
+
+    An element's next colour ranks its current colour together with the sorted
+    colours strictly below it and strictly above it.  Ranks are taken in sorted
+    order of those signatures, so an isomorphism maps each colour class onto the
+    class of the same colour.  From one colour the signatures rank (down count,
+    up count), read off the rows.  The own colour leads a signature, so a round
+    only splits classes: an element alone in its class is ranked by its colour
+    alone, and the refinement stops once every class is a singleton or a round
+    splits nothing, which is seen before any signature is sorted."""
+    n = len(up)
+    # the rows hold the element itself, which adds one to both counts and keeps the ranks
+    sig = list(zip(map(int.bit_count, down), map(int.bit_count, up)))
+    colour, classes = [0] * n, min(n, 1)
+    while len(distinct := set(sig)) > classes:
+        rank = {s: k for k, s in enumerate(sorted(distinct))}
+        colour, classes = [rank[s] for s in sig], len(rank)
+        if classes == n:
+            break
+        size = [0] * classes
+        for c in colour:
+            size[c] += 1
+        sig = []
+        for i, c in enumerate(colour):
+            key = [c]
+            if size[c] > 1:
+                for rest in (down[i] ^ 1 << i, up[i] ^ 1 << i):
+                    seen = []
+                    while rest:
+                        low = rest & -rest
+                        seen.append(colour[low.bit_length() - 1])
+                        rest ^= low
+                    seen.sort()
+                    key.append(tuple(seen))
+            sig.append(tuple(key))
+    return colour
+
+
+def _labelled_matrix(up, order):
+    """The order matrix with up-set rows ``up`` under the labelling that puts element
+    ``order[a]`` at position a, as the row-major n x n-bit int whose top bit is cell
+    (0, 0): a matrix is the less of two when its rows, read as n-bit ints, are less
+    in list order."""
+    n = len(order)
+    weight = [0] * n
+    for a, e in enumerate(order):
+        weight[e] = 1 << (n - 1 - a)
+    out = 0
+    for e in order:
+        row, rest = 0, up[e]
+        while rest:
+            low = rest & -rest
+            row |= weight[low.bit_length() - 1]
+            rest ^= low
+        out = out << n | row
+    return out
+
+
+def _split_cells(up_e, cells):
+    """The ordered partition ``cells`` (lists of elements) with each cell split into
+    its elements outside the up-set ``up_e`` (an int) and, after them, those in it."""
+    out = []
+    for cell in cells:
+        if len(cell) == 1:
+            out.append(cell)
+            continue
+        below = [x for x in cell if not up_e >> x & 1]
+        above = [x for x in cell if up_e >> x & 1]
+        out += [part for part in (below, above) if part]
+    return out
+
+
+def _least_order(up, down):
+    """The least ``_labelled_matrix`` over the labellings that list the refined
+    colour classes of the order with rows ``up`` and ``down`` (as ``_row_colours``
+    takes them) in colour order and each class in any order.
+
+    Twins, elements with equal strict up-sets and equal strict down-sets, lie in one
+    class, and swapping two is an automorphism that leaves every labelling's matrix
+    as it was.  When every class is one twin group, one labelling is read: the
+    elements by colour, each class in index order.  Else the least matrix is searched
+    position by position (the individualization-refinement search of McKay &
+    Piperno, with a split as the refinement).  The positions left form an ordered
+    partition into cells, at first the classes, and each cell lies all inside or all
+    outside the up-set of every element placed, so the placed elements' rows are
+    fixed.  A cell of one twin group is placed whole.  In a cell of several, placing
+    e first fixes e's row once e's up-set goes last in every cell, and that row is
+    the least e can have: so the cells are split so, one e per twin group is tried,
+    and only the e whose row is least are searched on."""
+    colour = _row_colours(up, down)
+    order = sorted(range(len(up)), key=colour.__getitem__)
+    twin = [(row ^ 1 << i, down[i] ^ 1 << i) for i, row in enumerate(up)]
+    cells = [[] for _ in range(max(colour, default=-1) + 1)]
+    if len(set(twin)) == len(cells):
+        return _labelled_matrix(up, order)
+    for i in order:
+        cells[colour[i]].append(i)
+    least, stack = None, [([], cells)]
+    while stack:
+        placed, cells = stack.pop()
+        while cells:
+            head = cells[0]
+            groups = {}
+            for e in head:
+                groups.setdefault(twin[e], e)
+            if len(groups) > 1:
+                break
+            # twins share their up-set, so placing them one by one splits the rest alike
+            placed = placed + head
+            cells = _split_cells(up[head[0]], cells[1:])
+        else:
+            matrix = _labelled_matrix(up, placed)
+            least = matrix if least is None else min(least, matrix)
+            continue
+        options = []
+        for e in groups.values():
+            rest = _split_cells(up[e], [[x for x in head if x != e]] + cells[1:])
+            # e's row: its bits over the placed elements, its own bit, then one run per cell
+            row = 0
+            for x in placed:
+                row = row << 1 | (up[e] >> x & 1)
+            row = row << 1 | 1
+            for cell in rest:
+                row = row << len(cell) | ((1 << len(cell)) - 1 if up[e] >> cell[0] & 1 else 0)
+            options.append((row, e, rest))
+        best = min(row for row, _, _ in options)
+        stack += [(placed + [e], rest) for row, e, rest in options if row == best]
+    return least
 
 
 def canonical_certificate(P):
-    """A key equal for two posets exactly when they are isomorphic.
-
-    The least packed order matrix, in lexicographic order, over the
-    labellings that list the refined colour classes in colour order and
-    each class in any order (the refinement-then-least-labelling form of
-    McKay & Piperno, "Practical graph isomorphism, II", 2014).  That is at
-    most the product of the class sizes' factorials, all compared at once:
-    meant for the catalogue's small posets, not for large antichains."""
-    colour = _refined_colours(P.leq)
-    cells = [[] for _ in range(max(colour, default=-1) + 1)]
-    for i, c in enumerate(colour):
-        cells[c].append(i)
-    count = math.prod(math.factorial(len(cell)) for cell in cells)
-    # one labelling per choice of a permutation of each class, later classes varying fastest
-    choices = itertools.product(*(itertools.permutations(cell) for cell in cells))
-    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(c) for c in choices)
-    labellings = np.fromiter(flat, dtype=np.intp, count=count * P.n).reshape(count, P.n)
-    mats = P.leq[labellings[:, :, None], labellings[:, None, :]]
-    packed = np.packbits(mats.reshape(count, P.n * P.n), axis=1)
-    least = np.lexsort(packed.T[::-1])[0] if P.n else 0
-    return P.n, packed[least].tobytes()
+    """A key equal for two posets exactly when they are isomorphic: (n, the bytes of
+    ``_least_order`` over ``up_rows(P)``, left-aligned to whole bytes), which are the
+    least order matrix packed by ``np.packbits`` over the labellings that list the
+    refined colour classes in colour order and each class in any order (the
+    refinement-then-least-labelling form of McKay & Piperno, "Practical graph
+    isomorphism, II", 2014)."""
+    n = P.n
+    least = _least_order(up_rows(P), _bit_rows(P.leq.T))
+    return n, (least << (-(n * n) % 8)).to_bytes((n * n + 7) // 8, "big")
 
 
 # -- limits ------------------------------------------------------------------
