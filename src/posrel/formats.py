@@ -18,6 +18,7 @@ An .exreg file's kind is the first word of its header.
 
 Pair lines in the serializers' shape are read at array speed (``_array_pairs``);
 any other text is read line by line, and every error comes from that reader.
+Each of its pair and label lines takes its indices through ``_line_indices``.
 """
 
 from __future__ import annotations
@@ -124,13 +125,14 @@ def _int(tok, path, no):
         raise ParseError(path, no, f"expected an integer, got {tok!r}") from None
 
 
-def _bad_ints(toks, message, path, no):
-    """For a line whose integer tokens ``toks`` are not all in range: raise
-    the error for the first one that is not an integer, else return the
-    error carrying ``message``."""
-    for tok in toks:
-        _int(tok, path, no)
-    return ParseError(path, no, message)
+def _line_indices(toks, bounds, message, path, no):
+    """The index tokens ``toks`` of line ``no`` as ints, each at least 0 and below
+    its bound in ``bounds``.  Otherwise raises the error for the first token that
+    is not an integer, else the one carrying ``message``."""
+    ints = [_int(tok, path, no) for tok in toks]
+    if not all(0 <= i < bound for i, bound in zip(ints, bounds)):
+        raise ParseError(path, no, message)
+    return ints
 
 
 def _pair_lines(fmt, mask):
@@ -160,27 +162,18 @@ def parse_poset(text, path="<string>"):
         return _close_poset(n, rows, cols, range(start, start + len(rows)), None, path)
     rows, cols, pair_nos = [], [], []
     labels = None
+    out_of_range = f"element out of range 0..{n - 1}"
     for no, line in _lines(body, start):
         toks = line.split()
         if len(toks) == 3 and toks[1] == "<":
-            try:
-                i, j = int(toks[0]), int(toks[2])
-                if not (0 <= i < n and 0 <= j < n):
-                    raise ValueError
-            except ValueError:
-                raise _bad_ints(toks[::2], f"element out of range 0..{n - 1}", path, no) from None
+            i, j = _line_indices(toks[::2], (n, n), out_of_range, path, no)
             rows.append(i)
             cols.append(j)
             pair_nos.append(no)
         elif len(toks) == 3 and toks[0] == "label":
             if labels is None:
                 labels = [str(k) for k in range(n)]
-            try:
-                i = int(toks[1])
-                if not 0 <= i < n:
-                    raise ValueError
-            except ValueError:
-                raise _bad_ints(toks[1:2], f"element out of range 0..{n - 1}", path, no) from None
+            (i,) = _line_indices(toks[1:2], (n,), out_of_range, path, no)
             labels[i] = toks[2]
         else:
             raise ParseError(path, no, f"unrecognized line {line!r}")
@@ -247,19 +240,16 @@ def _parse_pairs(rest, shapes, path):
                 unrecognized = ParseError(path, no, f"unrecognized line {line!r}")
             continue
         try:
-            i, j = int(toks[1]), int(toks[3])
-            if not (0 <= i < shape[0] and 0 <= j < shape[1]):
-                raise ValueError
-        except ValueError:
-            bad.setdefault(toks[0], (no, toks[1::2]))
+            i, j = _line_indices(toks[1::2], shape, "pair element out of range", path, no)
+        except ParseError as exc:
+            bad.setdefault(toks[0], exc)
             continue
         rows, cols = found[toks[0]]
         rows.append(i)
         cols.append(j)
     for keyword in shapes:
         if keyword in bad:
-            no, toks = bad[keyword]
-            raise _bad_ints(toks, "pair element out of range", path, no)
+            raise bad[keyword]
     if unrecognized is not None:
         raise unrecognized
     return [found[keyword] for keyword in shapes]
@@ -294,12 +284,7 @@ def parse_rel(text, path="<string>"):
         toks = line.split()
         if len(toks) != 3 or toks[1] != "~":
             raise ParseError(path, no, f"expected 'i ~ j', got {line!r}")
-        try:
-            i, j = int(toks[0]), int(toks[2])
-            if not (0 <= i < dom.n and 0 <= j < cod.n):
-                raise ValueError
-        except ValueError:
-            raise _bad_ints(toks[::2], "pair element out of range", path, no) from None
+        i, j = _line_indices(toks[::2], (dom.n, cod.n), "pair element out of range", path, no)
         rows.append(i)
         cols.append(j)
     return Relation(dom, cod, index_mask((dom.n, cod.n), rows, cols))

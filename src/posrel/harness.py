@@ -59,12 +59,9 @@ def gen_map(rng, X, Y):
 
 
 def gen_relation(rng, X, Y, p=0.4):
-    mat = np.zeros((X.n, Y.n), dtype=bool)
-    for x in range(X.n):
-        for y in range(Y.n):
-            if rng.random() < p:
-                mat[x, y] = True
-    return Relation(X, Y, mat)
+    # one draw per cell in row-major order, which replays and pinned reports depend on
+    cells = [rng.random() < p for _ in range(X.n * Y.n)]
+    return Relation(X, Y, np.array(cells, dtype=bool).reshape(X.n, Y.n))
 
 
 def gen_weakening_relation(rng, X, Y, p=0.3):

@@ -16,6 +16,7 @@ from .poset import (
     MonotoneMap,
     bool_mat,
     index_mask,
+    kernel_congruence,
     pair_mask,
     pair_span,
     pullback,
@@ -244,8 +245,6 @@ def extract_map(phi, psi):
 
 def kernel_identity_check(f):
     """Whether f^* f_* equals the kernel congruence f/f as relations on X."""
-    from .poset import kernel_congruence
-
     composite = compose(hypograph(f), hypergraph(f))
     _, k0, k1 = kernel_congruence(f)
     return composite == Relation(f.dom, f.dom, index_mask((f.dom.n, f.dom.n), k0.assign, k1.assign))

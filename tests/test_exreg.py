@@ -707,6 +707,33 @@ def test_comma_of_gamma_maps_matches_poset_comma():
         assert are_isomorphic(Q, C)
 
 
+def assert_inserter_realizes_as_poset_inserter(R, S):
+    from posrel.poset import inserter as pos_inserter
+
+    Q, _ = quotient_realize(limit("inserter", R, S).apex)
+    assert are_isomorphic(Q, pos_inserter(realize_morphism(R), realize_morphism(S)).dom)
+
+
+def test_inserter_realizes_as_poset_inserter():
+    rng = random.Random(72)
+    for _ in range(40):
+        A = random_object(rng, 4)
+        B = random_object(rng, 4)
+        assert_inserter_realizes_as_poset_inserter(
+            random_morphism(rng, A, B), random_morphism(rng, A, B)
+        )
+
+
+def test_inserter_of_gamma_maps_matches_poset_inserter():
+    rng = random.Random(74)
+    for _ in range(25):
+        X = random_poset(rng, rng.randrange(1, 5))
+        Z = random_poset(rng, rng.randrange(1, 5))
+        f = random_monotone(rng, X, Z)
+        g = random_monotone(rng, X, Z)
+        assert_inserter_realizes_as_poset_inserter(gamma_morphism(f), gamma_morphism(g))
+
+
 def test_inserter_legs_satisfy_inequality():
     rng = random.Random(70)
     for _ in range(20):
