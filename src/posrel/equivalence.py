@@ -29,6 +29,7 @@ from .poset import (
     all_monotone_maps,
     are_isomorphic,
     classify_map,
+    comma_mask,
     hom_poset,
     pointwise_order,
     poset_reflection,
@@ -97,10 +98,9 @@ def _morphisms_from_maps(src, tgt, maps):
     _, p = quotient_realize(src)
     Q, q = quotient_realize(tgt)
     # rx[i, x] = r_i([x]), the value of the i-th map at the class of x
-    rx = np.array([r.assign for r in maps], dtype=np.intp)[:, np.array(p.assign, dtype=np.intp)]
-    qx = np.array(q.assign, dtype=np.intp)
-    lower = Q.leq[rx[:, :, None], qx]
-    upper = Q.leq[qx[:, None], rx[:, None, :]]
+    rx = np.array([r.assign for r in maps], dtype=np.intp).take(p.assign, 1)
+    lower = comma_mask(Q.leq, rx, q.assign)
+    upper = comma_mask(Q.leq, q.assign, rx).transpose(1, 0, 2)
     _check_morphism_laws(src.E.pairs, tgt.E.pairs, lower, upper)
     X, Y = src.X, tgt.X
     # the legs passed the four laws above
@@ -300,9 +300,8 @@ def kernel_object(e):
 
     Its realization is the image of e, so it is isomorphic to cod e
     exactly when e is surjective."""
-    idx = np.array(e.assign, dtype=np.intp)
     # the order of cod e pulled back along monotone e is transitive and contains dom e's order
-    return ExRegObject._trusted(e.dom, e.cod.leq[idx[:, None], idx])
+    return ExRegObject._trusted(e.dom, comma_mask(e.cod.leq, e.assign, e.assign))
 
 
 def compare_homs(source_leq, images, targets):

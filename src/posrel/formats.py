@@ -29,11 +29,11 @@ import re
 import numpy as np
 
 from .poset import (
-    MAX_ELEMENTS,
     AntisymmetryViolation,
     FinPoset,
     InputError,
     _bool_rows,
+    _element_count,
     close_over,
     close_rows_with,
     first_cycle,
@@ -152,10 +152,10 @@ def parse_poset(text, path="<string>"):
     if len(parts) != 2 or parts[0] != "poset":
         raise ParseError(path, no, "expected header 'poset <n>'")
     n = _int(parts[1], path, no)
-    if n < 0:
-        raise ParseError(path, no, f"element count must be at least 0, got {n}")
-    if n > MAX_ELEMENTS:
-        raise ParseError(path, no, f"poset of {n} elements exceeds the limit of {MAX_ELEMENTS}")
+    try:
+        n = _element_count(n)
+    except ValueError as exc:
+        raise ParseError(path, no, str(exc)) from None
     columns = _array_pairs(body, ("",), "<", [(n, n)])
     if columns:
         ((rows, cols),) = columns

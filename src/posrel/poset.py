@@ -290,7 +290,7 @@ class FinPoset:
         along a linear extension, by down-set size.  The least element of i's strict
         up-set that no cover of i reaches is a cover; clearing its up-set is one AND-NOT."""
         order = np.argsort(self.leq.sum(axis=0), kind="stable")
-        rows = _bit_rows(self.leq.take(order, 0).take(order, 1))
+        rows = _bit_rows(comma_mask(self.leq, order, order))
         up = [row >> (p + 1) for p, row in enumerate(rows)]  # strict up-sets, bit 0 for p + 1
         label, out = order.tolist(), []
         for i, p in enumerate(np.argsort(order).tolist()):
@@ -375,6 +375,13 @@ def shortest_cyclic_prefix(reach, rows, cols):
         else:
             lo, closed = mid, probe
     return reach, hi
+
+
+def comma_mask(leq, rows, cols):
+    """The order ``leq`` pulled back along index lists taken in range, unchecked:
+    out[i, j] iff leq[rows[i], cols[j]], of shape ``rows.shape + cols.shape``.  The
+    comma f/g's cells are ``comma_mask(leq, f, g)``, f's kernel ``comma_mask(leq, f, f)``."""
+    return leq.take(rows, 0).take(cols, -1)
 
 
 def _indices(values, what):
@@ -463,8 +470,7 @@ class MonotoneMap:
         for a in assign:
             if not 0 <= a < cod.n:
                 raise ValueError(f"image index {a} out of range")
-        idx = np.array(assign, dtype=np.intp)
-        broken = dom.leq & ~cod.leq[idx[:, None], idx]
+        broken = dom.leq & ~comma_mask(cod.leq, assign, assign)
         if broken.any():
             i, j = np.argwhere(broken)[0]
             raise NotMonotone(
@@ -539,8 +545,7 @@ class MapClass:
 
 def classify_map(f):
     """ff iff order-embedding (reflects order, hence injective); so iff surjective."""
-    idx = np.array(f.assign, dtype=np.intp)
-    is_ff = not (f.cod.leq[idx[:, None], idx] & ~f.dom.leq).any()
+    is_ff = not (comma_mask(f.cod.leq, f.assign, f.assign) & ~f.dom.leq).any()
     return MapClass(is_ff, f.is_surjective())
 
 
@@ -823,9 +828,8 @@ def subposet(X, elements):
     for a, b in zip(elements, elements[1:]):
         if a == b:
             raise ValueError(f"element {a} is listed twice")
-    idx = np.array(elements, dtype=np.intp)
     # an order restricted to distinct elements is an order, and the inclusion preserves it
-    sub = FinPoset._trusted(X.leq[idx[:, None], idx])
+    sub = FinPoset._trusted(comma_mask(X.leq, elements, elements))
     return sub, MonotoneMap._trusted(sub, X, elements)
 
 
@@ -838,7 +842,7 @@ def pair_order(A, B, mask):
     if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == shape):
         raise ValueError(f"pair mask must be a boolean array of shape {shape}")
     xs, ys = np.nonzero(mask)
-    return A.take(xs, 0).take(xs, 1) & B.take(ys, 0).take(ys, 1)
+    return comma_mask(A, xs, xs) & comma_mask(B, ys, ys)
 
 
 def pair_span(X, Y, mask):
@@ -866,7 +870,7 @@ def pointwise_order(maps, leq):
     k = len(maps)
     out = np.ones((k, k), dtype=bool)
     for col in np.array([m.assign for m in maps], dtype=np.intp).T:
-        out &= leq.take(col, 0).take(col, 1)
+        out &= comma_mask(leq, col, col)
     return out
 
 
@@ -940,9 +944,7 @@ def comma(f, g):
     """Comma object f/g = {(x, y) : f(x) <= g(y)} with its two projections."""
     if f.cod != g.cod:
         raise ValueError("comma needs a common codomain")
-    rows = np.array(f.assign, dtype=np.intp)
-    cols = np.array(g.assign, dtype=np.intp)
-    return pair_span(f.dom, g.dom, f.cod.leq.take(rows, 0).take(cols, 1))
+    return pair_span(f.dom, g.dom, comma_mask(f.cod.leq, f.assign, g.assign))
 
 
 def kernel_congruence(f):
@@ -981,8 +983,7 @@ def poset_reflection(pre):
     class_of = [index.setdefault(row.index(True), len(index)) for row in (pre & pre.T).tolist()]
     reps = list(index)
     # a preorder on one representative per class of its symmetric part is an order
-    idx = np.array(reps, dtype=np.intp)
-    return FinPoset._trusted(pre[idx[:, None], idx]), class_of
+    return FinPoset._trusted(comma_mask(pre, reps, reps)), class_of
 
 
 def coinserter(f0, f1):

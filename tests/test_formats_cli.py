@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 
 from posrel import formats, poset
-from posrel.poset import FinPoset, MonotoneMap, are_isomorphic, transitive_closure
+from posrel.poset import MAX_ELEMENTS, FinPoset, MonotoneMap, are_isomorphic, transitive_closure
 from posrel.relation import Relation
 from posrel.exreg import ExRegObject, gamma_morphism, gamma_object
 from posrel.formats import (
-    MAX_ELEMENTS,
     ParseError,
     dot_poset,
     dot_relation,

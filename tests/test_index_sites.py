@@ -1,6 +1,7 @@
-"""Every submatrix the package takes by broadcast indexing, ``M[rows[:, None], cols]``,
-equals the ``M[np.ix_(rows, cols)]`` form, on empty index lists and on seeded
-random ones."""
+"""Every submatrix the package reads off an order along index lists, by
+``poset.comma_mask`` (``M.take(rows, 0).take(cols, -1)``), equals the
+``M[np.ix_(rows, cols)]`` form, on empty index lists and on seeded random ones:
+the helper itself, and each restriction, kernel, comma and leg built on it."""
 
 import random
 
@@ -11,6 +12,7 @@ from posrel.poset import (
     MonotoneMap,
     all_monotone_maps,
     comma,
+    comma_mask,
     inserter,
     pair_order,
     pointwise_order,
@@ -46,6 +48,40 @@ def random_preorder(rng, n):
 
 def random_elements(rng, n):
     return [x for x in range(n) if rng.random() < 0.5]
+
+
+def test_comma_mask_against_ix():
+    M = random_mask(random.Random(1908), 4, 4, 0.5)
+    empty = np.array([], dtype=np.intp)
+    for rows, cols in [([], []), ((), ()), (range(0), range(0)), (empty, empty),
+                       ([], (1, 3)), ((2, 0, 2), []), (range(1, 4), empty),
+                       ((3, 3, 0), [1]), (range(4), np.array([2, 0, 2])), (np.array([1]), range(4))]:
+        assert same(comma_mask(M, rows, cols), ix(M, rows, cols))
+    assert same(comma_mask(EMPTY.leq, (), []), ix(EMPTY.leq, [], []))
+    rng = random.Random(1909)
+    for _ in SEEDS:
+        n = rng.randrange(1, 6)
+        M = random_mask(rng, n, n, 0.5)
+        rows, cols = ([rng.randrange(n) for _ in range(rng.randrange(0, 7))] for _ in range(2))
+        assert same(comma_mask(M, rows, cols), ix(M, rows, cols))
+        assert same(comma_mask(M, tuple(rows), np.array(cols, dtype=np.intp)), ix(M, rows, cols))
+
+
+def test_comma_mask_of_stacked_rows_and_columns_has_their_shapes_in_turn():
+    rng = random.Random(1910)
+    M = random_mask(rng, 5, 5, 0.5)
+    rows = np.array([[rng.randrange(5) for _ in range(3)] for _ in range(2)])
+    cols = np.array([rng.randrange(5) for _ in range(4)])
+    out = comma_mask(M, rows, cols)
+    assert out.shape == (2, 3, 4)
+    for a in range(2):
+        assert same(out[a], ix(M, rows[a], cols))
+    out = comma_mask(M, cols, rows)
+    assert out.shape == (4, 2, 3)
+    for a in range(2):
+        assert same(out[:, a], ix(M, cols, rows[a]))
+    assert comma_mask(M, np.zeros((2, 0), np.intp), cols).shape == (2, 0, 4)
+    assert comma_mask(M, (), np.zeros((0, 3), np.intp)).shape == (0, 0, 3)
 
 
 def check_subposet(X, elements):

@@ -719,6 +719,30 @@ def test_square_checkers_tell_commas_from_pullbacks_and_from_unordered_apexes():
     assert differ and unordered
 
 
+def test_cone_enumeration_rejects_squares_that_are_not_the_comma():
+    i = MonotoneMap.identity(C2)
+    # the pullback misses the cone (0 <= 1)
+    _, p0, p1 = pullback(i, i)
+    assert not is_comma_square_by_cones(i, i, p0, p1, [terminal(), C2])
+    # the comma's legs out of its carrier with the discrete order are not jointly order-monic
+    C, c0, c1 = comma(i, i)
+    D = FinPoset.discrete(C.n)
+    d0, d1 = MonotoneMap(D, C2, c0.assign), MonotoneMap(D, C2, c1.assign)
+    assert not is_comma_square_by_cones(i, i, d0, d1, [terminal()])
+
+
+POINT_0, POINT_1 = MonotoneMap(terminal(), D2, [0]), MonotoneMap(terminal(), D2, [1])
+
+
+@pytest.mark.parametrize("f0, f1, q", [
+    (POINT_0, POINT_1, MonotoneMap.identity(D2)),
+    (POINT_0, POINT_1, MonotoneMap(D2, C2, [0, 0])),
+    (POINT_0, POINT_0, MonotoneMap(D2, terminal(), [0, 0])),
+], ids=["identity-inserts-nothing", "not-surjective", "collapses-too-much"])
+def test_coinserter_check_rejects_maps_that_are_not_the_coinserter(f0, f1, q):
+    assert not is_coinserter(f0, f1, q, [C2])
+
+
 def test_pullback_of_chain_over_point():
     f = MonotoneMap(C2, terminal(), [0, 0])
     P, p0, p1 = pullback(f, f)
