@@ -21,19 +21,16 @@ from .poset import (
     FinPoset,
     MonotoneMap,
     TooLarge,
-    _bit_rows,
-    _bool_rows,
     _element_count,
     _indices,
-    _least_order,
     all_monotone_maps,
     are_isomorphic,
     classify_map,
     comma_mask,
     hom_poset,
+    one_point_classes,
     pointwise_order,
     poset_reflection,
-    up_rows,
 )
 from .relation import Relation
 from .exreg import (
@@ -164,39 +161,8 @@ def all_posets_up_to_iso(n):
 
 @lru_cache(maxsize=None)
 def _one_point_extensions(n):
-    """The classes of size n: each candidate of ``_extensions`` is certified on its
-    rows, and only the first of each class is built as a poset."""
-    if n == 0:
-        return (FinPoset.discrete(0),)
-    found = {}
-    for P in _one_point_extensions(n - 1):
-        for up, down in _extensions(P):
-            key = _least_order(up, down)
-            if key not in found:
-                # above a down-set and below nothing, the new element keeps the order
-                # reflexive, antisymmetric and transitive
-                found[key] = FinPoset._trusted(_bool_rows(up), None, up)
-    return tuple(found[key] for key in sorted(found))
-
-
-def _extensions(P):
-    """P with a new maximal element m = P.n above each down-set of P, as up-set and
-    down-set rows (as ``_least_order`` takes them), the down-sets in increasing order
-    of their masks.  A subset is a down-set when it is its own down-closure, and
-    the closure of a subset is that of the subset without its lowest element, ORed
-    with that element's down-set."""
-    m = P.n
-    up, down = up_rows(P), _bit_rows(P.leq.T)
-    top = 1 << m
-    closure = [0] * top
-    for k in range(top):
-        if k:
-            low = k & -k
-            closure[k] = closure[k ^ low] | down[low.bit_length() - 1]
-        if closure[k] == k:
-            # m lies above the down-set's elements, and its own up-set is itself
-            rows = [row | top if k >> i & 1 else row for i, row in enumerate(up)]
-            yield rows + [top], down + [k | top]
+    """The classes of size n, by ``poset.one_point_classes`` of those of size n - 1."""
+    return one_point_classes(_one_point_extensions(n - 1)) if n else (FinPoset.discrete(0),)
 
 
 def all_posets_up_to(n):

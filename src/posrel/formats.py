@@ -30,13 +30,11 @@ import numpy as np
 
 from .poset import (
     AntisymmetryViolation,
-    FinPoset,
     InputError,
-    _bool_rows,
     _element_count,
     close_over,
-    close_rows_with,
     first_cycle,
+    generated_poset,
     index_mask,
     shortest_cyclic_prefix,
 )
@@ -184,10 +182,9 @@ def _close_poset(n, rows, cols, pair_nos, labels, path):
     """The poset generated by the pairs (rows[k] <= cols[k]), read at lines ``pair_nos``.
     A cycle is refused at the line that closes it, the last of the shortest cyclic prefix,
     naming that prefix's ``first_cycle``."""
-    up, cyclic = close_rows_with([1 << v for v in range(n)], rows, cols)
-    if not cyclic:
-        # a closure is reflexive and transitive, and with no cycle it is antisymmetric
-        return FinPoset._trusted(_bool_rows(up), labels, up)
+    P, up = generated_poset(n, rows, cols, labels)
+    if P is not None:
+        return P
     reach, closing = shortest_cyclic_prefix(up, rows, cols)
     cycle = AntisymmetryViolation.between(*first_cycle(reach))
     raise ParseError(path, pair_nos[closing - 1], str(cycle)) from cycle

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import equivalence, exreg, poset, relation
-from .poset import FinPoset, MonotoneMap
+from .poset import MonotoneMap
 from .relation import Relation
 
 
@@ -34,15 +34,14 @@ DEFAULT_RELATION_CAP = 5
 
 def gen_poset(rng, n, p=0.35):
     """Random poset: upper-triangular edges with probability p, closed by
-    ``poset.close_rows_with`` over the discrete order."""
+    ``poset.generated_poset``."""
     rows, cols = [], []
     for i, j in itertools.combinations(range(n), 2):
         if rng.random() < p:
             rows.append(i)
             cols.append(j)
-    up, _ = poset.close_rows_with([1 << v for v in range(n)], rows, cols)
     # every edge goes up the numbering, so the closure has no cycle
-    return FinPoset._trusted(poset._bool_rows(up), None, up)
+    return poset.generated_poset(n, rows, cols)[0]
 
 
 def gen_map(rng, X, Y):

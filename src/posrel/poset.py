@@ -256,14 +256,13 @@ class FinPoset:
 
     @classmethod
     def from_covers(cls, n, pairs, labels=None):
-        """Poset generated by ``pairs`` (i <= j) through ``close_rows_with``; a cycle raises
+        """Poset generated by ``pairs`` (i <= j) through ``generated_poset``; a cycle raises
         ``AntisymmetryViolation`` for the closure's ``first_cycle``."""
         n = _element_count(n)
-        up, cyclic = close_rows_with([1 << v for v in range(n)], *checked_pairs((n, n), pairs))
-        if cyclic:
+        P, up = generated_poset(n, *checked_pairs((n, n), pairs), labels)
+        if P is None:
             raise AntisymmetryViolation.between(*first_cycle(up))
-        # a closure is reflexive and transitive, and with no cycle it is antisymmetric
-        return cls._trusted(_bool_rows(up), labels, up)
+        return P
 
     @classmethod
     def discrete(cls, n, labels=None):
@@ -345,6 +344,17 @@ def close_rows_with(up, rows, cols):
         for i, j in zip(rows, cols):
             succ[i] |= 1 << j
     return (up, False) if succ == list(up) else _close_rows(succ)
+
+
+def generated_poset(n, rows, cols, labels=None):
+    """The poset on n elements generated by the pairs (rows[k] <= cols[k]), indices in
+    range, and its rows, by ``close_rows_with`` over the discrete order's rows; or, when
+    the pairs close a cycle, None and the closure's rows, to name or locate the cycle."""
+    up, cyclic = close_rows_with([1 << v for v in range(n)], rows, cols)
+    if cyclic:
+        return None, up
+    # a closure is reflexive and transitive, and with no cycle it is antisymmetric
+    return FinPoset._trusted(_bool_rows(up), labels, up), up
 
 
 def close_over(P, rows, cols):
@@ -664,11 +674,6 @@ def are_isomorphic(X, Y):
     return find_order_iso(X, Y) is not None
 
 
-def _refined_colours(leq):
-    """The colours ``_row_colours`` gives the order matrix ``leq``."""
-    return _row_colours(_bit_rows(leq), _bit_rows(leq.T))
-
-
 def _row_colours(up, down):
     """Colours of the elements of the order with up-set rows ``up`` and down-set
     rows ``down`` (ints, as ``up_rows`` packs the order and its transpose), refined
@@ -812,6 +817,38 @@ def canonical_certificate(P):
     n = P.n
     least = _least_order(up_rows(P), _bit_rows(P.leq.T))
     return n, (least << (-(n * n) % 8)).to_bytes((n * n + 7) // 8, "big")
+
+
+def one_point_classes(classes):
+    """The classes of size n, in key order, from those of size n - 1: each candidate of
+    ``_extensions`` is keyed by ``_least_order`` and only the first per key is built."""
+    found = {}
+    for P in classes:
+        for up, down in _extensions(P):
+            key = _least_order(up, down)
+            if key not in found:
+                # above a down-set and below nothing, the new element keeps the order
+                # reflexive, antisymmetric and transitive
+                found[key] = FinPoset._trusted(_bool_rows(up), None, up)
+    return tuple(found[key] for key in sorted(found))
+
+
+def _extensions(P):
+    """P with a new maximal element m = P.n above each down-set of P, as up-set and
+    down-set rows (as ``_least_order`` takes them), the down-sets in increasing order
+    of their masks.  A subset is a down-set when it is its own down-closure, and
+    the closure of a subset is that of the subset without its lowest element, ORed
+    with that element's down-set."""
+    up, down, top = up_rows(P), _bit_rows(P.leq.T), 1 << P.n
+    closed = [0] * top  # the down-closure of each subset
+    for k in range(top):
+        if k:
+            low = k & -k
+            closed[k] = closed[k ^ low] | down[low.bit_length() - 1]
+        if closed[k] == k:
+            # m lies above the down-set's elements, and its own up-set is itself
+            rows = [row | top if k >> i & 1 else row for i, row in enumerate(up)]
+            yield rows + [top], down + [k | top]
 
 
 # -- limits ------------------------------------------------------------------

@@ -14,8 +14,8 @@ import pytest
 
 import catalogue_before
 from posrel import equivalence, poset
-from posrel.equivalence import _extensions, all_functions, all_posets_up_to, all_posets_up_to_iso
-from posrel.poset import FinPoset, MonotoneMap, _bit_rows, _bool_rows, canonical_certificate
+from posrel.equivalence import all_functions, all_posets_up_to, all_posets_up_to_iso
+from posrel.poset import FinPoset, MonotoneMap, _bit_rows, _bool_rows, _extensions, canonical_certificate
 
 
 def down_sets(P):

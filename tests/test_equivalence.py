@@ -273,7 +273,7 @@ def certificate_with_numpy(P):
 
 
 def check_certificate_as_with_numpy(P):
-    assert poset._refined_colours(P.leq) == refined_colours_with_numpy(P.leq)
+    assert poset._row_colours(poset._bit_rows(P.leq), poset._bit_rows(P.leq.T)) == refined_colours_with_numpy(P.leq)
     assert canonical_certificate(P) == certificate_with_numpy(P)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -835,3 +836,16 @@ def test_cli_refuses_a_bound_past_the_carrier_limit_with_exit_2(monkeypatch, job
     code, out, err = run_cli("harness", "run", "all", "--bound", str(MAX_ELEMENTS + 1), "--jobs", jobs)
     assert (code, out) == (2, "")
     assert err == f"error: TooLarge: bound {MAX_ELEMENTS + 1} exceeds the limit of {MAX_ELEMENTS}\n"
+
+
+@pytest.mark.parametrize("bound", [None, "5", "10", "12"])
+def test_harness_run_all_stdout_is_pinned(bound):
+    from test_formats_cli import run_cli
+
+    # every suite passes at each bound, and a passing report carries no instance data
+    argv = ["harness", "run", "all", "--trials", "100", "--seed", "1"]
+    code, out, err = run_cli(*argv, *(["--bound", bound] if bound else []))
+    assert code == 0, out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0922493dd299f41d0bc96b77d47b94bd22f9c9d7987c09b837407f72a9d2ed0f"
+    )
