@@ -37,10 +37,11 @@ from .exreg import (
     ExRegMorphism,
     ExRegObject,
     _check_morphism_laws,
+    _graphs_of_legs,
+    _hom_order_of_legs,
     crosscheck,
     gamma_object,
     graph_stack,
-    hom_order,
 )
 
 
@@ -58,16 +59,21 @@ def quotient_realize(obj):
 
 
 def realize_morphisms(morphisms):
-    """The monotone maps between realizations of parallel morphisms, in order.
-
-    r([x]) = [y] for the first y with (x, y) in gr, read off the graphs of the
-    whole list at once after checking that each graph is total.
-    ``realize_morphism`` is its k = 1 case."""
+    """The monotone maps between realizations of parallel morphisms, in order:
+    ``_realize_graphs`` of their ``graph_stack``.  ``realize_morphism`` is its
+    k = 1 case."""
     if not morphisms:
         return []
-    P, p = quotient_realize(morphisms[0].src)
-    Q, q = quotient_realize(morphisms[0].tgt)
-    gr = graph_stack(morphisms)
+    return _realize_graphs(morphisms[0].src, morphisms[0].tgt, graph_stack(morphisms))
+
+
+def _realize_graphs(src, tgt, gr):
+    """The monotone maps between realizations of k stacked graphs src -> tgt.
+
+    r([x]) = [y] for the first y with (x, y) in gr, read off the whole stack at
+    once after checking that each graph is total."""
+    P, p = quotient_realize(src)
+    Q, q = quotient_realize(tgt)
     crosscheck(gr.any(axis=2).all(), "realize_morphism: the graph of a morphism must be total")
     # total graphs into an empty carrier come out of an empty one, and have no rows
     first = gr.argmax(axis=2) if gr.shape[2] else np.zeros(gr.shape[:2], dtype=np.intp)
@@ -88,10 +94,22 @@ def realize_morphism(R):
 
 
 def _morphisms_from_maps(src, tgt, maps):
-    """The adjoint pairs of maps between the realizations, built and validated
-    as one stack of legs."""
+    """The adjoint pairs of maps between the realizations, on the legs of
+    ``_legs_of_maps``."""
     if not maps:
         return []
+    X, Y = src.X, tgt.X
+    # the legs passed the four laws
+    return [
+        ExRegMorphism(src, tgt, Relation(X, Y, low), Relation(Y, X, up))
+        for low, up in zip(*_legs_of_maps(src, tgt, maps))
+    ]
+
+
+def _legs_of_maps(src, tgt, maps):
+    """The legs of the adjoint pairs of k >= 1 maps between the realizations,
+    stacked (k, |X|, |Y|) and (k, |Y|, |X|), built with one index each and
+    validated in one call."""
     _, p = quotient_realize(src)
     Q, q = quotient_realize(tgt)
     # rx[i, x] = r_i([x]), the value of the i-th map at the class of x
@@ -99,12 +117,7 @@ def _morphisms_from_maps(src, tgt, maps):
     lower = comma_mask(Q.leq, rx, q.assign)
     upper = comma_mask(Q.leq, q.assign, rx).transpose(1, 0, 2)
     _check_morphism_laws(src.E.pairs, tgt.E.pairs, lower, upper)
-    X, Y = src.X, tgt.X
-    # the legs passed the four laws above
-    return [
-        ExRegMorphism(src, tgt, Relation(X, Y, low), Relation(Y, X, up))
-        for low, up in zip(lower, upper)
-    ]
+    return lower, upper
 
 
 def morphism_from_map(src, tgt, r):
@@ -331,9 +344,13 @@ def characterize(F, bound):
     for A in samples:
         for B in samples:
             maps = all_monotone_maps(quotient_realize(A)[0], quotient_realize(B)[0])
-            morphisms = _morphisms_from_maps(A, B, maps)
-            ok = compare_homs(hom_order(morphisms), realize_morphisms(morphisms), maps)
-            realizes.record(f"hom ({A.X.n},{B.X.n})-carriers", all(ok))
+            order, images = np.zeros((0, 0), dtype=bool), []
+            if maps:
+                # what the morphisms' hom_order and realize_morphisms check, on one stack of legs
+                L, U = _legs_of_maps(A, B, maps)
+                order = _hom_order_of_legs(L, U)
+                images = _realize_graphs(A, B, _graphs_of_legs(L, U, B.E.pairs))
+            realizes.record(f"hom ({A.X.n},{B.X.n})-carriers", all(compare_homs(order, images, maps)))
     return [faithful, covering, realizes]
 
 
@@ -423,10 +440,10 @@ def commutation_check(bound):
     )
     sampled = min(bound, 3)
     small = all_posets_up_to(sampled)
+    ords = [OrdObject.from_poset(A) for A in small]
     # Ord(FinSet) vs FinPos: same objects, same hom-posets
-    for A in small:
-        for B in small:
-            OA, OB = OrdObject.from_poset(A), OrdObject.from_poset(B)
+    for A, OA in zip(small, ords):
+        for B, OB in zip(small, ords):
             H_ord, ord_maps = ord_hom_poset(OA, OB)
             H_pos, maps = hom_poset(A, B)
             # both list the same functions in lexicographic order: compare under that bijection

@@ -269,13 +269,22 @@ def _stacked_legs(morphisms):
 def hom_order(morphisms):
     """The k × k order on parallel morphisms: ``out[a, b]`` iff R_a <= R_b.
 
-    With the lower legs stacked as rows of L, R_a <= R_b iff no cell is in
-    L_b and not in L_a, so the order is ``~bool_mat(~L, L.T)``; the upper
-    legs U, ordered by inclusion, give ``~bool_mat(U, ~U.T)``, and the two
-    are cross-checked as in ``hom_leq``."""
+    ``_hom_order_of_legs`` on their stacked legs; an empty list has the empty
+    order."""
     if not morphisms:
         return np.zeros((0, 0), dtype=bool)
-    L, U = (legs.reshape(len(morphisms), -1) for legs in _stacked_legs(morphisms))
+    return _hom_order_of_legs(*_stacked_legs(morphisms))
+
+
+def _hom_order_of_legs(L, U):
+    """The k × k hom order of k >= 1 stacked pairs of legs, L of shape (k, |X|, |Y|)
+    and U of (k, |Y|, |X|).
+
+    With the lower legs as rows of L, R_a <= R_b iff no cell is in L_b and not
+    in L_a, so the order is ``~bool_mat(~L, L.T)``; the upper legs U, ordered by
+    inclusion, give ``~bool_mat(U, ~U.T)``, and the two are cross-checked as in
+    ``hom_leq``."""
+    L, U = (legs.reshape(len(legs), -1) for legs in (L, U))
     lower_side = ~bool_mat(~L, L.T)
     upper_side = ~bool_mat(U, ~U.T)
     crosscheck(np.array_equal(lower_side, upper_side), "hom-order: lower and upper legs disagree")
@@ -302,24 +311,29 @@ def derive_right_adjoint(src, tgt, lower):
 def graph_stack(morphisms):
     """gr(R_*) = R_* ∩ (R^*)° of each of k parallel morphisms, stacked (k, |X|, |Y|).
 
-    Both cross-checks run on the whole stack.  Each graph is kept on its morphism
-    only once they pass, so a stack in which one morphism fails keeps no graph
-    and raises on every call; a stack whose graphs are all kept is read back from
-    them.  ``graph_of`` is its k = 1 case."""
+    ``_graphs_of_legs`` runs both cross-checks on the whole stack of legs.  Each
+    graph is kept on its morphism only once they pass, so a stack in which one
+    morphism fails keeps no graph and raises on every call; a stack whose graphs
+    are all kept is read back from them.  ``graph_of`` is its k = 1 case."""
     if all(R._graph is not None for R in morphisms):
         _check_parallel(morphisms)
         return np.array([R._graph.pairs for R in morphisms])
-    L, U = _stacked_legs(morphisms)
-    gr = L & U.transpose(0, 2, 1)
+    gr = _graphs_of_legs(*_stacked_legs(morphisms), morphisms[0].tgt.E.pairs)
     gr.flags.writeable = False  # the kept graphs are views of it
-    F = morphisms[0].tgt.E.pairs
+    for R, g in zip(morphisms, gr):
+        if R._graph is None:
+            R._graph = Relation(R.src.X, R.tgt.X, g)
+    return gr
+
+
+def _graphs_of_legs(L, U, F):
+    """gr = L ∩ U° of k stacked pairs of legs into (Y, F), L of shape (k, |X|, |Y|)
+    and U of (k, |Y|, |X|), once both cross-checks have passed on the whole stack."""
+    gr = L & U.transpose(0, 2, 1)
     # the products and the legs are bool arrays of one shape: equal bytes are equal stacks
     crosscheck(bool_mat(gr, F).tobytes() == L.tobytes(), "graph_of: F gr = R_* fails")
     crosscheck(bool_mat(F, gr.transpose(0, 2, 1)).tobytes() == U.tobytes(),
                "graph_of: gr° F = R^* fails")
-    for R, g in zip(morphisms, gr):
-        if R._graph is None:
-            R._graph = Relation(R.src.X, R.tgt.X, g)
     return gr
 
 

@@ -11,7 +11,7 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "posrel").glob("
 
 CHAINED_TAKES = {"comma_mask": "the one helper: leq.take(rows, 0).take(cols, -1)"}
 BROADCASTS = {
-    "realize_morphisms": "its monotonicity cross-check needs one kernel per map of a stack, "
+    "_realize_graphs": "its monotonicity cross-check needs one kernel per map of a stack, "
                          "which comma_mask's outer shape rule does not give",
     "ord_hom_poset": "an Ord oracle, kept independent of the helper whose results it checks",
 }

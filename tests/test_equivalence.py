@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,14 @@ def outside_cover_functor():
     return F
 
 
+def no_cover_functor():
+    """The discrete inclusion without its covers: full, but covering nothing."""
+    F = discrete_inclusion_functor()
+    F.name = "no-cover"
+    F.cover = lambda Y: None
+    return F
+
+
 def injections_only_functor():
     """Finite sets with injective functions only: covering, but not full."""
     F = discrete_inclusion_functor()
@@ -327,6 +336,7 @@ def injections_only_functor():
     (identity_functor, 3, [True, True, True]),
     (discrete_inclusion_functor, 3, [True, True, True]),
     (outside_cover_functor, 3, [True, False, False]),
+    (no_cover_functor, 3, [True, False, False]),
     (doubling_functor, 2, [False, False, False]),
     (injections_only_functor, 3, [False, True, True]),
 ])
@@ -627,13 +637,72 @@ def test_hom_order_refuses_non_parallel_morphisms_and_takes_an_empty_list():
 def test_characterize_compares_the_completion_order_under_the_bijection(monkeypatch):
     assert characterize(discrete_inclusion_functor(), 3)[2].passed
     assert commutation_check(3).passed
-    real = equivalence.hom_order
-    monkeypatch.setattr(equivalence, "hom_order", lambda morphisms: real(morphisms).T)
+    real = equivalence._hom_order_of_legs
+    monkeypatch.setattr(equivalence, "_hom_order_of_legs", lambda L, U: real(L, U).T)
     realizes = characterize(discrete_inclusion_functor(), 3)[2]
     failed = {label for label, ok, _ in realizes.lines if not ok}
     assert failed and all(label.startswith("hom (") and label.endswith(")-carriers") for label in failed)
     failed = {label for label, ok, _ in commutation_check(3).lines if not ok}
     assert failed == {"set-completion vs posets"}
+
+
+def test_characterize_compares_the_realized_maps_in_the_order_of_the_hom_set(monkeypatch):
+    real = equivalence._realize_graphs
+    # the same maps, listed backwards: still a bijection onto the hom-set, but not monotone
+    monkeypatch.setattr(equivalence, "_realize_graphs", lambda src, tgt, gr: real(src, tgt, gr)[::-1])
+    reports = characterize(discrete_inclusion_functor(), 3)
+    assert reports[0].passed and reports[1].passed
+    failed = {label for label, ok, _ in reports[2].lines if not ok}
+    assert failed and all(label.startswith("hom (") and label.endswith(")-carriers") for label in failed)
+    failed = {label for label, ok, _ in commutation_check(3).lines if not ok}
+    assert failed == {"set-completion vs posets"}
+
+
+@pytest.mark.parametrize("name, plant, error, message", [
+    # the upper legs emptied: the laws fail before any order is read
+    ("_check_morphism_laws", lambda real: lambda E, F, L, U: real(E, F, L, np.zeros_like(U)),
+     "AdjunctionFailed", "R^* R_* ⊇ E fails"),
+    # the upper legs of a stack listed backwards: the two sides of the hom order disagree
+    ("_hom_order_of_legs", lambda real: lambda L, U: real(L, U[::-1]),
+     "CrossCheckFailed", "hom-order: lower and upper legs disagree"),
+    # the upper legs emptied: empty graphs
+    ("_graphs_of_legs", lambda real: lambda L, U, F: real(L, np.zeros_like(U), F),
+     "CrossCheckFailed", "graph_of: F gr = R_* fails"),
+    # the upper legs grown by every cell outside the lower ones: the same graphs, larger legs
+    ("_graphs_of_legs", lambda real: lambda L, U, F: real(L, U | ~L.transpose(0, 2, 1), F),
+     "CrossCheckFailed", "graph_of: gr° F = R^* fails"),
+    # both legs emptied: graphs that agree with their legs, and are not total
+    ("_graphs_of_legs", lambda real: lambda L, U, F: real(np.zeros_like(L), np.zeros_like(U), F),
+     "CrossCheckFailed", "realize_morphism: the graph of a morphism must be total"),
+    # each graph read with its columns reversed: 0 < 1 goes to 1 > 0
+    ("_graphs_of_legs", lambda real: lambda L, U, F: real(L, U, F)[:, :, ::-1],
+     "CrossCheckFailed", "realize_morphism: the realized map must be monotone"),
+])
+def test_each_check_of_the_sampled_hom_sets_raises_on_a_planted_fault(
+    name, plant, error, message, monkeypatch
+):
+    monkeypatch.setattr(equivalence, name, plant(getattr(equivalence, name)))
+    with pytest.raises(Exception, match=f"^{re.escape(message)}$") as raised:
+        characterize(discrete_inclusion_functor(), 3)
+    assert type(raised.value).__name__ == error
+
+
+def test_the_sampled_hom_sets_build_no_relation_or_morphism(monkeypatch):
+    from posrel import exreg, relation
+
+    built = {"Relation": 0, "ExRegMorphism": 0}
+    for module, name in [(relation, "Relation"), (exreg, "ExRegMorphism")]:
+        cls = getattr(module, name)
+        init = cls.__init__
+
+        def counting(self, *args, _name=name, _init=init):
+            built[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    assert all(report.passed for report in characterize(discrete_inclusion_functor(), 3))
+    # one congruence per kernel object, and no leg, graph or morphism of a hom-set
+    assert built == {"Relation": len(all_posets_up_to(3)), "ExRegMorphism": 0}
 
 
 def test_discrete_check():

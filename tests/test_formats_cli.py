@@ -1525,8 +1525,8 @@ def test_cli_does_not_report_a_failed_crosscheck_as_input(construction_inputs, m
 def test_cli_does_not_report_a_wrong_realized_map_as_input(monkeypatch):
     from posrel import equivalence, exreg
 
-    real = equivalence.graph_stack
-    monkeypatch.setattr(equivalence, "graph_stack", lambda morphisms: real(morphisms)[:, :, ::-1])
+    real = equivalence._graphs_of_legs
+    monkeypatch.setattr(equivalence, "_graphs_of_legs", lambda L, U, F: real(L, U, F)[:, :, ::-1])
     with pytest.raises(exreg.CrossCheckFailed, match="realize_morphism: the realized map must be monotone"):
         run_cli("equiv", "set-pos", "--bound", "3")
 
